@@ -24,10 +24,10 @@ use crate::deps::{infer_dependencies, satisfy};
 use crate::gen::{mutate, scenarios_for, GenContext};
 use crate::model::{Expectation, Mode, PlannedOp, Trial, TrialOutcome};
 use crate::oracles::{
-    self, consistency_check, differential_normal, differential_rollback, error_checks,
-    masked_snapshot, transition_occurred, AlarmKind, OracleContext,
+    self, differential_rollback, masked_snapshot, transition_occurred, AlarmKind, OracleContext,
 };
 use crate::report::{summarize, Alarm, CampaignSummary};
+use crate::step::{self, Judged, Ledger};
 
 /// Campaign configuration.
 #[derive(Clone)]
@@ -124,7 +124,8 @@ impl CampaignConfig {
     /// noise; the efficacy suite seeds ground-truth bugs explicitly. The
     /// differential oracle stays off by default (the fuzzer's per-input
     /// crash-consistency reference plays the same role); `strategy`,
-    /// `window`, and `crash_sweep` are ignored by the fuzz executor.
+    /// `window`, `max_ops` and `crash_sweep` are ignored by the fuzz
+    /// executor, while `custom_oracles` run on its converged transitions.
     pub fn fuzz(operator: &str, mode: Mode) -> CampaignConfig {
         CampaignConfig {
             operators: vec![operator.to_string()],
@@ -173,11 +174,6 @@ impl CampaignConfig {
         self.operators.join("+")
     }
 }
-
-/// Downtime of a sweep-injected operator crash, in simulated seconds. Kept
-/// strictly below [`CONVERGE_RESET`] so the process restarts before the
-/// reset timer could declare convergence with the operator dead.
-pub(crate) const CRASH_DOWN_FOR: u64 = 5;
 
 /// The result of one campaign.
 #[derive(Debug)]
@@ -485,20 +481,6 @@ pub(crate) fn value_path(schema_path: &Path) -> Path {
     Path::from_steps(steps)
 }
 
-/// Returns `true` when the operator has acknowledged the current
-/// generation in the CR status.
-pub(crate) fn acknowledged(instance: &Instance) -> bool {
-    let Some(obj) = instance.cluster.api().get(&instance.cr_key()) else {
-        return true;
-    };
-    let generation = obj.meta.generation as i64;
-    obj.data
-        .status_value()
-        .get("observedGeneration")
-        .and_then(Value::as_i64)
-        .is_some_and(|og| og >= generation)
-}
-
 fn deploy_instance(config: &CampaignConfig) -> Instance {
     Instance::deploy_on(
         operator_by_name(config.operator()),
@@ -507,54 +489,6 @@ fn deploy_instance(config: &CampaignConfig) -> Instance {
         config.topology.clone(),
     )
     .expect("initial deployment")
-}
-
-/// Delta-based simulated-time meter across cluster replacements.
-///
-/// Only the simulated seconds elapsed while the campaign *owned* a cluster
-/// count: a fresh deployment is adopted at clock zero (its deployment
-/// convergence is billed), a checkpoint-restored cluster at its restore
-/// time (the checkpoint's already-billed history is not). Retiring a
-/// cluster banks its span. The total is therefore a sum of disjoint
-/// deltas — never the absolute clock — which is what keeps resets,
-/// rollbacks, and differential references from double-counting.
-struct SimMeter {
-    banked: u64,
-    adopted_at: u64,
-}
-
-impl SimMeter {
-    fn new(instance: &Instance, fresh: bool) -> SimMeter {
-        let mut meter = SimMeter {
-            banked: 0,
-            adopted_at: 0,
-        };
-        meter.adopt(instance, fresh);
-        meter
-    }
-
-    /// Starts metering `instance`. `fresh` means the cluster was deployed
-    /// from nothing, so its whole history is billed to this campaign.
-    fn adopt(&mut self, instance: &Instance, fresh: bool) {
-        self.adopted_at = if fresh { 0 } else { instance.cluster.now() };
-    }
-
-    /// Banks the span of a cluster about to be replaced.
-    fn retire(&mut self, instance: &Instance) {
-        self.banked += instance.cluster.now() - self.adopted_at;
-    }
-
-    /// Credits simulated seconds spent on a side cluster (the differential
-    /// oracle's fresh reference).
-    fn bank(&mut self, sim: u64) {
-        self.banked += sim;
-    }
-
-    /// Total simulated seconds consumed so far, including the live span of
-    /// the current cluster.
-    fn total(&self, instance: &Instance) -> u64 {
-        self.banked + (instance.cluster.now() - self.adopted_at)
-    }
 }
 
 /// Obtains a campaign cluster: restores the deploy-converged base
@@ -614,13 +548,7 @@ pub fn run_campaign_with(
 ) -> CampaignResult {
     let operator = operator_by_name(config.operator());
     let schema = operator.schema();
-    let (mut instance, fresh) = match start {
-        Some(cp) => (
-            Instance::from_checkpoint(operator_by_name(config.operator()), config.bugs.clone(), cp),
-            false,
-        ),
-        None => acquire_instance(config, base),
-    };
+    let (mut instance, fresh) = acquire_instance(config, start.or(base));
     // Sequential runs reset by restoring the deploy-converged state —
     // exactly the parallel runner's shared base checkpoint — instead of
     // paying a full redeployment per reset, which is prohibitive on
@@ -629,86 +557,32 @@ pub fn run_campaign_with(
     let local_base: Option<InstanceCheckpoint> =
         (base.is_none() && start.is_none() && fresh).then(|| instance.checkpoint());
     let base = base.or(local_base.as_ref());
-    let mut meter = SimMeter::new(&instance, fresh);
-    // Sim-seconds attributed so far (setup + pushed trials). Spans are
-    // measured from here so nothing is counted twice and nothing is lost.
-    let mut span_start = meter.total(&instance);
-    let mut trial_sim_total: u64 = 0;
-    let mut convergence_waits = 0usize;
+    // Everything billed before the first trial's span is setup.
+    let mut ledger = Ledger::new(&instance, fresh);
+    let mut setup_sim_seconds = ledger.total(&instance);
     let mut resets = 0usize;
-    let mut ref_cache_hits = 0usize;
-    let mut ref_cache_misses = 0usize;
-    let mut crash_points_total: u64 = 0;
     let mut last_good = instance.cr_spec();
     let mut trials: Vec<Trial> = Vec::new();
     let mut covered: BTreeSet<Path> = BTreeSet::new();
     let mut no_transition_alarmed: BTreeSet<Path> = BTreeSet::new();
-    let cr_id = format!(
-        "{}/{}/{}",
-        instance.operator().kind(),
-        instance.namespace,
-        instance.name
-    );
+    let cr_id = step::cr_id(&instance);
     let raw_final_state = instance.state_snapshot();
     let deterministic_fields = oracles::field_determinism(&raw_final_state);
     let (skip, take) = config.window.unwrap_or((0, plan.len()));
 
-    // Error-state campaign start: fire the configured fault plan against
-    // the freshly deployed system, then require the operator to restore it
-    // (Figure 4c taken down to the platform layer). The burst belongs to
-    // the campaign as a whole, so a windowed run only executes it for the
-    // segment that starts at the plan's beginning.
+    // Error-state campaign start: the burst belongs to the campaign as a
+    // whole, so a windowed run only executes it for the segment that
+    // starts at the plan's beginning.
     if !config.faults.is_empty() && skip == 0 {
-        let pre_fault = masked_snapshot(&instance);
-        let horizon = config.faults.horizon();
-        instance.cluster.install_fault_plan(config.faults.clone());
-        instance.advance(horizon);
-        let converged = instance.converge(CONVERGE_RESET, CONVERGE_MAX);
-        convergence_waits += 1;
-        let healthy = !matches!(instance.last_health, managed::Health::Down(_))
-            && !instance.operator_crashed()
-            && acknowledged(&instance)
-            && instance.pod_failures().is_empty();
-        let after = masked_snapshot(&instance);
-        let burst_alarms = collapse(oracles::recovery_check(
-            &pre_fault, &after, healthy, converged,
-        ));
-        let recovered = burst_alarms.is_empty();
-        let outcome = if recovered {
-            TrialOutcome::Converged
-        } else {
-            TrialOutcome::ErrorState("failed to recover from injected faults".to_string())
-        };
-        let declaration = instance.cr_spec();
-        let fault_events = instance.cluster.fault_events();
-        if !recovered {
+        let mut burst = step::fault_burst(&mut instance, &config.faults, &mut ledger);
+        if !burst.alarms.is_empty() {
             // The damaged cluster would contaminate the plan: reset.
-            meter.retire(&instance);
-            let (next, next_fresh) = acquire_instance(config, base);
-            instance = next;
-            meter.adopt(&instance, next_fresh);
+            reset(&mut instance, &mut ledger, config, base);
             last_good = instance.cr_spec();
             resets += 1;
         }
-        let sim = meter.total(&instance) - span_start;
-        trial_sim_total += sim;
-        trials.push(Trial {
-            op: PlannedOp {
-                index: 0,
-                property: Path::root(),
-                scenario: "fault-burst",
-                value: Value::Null,
-                dependency_assignments: Vec::new(),
-                expectation: Expectation::NormalTransition,
-            },
-            declaration,
-            outcome,
-            alarms: burst_alarms,
-            rollback_recovered: Some(recovered),
-            sim_seconds: sim,
-            fault_events,
-            crash_points_swept: 0,
-        });
+        burst.sim_seconds = ledger.take_span(&instance);
+        trials.push(burst);
     }
 
     // Test partitioning: replace the plan prefix with one jump operation —
@@ -720,133 +594,46 @@ pub fn run_campaign_with(
         }
         if instance.submit(jump.clone()).is_ok() {
             let _ = instance.converge(CONVERGE_RESET, CONVERGE_MAX);
-            convergence_waits += 1;
+            ledger.convergence_waits += 1;
             last_good = jump;
         }
     }
-    // Everything billed before the first planned trial is setup.
-    let mut setup_sim_seconds = meter.total(&instance) - trial_sim_total;
-    span_start = meter.total(&instance);
+    setup_sim_seconds += ledger.take_span(&instance);
 
     for planned in plan.iter().skip(skip).take(take) {
-        if let Some(max) = config.max_ops {
-            if trials.len() >= max {
-                break;
-            }
+        if config.max_ops.is_some_and(|max| trials.len() >= max) {
+            break;
         }
-        // Build the new declaration. The single-operation strategy always
-        // starts from the initial state; the others chain.
+        // The single-operation strategy always starts from the initial
+        // state; the others chain.
         if config.strategy == Strategy::SingleOperation {
-            meter.retire(&instance);
-            let (next, next_fresh) = acquire_instance(config, base);
-            instance = next;
-            meter.adopt(&instance, next_fresh);
+            reset(&mut instance, &mut ledger, config, base);
             last_good = instance.cr_spec();
         }
         let mut spec = instance.cr_spec();
-        for (p, v) in &planned.dependency_assignments {
-            spec.set_path(&value_path(p), v.clone());
-        }
-        let target = value_path(&planned.property);
-        if planned.value.is_null() {
-            spec.remove_path(&target);
-        } else {
-            spec.set_path(&target, planned.value.clone());
-        }
+        apply_op(&mut spec, planned);
         if normalized(&spec) == normalized(&instance.cr_spec()) {
             continue;
         }
         covered.insert(planned.property.clone());
-        let pre_state = masked_snapshot(&instance);
         let sweep_cp = config.crash_sweep.then(|| instance.checkpoint());
-        let writes_before = instance.operator_writes();
-        let t_start = instance.cluster.now();
-        if let Err(err) = instance.submit(spec.clone()) {
-            let sim = meter.total(&instance) - span_start;
-            span_start += sim;
-            trial_sim_total += sim;
-            trials.push(Trial {
-                op: planned.clone(),
-                declaration: spec,
-                outcome: TrialOutcome::RejectedByApi(err.to_string()),
-                alarms: Vec::new(),
-                rollback_recovered: None,
-                sim_seconds: sim,
-                fault_events: Vec::new(),
-                crash_points_swept: 0,
-            });
-            continue;
-        }
-        let converged = instance.converge(CONVERGE_RESET, CONVERGE_MAX);
-        convergence_waits += 1;
-        let mut alarms: Vec<Alarm> = Vec::new();
-        let post_state = masked_snapshot(&instance);
-        let writes_after = instance.operator_writes();
-        let crashed = instance.operator_crashed();
-        let system_down = matches!(instance.last_health, managed::Health::Down(_));
-        let pod_errors = instance.pod_failures();
-        let stalled = !crashed && !acknowledged(&instance);
-        let rejected = oracles::operator_rejected(&instance, t_start);
-
-        let outcome = if crashed {
-            alarms.extend(error_checks(&instance, t_start));
-            TrialOutcome::OperatorCrash(
-                alarms
-                    .first()
-                    .map(|a| a.detail.clone())
-                    .unwrap_or_else(|| "panic".to_string()),
-            )
-        } else if !converged {
-            // Trial watchdog: classify the exhausted budget by whether the
-            // operator was writing at all during the window.
-            let writes_during = writes_after - writes_before;
-            if writes_during > 0 {
-                alarms.push(Alarm::new(
-                    AlarmKind::ErrorCheck,
-                    format!(
-                        "livelock: convergence budget exhausted with the operator still writing ({writes_during} writes)"
-                    ),
-                ));
-                TrialOutcome::Livelock
-            } else {
-                alarms.push(Alarm::new(
-                    AlarmKind::ErrorCheck,
-                    "stuck: convergence budget exhausted with no operator writes at all"
-                        .to_string(),
-                ));
-                TrialOutcome::Stuck
+        let Judged {
+            outcome,
+            mut alarms,
+            pre_state,
+            post_state,
+            writes,
+        } = match step::submit_and_judge(&mut instance, &spec, &mut ledger) {
+            Ok(judged) => judged,
+            Err(err) => {
+                let outcome = TrialOutcome::RejectedByApi(err.to_string());
+                let sim = ledger.take_span(&instance);
+                trials.push(step::trial(planned.clone(), spec, outcome, Vec::new(), sim));
+                continue;
             }
-        } else if system_down || !pod_errors.is_empty() {
-            alarms.extend(error_checks(&instance, t_start));
-            TrialOutcome::ErrorState(
-                instance
-                    .last_health
-                    .reason()
-                    .unwrap_or("pods in error state")
-                    .to_string(),
-            )
-        } else if stalled {
-            alarms.push(Alarm::new(
-                AlarmKind::ErrorCheck,
-                "operator stalled: declaration never acknowledged".to_string(),
-            ));
-            TrialOutcome::ErrorState("operator stalled".to_string())
-        } else if rejected {
-            TrialOutcome::RejectedByOperator
-        } else {
-            TrialOutcome::Converged
         };
 
         if outcome == TrialOutcome::Converged {
-            // A converged-but-degraded system is an explicit runtime-status
-            // signal (e.g. stale configuration, outdated secrets).
-            if let managed::Health::Degraded(reason) = &instance.last_health {
-                alarms.push(Alarm::new(
-                    AlarmKind::ErrorCheck,
-                    format!("managed system degraded: {reason}"),
-                ));
-            }
-            let previous = last_good.get_path(&target).cloned();
             let ctx = OracleContext {
                 property: &planned.property,
                 declared: &planned.value,
@@ -873,66 +660,44 @@ pub fn run_campaign_with(
                     ));
                 }
             } else {
-                alarms.extend(consistency_check(&ctx, previous.as_ref()));
-                for oracle in &config.custom_oracles {
-                    for mut alarm in oracle.check(&ctx, &instance) {
-                        alarm.detail = format!("[{}] {}", oracle.name(), alarm.detail);
-                        alarms.push(alarm);
-                    }
-                }
-                if config.differential {
-                    let (reference, hit) = fresh_reference(config, &spec, base, ref_cache);
-                    if hit {
-                        ref_cache_hits += 1;
-                    } else {
-                        ref_cache_misses += 1;
-                    }
-                    meter.bank(reference.sim_seconds);
-                    convergence_waits += reference.convergence_waits;
-                    if let Some(fresh_state) = &reference.state {
-                        alarms.extend(collapse(differential_normal(&post_state, fresh_state)));
-                    }
-                }
+                alarms.extend(step::oracle_pass(
+                    config,
+                    &ctx,
+                    &last_good,
+                    &instance,
+                    base,
+                    ref_cache,
+                    &mut ledger,
+                ));
             }
         }
 
+        let mut rollback_recovered = None;
         if outcome == TrialOutcome::RejectedByOperator {
             // The operator refused the declaration: restore the last good
             // one so the declared state matches what the system runs.
-            let _ = instance.submit(last_good.clone());
-            let _ = instance.converge(CONVERGE_RESET, CONVERGE_MAX);
-            convergence_waits += 1;
-        }
-        let mut rollback_recovered = None;
-        if outcome.is_error() && config.strategy != Strategy::Full {
+            resubmit(&mut instance, &last_good, &mut ledger);
+        } else if outcome.is_error() && config.strategy != Strategy::Full {
             // Without the recovery strategy the campaign simply resets.
-            meter.retire(&instance);
-            let (next, next_fresh) = acquire_instance(config, base);
-            instance = next;
-            meter.adopt(&instance, next_fresh);
+            reset(&mut instance, &mut ledger, config, base);
             if config.strategy == Strategy::OperationSequence {
-                let _ = instance.submit(last_good.clone());
-                let _ = instance.converge(CONVERGE_RESET, CONVERGE_MAX);
-                convergence_waits += 1;
+                resubmit(&mut instance, &last_good, &mut ledger);
             } else {
                 last_good = instance.cr_spec();
             }
             resets += 1;
         } else if outcome.is_error() {
             // Error-state recovery (Figure 4c): roll back to the previous
-            // good declaration and verify restoration.
-            let rollback_ok = instance.submit(last_good.clone()).is_ok();
-            let _ = instance.converge(CONVERGE_RESET, CONVERGE_MAX);
-            convergence_waits += 1;
-            // Rollback must clear the *error* state; a pre-existing
-            // degradation is judged by the state comparison instead.
-            let healthy = !matches!(instance.last_health, managed::Health::Down(_))
-                && !instance.operator_crashed()
-                && acknowledged(&instance)
-                && instance.pod_failures().is_empty();
-            let after = masked_snapshot(&instance);
-            let rb_alarms = if rollback_ok {
-                collapse(differential_rollback(&pre_state, &after, healthy))
+            // good declaration and verify restoration. Rollback must clear
+            // the *error* state; a pre-existing degradation is judged by
+            // the state comparison instead.
+            let rb_alarms = if resubmit(&mut instance, &last_good, &mut ledger) {
+                let after = masked_snapshot(&instance);
+                collapse(differential_rollback(
+                    &pre_state,
+                    &after,
+                    step::settled(&instance),
+                ))
             } else {
                 vec![Alarm::new(
                     AlarmKind::DifferentialRollback,
@@ -940,18 +705,11 @@ pub fn run_campaign_with(
                 )]
             };
             rollback_recovered = Some(rb_alarms.is_empty());
-            if rb_alarms.is_empty() {
-                // Recovered: continue from the restored state.
-            } else {
-                alarms.extend(rb_alarms);
+            if !rb_alarms.is_empty() {
                 // Reset onto a clean cluster at the last good declaration.
-                meter.retire(&instance);
-                let (next, next_fresh) = acquire_instance(config, base);
-                instance = next;
-                meter.adopt(&instance, next_fresh);
-                let _ = instance.submit(last_good.clone());
-                let _ = instance.converge(CONVERGE_RESET, CONVERGE_MAX);
-                convergence_waits += 1;
+                alarms.extend(rb_alarms);
+                reset(&mut instance, &mut ledger, config, base);
+                resubmit(&mut instance, &last_good, &mut ledger);
                 resets += 1;
             }
         } else if outcome == TrialOutcome::Converged {
@@ -960,13 +718,8 @@ pub fn run_campaign_with(
                 // A detected defect may leave residue (stale objects, stale
                 // labels) that would contaminate later trials: reset onto a
                 // clean cluster at the current declaration.
-                meter.retire(&instance);
-                let (next, next_fresh) = acquire_instance(config, base);
-                instance = next;
-                meter.adopt(&instance, next_fresh);
-                let _ = instance.submit(last_good.clone());
-                let _ = instance.converge(CONVERGE_RESET, CONVERGE_MAX);
-                convergence_waits += 1;
+                reset(&mut instance, &mut ledger, config, base);
+                resubmit(&mut instance, &last_good, &mut ledger);
                 resets += 1;
             }
         }
@@ -974,44 +727,25 @@ pub fn run_campaign_with(
         // Crash-point sweep: the converged live run is the uninterrupted
         // reference — it fixes both the write count `W` and the expected
         // masked end state. Each boundary replays from the pre-submit
-        // checkpoint (an O(1) restore, no redeployment), dies after its
-        // k-th state-changing write, rides out the downtime, and must
-        // reconverge to the reference.
+        // checkpoint and must reconverge to the reference.
         let mut crash_points_swept = 0u32;
-        if outcome == TrialOutcome::Converged {
-            if let Some(cp) = &sweep_cp {
-                for k in 1..=(writes_after - writes_before) {
-                    let mut replay = Instance::from_checkpoint(
-                        operator_by_name(config.operator()),
-                        config.bugs.clone(),
-                        cp,
-                    );
-                    let t0 = replay.cluster.now();
-                    replay
-                        .cluster
-                        .api_mut()
-                        .arm_operator_crash(k as u32, CRASH_DOWN_FOR);
-                    if replay.submit(spec.clone()).is_err() {
-                        continue;
-                    }
-                    let replay_converged = replay.converge(CONVERGE_RESET, CONVERGE_MAX);
-                    convergence_waits += 1;
-                    let healthy = !matches!(replay.last_health, managed::Health::Down(_))
-                        && !replay.operator_crashed()
-                        && acknowledged(&replay)
-                        && replay.pod_failures().is_empty();
-                    let after = masked_snapshot(&replay);
-                    alarms.extend(collapse(oracles::crash_consistency_check(
-                        k as u32,
-                        &post_state,
-                        &after,
-                        healthy,
-                        replay_converged,
-                    )));
-                    meter.bank(replay.cluster.now() - t0);
-                    crash_points_swept += 1;
-                }
-                crash_points_total += u64::from(crash_points_swept);
+        if let (TrialOutcome::Converged, Some(cp)) = (&outcome, &sweep_cp) {
+            for k in 1..=writes as u32 {
+                let Some(replay) =
+                    step::crash_replay(config.operator(), &config.bugs, cp, k, &spec)
+                else {
+                    continue;
+                };
+                ledger.convergence_waits += 1;
+                ledger.bank(replay.sim_seconds);
+                alarms.extend(collapse(oracles::crash_consistency_check(
+                    k,
+                    &post_state,
+                    &replay.state,
+                    replay.healthy,
+                    replay.converged,
+                )));
+                crash_points_swept += 1;
             }
         }
 
@@ -1019,25 +753,21 @@ pub fn run_campaign_with(
         // rollback, differential reference, crash-point replays, and any
         // reset — so the campaign total decomposes exactly into setup +
         // trials.
-        let sim = meter.total(&instance) - span_start;
-        span_start += sim;
-        trial_sim_total += sim;
+        let sim = ledger.take_span(&instance);
         trials.push(Trial {
-            op: planned.clone(),
-            declaration: spec,
-            outcome,
-            alarms,
             rollback_recovered,
-            sim_seconds: sim,
-            fault_events: Vec::new(),
             crash_points_swept,
+            ..step::trial(planned.clone(), spec, outcome, alarms, sim)
         });
     }
     // Residual overhead (e.g. a skipped no-op after a single-operation
     // reset) is unattributable to a trial: fold it into setup.
-    setup_sim_seconds += meter.total(&instance) - span_start;
-    let sim_seconds = meter.total(&instance);
-    debug_assert_eq!(sim_seconds, setup_sim_seconds + trial_sim_total);
+    setup_sim_seconds += ledger.take_span(&instance);
+    let sim_seconds = ledger.total(&instance);
+    debug_assert_eq!(
+        sim_seconds,
+        setup_sim_seconds + trials.iter().map(|t| t.sim_seconds).sum::<u64>()
+    );
 
     let summary = summarize(config.operator(), &trials);
     CampaignResult {
@@ -1045,18 +775,41 @@ pub fn run_campaign_with(
         mode: config.mode,
         properties_total: schema.property_count(),
         properties_covered: covered_count(&schema, &covered),
+        crash_points_swept: trials.iter().map(|t| u64::from(t.crash_points_swept)).sum(),
         trials,
         sim_seconds,
         setup_sim_seconds,
-        convergence_waits,
+        convergence_waits: ledger.convergence_waits,
         gen_duration,
         resets,
         summary,
         deterministic_fields,
-        ref_cache_hits,
-        ref_cache_misses,
-        crash_points_swept: crash_points_total,
+        ref_cache_hits: ledger.ref_cache_hits,
+        ref_cache_misses: ledger.ref_cache_misses,
     }
+}
+
+/// Replaces the campaign cluster with a fresh one at the deploy-converged
+/// state, banking the retired cluster's span.
+fn reset(
+    instance: &mut Instance,
+    ledger: &mut Ledger,
+    config: &CampaignConfig,
+    base: Option<&InstanceCheckpoint>,
+) {
+    ledger.retire(instance);
+    let (next, fresh) = acquire_instance(config, base);
+    *instance = next;
+    ledger.adopt(instance, fresh);
+}
+
+/// Submits `declaration` and waits for convergence; returns whether the
+/// API server accepted the declaration.
+fn resubmit(instance: &mut Instance, declaration: &Value, ledger: &mut Ledger) -> bool {
+    let accepted = instance.submit(declaration.clone()).is_ok();
+    let _ = instance.converge(CONVERGE_RESET, CONVERGE_MAX);
+    ledger.convergence_waits += 1;
+    accepted
 }
 
 /// Counts covered properties, where covering a container covers its

@@ -19,8 +19,13 @@
 //! segments claimed through [`steal_map`] with whole-composition
 //! checkpoints in a [`SnapshotDepot`], and [`run_composed_fuzz`] explores
 //! op-sequence interleavings coverage-guided over snapshot forking.
-//! Composed campaigns do not run the differential or crash-sweep oracles
-//! (both are defined against a single fresh instance); fault plans and
+//! Every composed trial — campaign or fuzz — is judged by the composition
+//! oracle over the interference drained from its convergence wait, then by
+//! the single-operator outcome classifier (`crate::step`) on the acting
+//! member, so a crash, an error state, a stall or a refusal reads the same
+//! here as in a single-operator run. Composed runners do not run the
+//! consistency, custom, differential or crash-sweep oracles (all are
+//! defined against a single instance's masked state); fault plans and
 //! crash arming are likewise stripped from composed fuzz inputs — the
 //! input space here is the interleaving itself.
 
@@ -30,21 +35,22 @@ use std::time::{Duration, Instant};
 
 use crdspec::Value;
 use operators::{
-    try_operator_by_name, Composition, CompositionCheckpoint, Operator, CONVERGE_MAX,
-    CONVERGE_RESET,
+    try_operator_by_name, Composition, CompositionCheckpoint, InterferenceEvent, Operator,
+    CONVERGE_MAX, CONVERGE_RESET,
 };
-use simkube::FaultPlan;
+use simkube::{ApiError, FaultPlan};
 
 use crate::campaign::{apply_op, collapse, normalized, plan_campaign, CampaignConfig};
+use crate::exec::{drive, fold_batch_stats, run_segmented, Driver, Segment, TrialSource};
 use crate::fuzz::{
     Candidate, Corpus, CorpusEntry, CoverageFeature, CoverageMap, FuzzConfig, FuzzInput, Guidance,
     GuidedGen,
 };
 use crate::model::{Mode, PlannedOp, Trial, TrialOutcome};
-use crate::oracles::{self, AlarmKind};
-use crate::exec::{drive, fold_batch_stats, run_segmented, Driver, Segment, TrialSource};
+use crate::oracles;
 use crate::parallel::{SnapshotDepot, WorkerStats, DEFAULT_SEGMENT_OPS};
 use crate::report::{merge_summaries, summarize, Alarm, CampaignSummary};
+use crate::step;
 
 /// One entry of an interleaved composed plan: a planned operation plus the
 /// member it targets. `op.index` is the *global* interleaved index.
@@ -287,6 +293,56 @@ fn acquire_composition(
     }
 }
 
+/// A submitted, converged and judged composed trial.
+struct ComposedJudged {
+    outcome: TrialOutcome,
+    /// Composition alarms over the drained interference, then the
+    /// classifier's alarms for the acting member.
+    alarms: Vec<Alarm>,
+    /// Interference recorded while the composition converged.
+    drained: Vec<InterferenceEvent>,
+    healths_before: Vec<managed::Health>,
+    unschedulable_before: BTreeSet<(String, String)>,
+}
+
+/// Submits `spec` to member `m`, converges the whole composition and
+/// judges the trial: the composition oracle over the interference drained
+/// from the wait, then the shared classifier on the acting member. `Err`
+/// is the API server's rejection; nothing was submitted.
+fn composed_step(
+    comp: &mut Composition,
+    m: usize,
+    spec: &Value,
+    convergence_waits: &mut usize,
+) -> Result<ComposedJudged, ApiError> {
+    let healths_before = member_healths(comp);
+    let unschedulable_before = oracles::unschedulable_pods(comp);
+    let writes_before = comp.with_member(m, |mm| mm.operator_writes());
+    let t_start = comp.now();
+    comp.submit(m, spec.clone())?;
+    let converged = comp.converge(CONVERGE_RESET, CONVERGE_MAX);
+    *convergence_waits += 1;
+    let drained = comp.drain_interference();
+    let mut alarms = collapse(oracles::composition_check(
+        comp,
+        &drained,
+        m,
+        &healths_before,
+        &unschedulable_before,
+    ));
+    let (outcome, verdict) = comp.with_member(m, |mm| {
+        step::classify(mm, converged, mm.operator_writes() - writes_before, t_start)
+    });
+    alarms.extend(verdict);
+    Ok(ComposedJudged {
+        outcome,
+        alarms,
+        drained,
+        healths_before,
+        unschedulable_before,
+    })
+}
+
 /// Executes a composed campaign over an externally computed interleaved
 /// `plan`. Mirrors [`crate::campaign::run_campaign_with`]: `base` is the
 /// deploy-converged composition checkpoint (restored for resets), `start`
@@ -299,13 +355,7 @@ pub fn run_composed_with(
     base: Option<&CompositionCheckpoint>,
     start: Option<&CompositionCheckpoint>,
 ) -> Result<ComposedResult, String> {
-    let mut comp = match start {
-        Some(cp) => {
-            let ops = build_operators(&config.operators)?;
-            Composition::from_checkpoint(ops, &config.bugs, cp)
-        }
-        None => acquire_composition(config, base)?,
-    };
+    let mut comp = acquire_composition(config, start.or(base))?;
     let n = comp.member_count();
     let t0 = comp.now();
     let mut convergence_waits = 0usize;
@@ -346,14 +396,7 @@ pub fn run_composed_with(
             index: 0,
             member: 0,
             operator: config.operator().to_string(),
-            op: PlannedOp {
-                index: 0,
-                property: crdspec::Path::root(),
-                scenario: "composed-deploy",
-                value: Value::Null,
-                dependency_assignments: Vec::new(),
-                expectation: crate::model::Expectation::NormalTransition,
-            },
+            op: step::synthetic_op(0, "composed-deploy", Value::Null),
             declaration: current[0].clone(),
             outcome,
             alarms,
@@ -364,10 +407,8 @@ pub fn run_composed_with(
     }
 
     for planned in plan.iter().skip(skip).take(take) {
-        if let Some(max) = config.max_ops {
-            if trials.len() >= max {
-                break;
-            }
+        if config.max_ops.is_some_and(|max| trials.len() >= max) {
+            break;
         }
         let m = planned.member;
         let mut spec = current[m].clone();
@@ -375,140 +416,49 @@ pub fn run_composed_with(
         if normalized(&spec) == normalized(&current[m]) {
             continue;
         }
-        let healths_before = member_healths(&comp);
-        let unschedulable_before = oracles::unschedulable_pods(&comp);
-        let writes_before = comp.with_member(m, |mm| mm.operator_writes());
-        let t_start = comp.now();
-        if let Err(err) = comp.submit(m, spec.clone()) {
-            let drained = comp.drain_interference();
-            interference_events += drained.len();
-            let sim = comp.now() - span_start;
-            span_start = comp.now();
-            trials.push(ComposedTrial {
-                index: planned.op.index,
-                member: m,
-                operator: planned.operator.clone(),
-                op: planned.op.clone(),
-                declaration: spec,
-                outcome: TrialOutcome::RejectedByApi(err.to_string()),
-                alarms: Vec::new(),
-                rollback_recovered: None,
-                sim_seconds: sim,
-                interference: drained.iter().map(|e| e.render()).collect(),
-            });
-            continue;
-        }
-        current[m] = spec.clone();
-        let converged = comp.converge(CONVERGE_RESET, CONVERGE_MAX);
-        convergence_waits += 1;
-        let drained = comp.drain_interference();
-        interference_events += drained.len();
-        let mut rendered: Vec<String> = drained.iter().map(|e| e.render()).collect();
-        let mut alarms = collapse(oracles::composition_check(
-            &comp,
-            &drained,
-            m,
-            &healths_before,
-            &unschedulable_before,
-        ));
-        let (crashed, writes_after, pod_errors, acked, rejected) = comp.with_member(m, |mm| {
-            (
-                mm.operator_crashed(),
-                mm.operator_writes(),
-                mm.pod_failures(),
-                crate::campaign::acknowledged(mm),
-                oracles::operator_rejected(mm, t_start),
-            )
-        });
-        let system_down = matches!(comp.members()[m].last_health, managed::Health::Down(_));
-        let stalled = !crashed && !acked;
-        let outcome = if crashed {
-            alarms.extend(comp.with_member(m, |mm| oracles::error_checks(mm, t_start)));
-            TrialOutcome::OperatorCrash(
-                alarms
-                    .first()
-                    .map(|a| a.detail.clone())
-                    .unwrap_or_else(|| "panic".to_string()),
-            )
-        } else if !converged {
-            let writes_during = writes_after - writes_before;
-            if writes_during > 0 {
-                alarms.push(Alarm::new(
-                    AlarmKind::ErrorCheck,
-                    format!(
-                        "livelock: convergence budget exhausted with the operator still writing ({writes_during} writes)"
-                    ),
-                ));
-                TrialOutcome::Livelock
-            } else {
-                alarms.push(Alarm::new(
-                    AlarmKind::ErrorCheck,
-                    "stuck: convergence budget exhausted with no operator writes at all"
-                        .to_string(),
-                ));
-                TrialOutcome::Stuck
-            }
-        } else if system_down || !pod_errors.is_empty() {
-            alarms.extend(comp.with_member(m, |mm| oracles::error_checks(mm, t_start)));
-            TrialOutcome::ErrorState(
-                comp.members()[m]
-                    .last_health
-                    .reason()
-                    .unwrap_or("pods in error state")
-                    .to_string(),
-            )
-        } else if stalled {
-            alarms.push(Alarm::new(
-                AlarmKind::ErrorCheck,
-                "operator stalled: declaration never acknowledged".to_string(),
-            ));
-            TrialOutcome::ErrorState("operator stalled".to_string())
-        } else if rejected {
-            TrialOutcome::RejectedByOperator
-        } else {
-            if let managed::Health::Degraded(reason) = &comp.members()[m].last_health {
-                alarms.push(Alarm::new(
-                    AlarmKind::ErrorCheck,
-                    format!("managed system degraded: {reason}"),
-                ));
-            }
-            TrialOutcome::Converged
-        };
-
-        let mut rollback_recovered = None;
-        if outcome == TrialOutcome::Converged {
-            last_good[m] = spec.clone();
-        } else {
-            // Error or refusal: restore the acting member's last good
-            // declaration so the composition continues from declared =
-            // running. The rollback's own interference is judged too — a
-            // recovery that tramples a sibling is collateral damage.
-            let rollback_ok = comp.submit(m, last_good[m].clone()).is_ok();
-            let _ = comp.converge(CONVERGE_RESET, CONVERGE_MAX);
-            convergence_waits += 1;
-            current[m] = last_good[m].clone();
-            let rb_drained = comp.drain_interference();
-            interference_events += rb_drained.len();
-            rendered.extend(rb_drained.iter().map(|e| e.render()));
-            alarms.extend(collapse(oracles::composition_check(
-                &comp,
-                &rb_drained,
-                m,
-                &healths_before,
-                &unschedulable_before,
-            )));
-            if outcome.is_error() {
-                let healthy = rollback_ok
-                    && comp.members()[m].last_health.is_healthy()
-                    && comp.with_member(m, |mm| {
-                        !mm.operator_crashed()
-                            && crate::campaign::acknowledged(mm)
-                            && mm.pod_failures().is_empty()
+        let (outcome, alarms, interference, rollback_recovered) =
+            match composed_step(&mut comp, m, &spec, &mut convergence_waits) {
+                Err(err) => {
+                    let outcome = TrialOutcome::RejectedByApi(err.to_string());
+                    (outcome, Vec::new(), comp.drain_interference(), None)
+                }
+                Ok(judged) if judged.outcome == TrialOutcome::Converged => {
+                    current[m] = spec.clone();
+                    last_good[m] = spec.clone();
+                    (judged.outcome, judged.alarms, judged.drained, None)
+                }
+                Ok(mut judged) => {
+                    // Error or refusal: restore the acting member's last
+                    // good declaration so the composition continues from
+                    // declared = running. The rollback's own interference
+                    // is judged too — a recovery that tramples a sibling is
+                    // collateral damage.
+                    let rollback_ok = comp.submit(m, last_good[m].clone()).is_ok();
+                    let _ = comp.converge(CONVERGE_RESET, CONVERGE_MAX);
+                    convergence_waits += 1;
+                    current[m] = last_good[m].clone();
+                    let rb_drained = comp.drain_interference();
+                    judged.alarms.extend(collapse(oracles::composition_check(
+                        &comp,
+                        &rb_drained,
+                        m,
+                        &judged.healths_before,
+                        &judged.unschedulable_before,
+                    )));
+                    judged.drained.extend(rb_drained);
+                    // Unlike the single-operator rollback, a degraded
+                    // member has not recovered: composition judges
+                    // `is_healthy()`.
+                    let recovered = judged.outcome.is_error().then(|| {
+                        rollback_ok
+                            && comp.with_member(m, |mm| {
+                                mm.last_health.is_healthy() && step::settled(mm)
+                            })
                     });
-                rollback_recovered = Some(healthy);
-            }
-        }
-
+                    (judged.outcome, judged.alarms, judged.drained, recovered)
+                }
+            };
+        interference_events += interference.len();
         let sim = comp.now() - span_start;
         span_start = comp.now();
         trials.push(ComposedTrial {
@@ -521,7 +471,7 @@ pub fn run_composed_with(
             alarms,
             rollback_recovered,
             sim_seconds: sim,
-            interference: rendered,
+            interference: interference.iter().map(|e| e.render()).collect(),
         });
     }
 
@@ -844,10 +794,7 @@ fn composed_observable_hash(comp: &mut Composition, cr_ids: &[String]) -> u64 {
 }
 
 fn composition_cr_ids(comp: &Composition) -> Vec<String> {
-    comp.members()
-        .iter()
-        .map(|m| format!("{}/{}/{}", m.operator().kind(), m.namespace, m.name))
-        .collect()
+    comp.members().iter().map(step::cr_id).collect()
 }
 
 /// One executed composed fuzz input.
@@ -989,89 +936,27 @@ fn execute_composed_sequence(
         if normalized(&spec) == normalized(&current[m]) {
             continue;
         }
-        let healths_before = member_healths(&comp);
-        let unschedulable_before = oracles::unschedulable_pods(&comp);
-        let writes_before = comp.with_member(m, |mm| mm.operator_writes());
-        if let Err(err) = comp.submit(m, spec.clone()) {
-            let outcome = TrialOutcome::RejectedByApi(err.to_string());
-            features.push(CoverageFeature::Outcome(outcome.class_name()));
-            let sim = comp.now() - span_start;
-            span_start = comp.now();
-            trials.push(ComposedTrial {
-                index: trials.len(),
-                member: m,
-                operator: planned.operator.clone(),
-                op: PlannedOp {
-                    index: trials.len(),
-                    ..planned.op.clone()
-                },
-                declaration: spec,
-                outcome,
-                alarms: Vec::new(),
-                rollback_recovered: None,
-                sim_seconds: sim,
-                interference: Vec::new(),
-            });
-            continue;
-        }
-        current[m] = spec.clone();
-        let converged = comp.converge(CONVERGE_RESET, CONVERGE_MAX);
-        my.convergence_waits += 1;
-        let drained = comp.drain_interference();
-        let mut alarms = collapse(oracles::composition_check(
-            &comp,
-            &drained,
-            m,
-            &healths_before,
-            &unschedulable_before,
-        ));
-        let (crashed, writes_after, pod_errors, acked) = comp.with_member(m, |mm| {
-            (
-                mm.operator_crashed(),
-                mm.operator_writes(),
-                mm.pod_failures(),
-                crate::campaign::acknowledged(mm),
-            )
-        });
-        let system_down = matches!(comp.members()[m].last_health, managed::Health::Down(_));
-        let outcome = if crashed {
-            TrialOutcome::OperatorCrash("operator crashed".to_string())
-        } else if !converged {
-            if writes_after - writes_before > 0 {
-                TrialOutcome::Livelock
-            } else {
-                TrialOutcome::Stuck
-            }
-        } else if system_down || !pod_errors.is_empty() {
-            TrialOutcome::ErrorState(
-                comp.members()[m]
-                    .last_health
-                    .reason()
-                    .unwrap_or("pods in error state")
-                    .to_string(),
-            )
-        } else if !acked {
-            TrialOutcome::ErrorState("operator stalled".to_string())
-        } else {
-            TrialOutcome::Converged
-        };
-        if outcome == TrialOutcome::Livelock {
-            alarms.push(Alarm::new(
-                AlarmKind::ErrorCheck,
-                format!(
-                    "livelock: convergence budget exhausted with the operator still writing ({} writes)",
-                    writes_after - writes_before
-                ),
-            ));
-        }
-        features.push(CoverageFeature::Outcome(outcome.class_name()));
-        for alarm in &alarms {
-            features.push(CoverageFeature::Alarm(alarm.kind.name()));
-        }
-        let h = composed_observable_hash(&mut comp, &cr_ids);
-        features.push(CoverageFeature::State(h));
-        features.push(CoverageFeature::Edge(prev_hash, h));
-        prev_hash = h;
+        let (outcome, alarms, interference) =
+            match composed_step(&mut comp, m, &spec, &mut my.convergence_waits) {
+                Err(err) => {
+                    let outcome = TrialOutcome::RejectedByApi(err.to_string());
+                    features.push(CoverageFeature::Outcome(outcome.class_name()));
+                    (outcome, Vec::new(), Vec::new())
+                }
+                Ok(judged) => {
+                    current[m] = spec.clone();
+                    features.push(CoverageFeature::Outcome(judged.outcome.class_name()));
+                    for alarm in &judged.alarms {
+                        features.push(CoverageFeature::Alarm(alarm.kind.name()));
+                    }
+                    let h = composed_observable_hash(&mut comp, &cr_ids);
+                    features.push(CoverageFeature::State(h));
+                    features.push(CoverageFeature::Edge(prev_hash, h));
+                    prev_hash = h;
+                    let rendered = judged.drained.iter().map(|e| e.render()).collect();
+                    (judged.outcome, judged.alarms, rendered)
+                }
+            };
         let sim = comp.now() - span_start;
         span_start = comp.now();
         trials.push(ComposedTrial {
@@ -1087,7 +972,7 @@ fn execute_composed_sequence(
             alarms,
             rollback_recovered: None,
             sim_seconds: sim,
-            interference: drained.iter().map(|e| e.render()).collect(),
+            interference,
         });
     }
 

@@ -36,22 +36,19 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crdspec::{Path, Value};
+use crdspec::Value;
 use operators::{operator_by_name, Instance, InstanceCheckpoint, CONVERGE_MAX, CONVERGE_RESET};
 use simkube::{FaultPlan, FaultProfile, SplitMix64};
 
 use crate::campaign::{
-    acknowledged, apply_op, collapse, fresh_reference, normalized, plan_campaign, value_path,
-    CampaignConfig, FreshRefCache, CRASH_DOWN_FOR,
-};
-use crate::model::{Expectation, Mode, PlannedOp, Trial, TrialOutcome};
-use crate::oracles::{
-    self, consistency_check, error_checks, masked_snapshot, transition_occurred, AlarmKind,
-    OracleContext, StateSnapshot,
+    apply_op, collapse, normalized, plan_campaign, CampaignConfig, FreshRefCache,
 };
 use crate::exec::{drive, fold_batch_stats, TrialSource};
+use crate::model::{Expectation, Mode, PlannedOp, Trial, TrialOutcome};
+use crate::oracles::{self, masked_snapshot, transition_occurred, OracleContext, StateSnapshot};
 use crate::parallel::{steal_map, SnapshotDepot, WorkerStats};
-use crate::report::{summarize, Alarm, CampaignSummary};
+use crate::report::{summarize, CampaignSummary};
+use crate::step::{self, Judged, Ledger, CRASH_DOWN_FOR};
 
 /// One fuzz input: everything that determines an execution.
 ///
@@ -408,8 +405,10 @@ impl Corpus {
 #[derive(Debug, Clone)]
 pub struct FuzzConfig {
     /// The underlying campaign configuration (operator, mode, bug toggles,
-    /// platform, differential oracle). `strategy`, `window`, `max_ops`, and
-    /// `crash_sweep` are not consulted by the fuzz executor.
+    /// platform, differential oracle, custom oracles). Custom oracles run
+    /// on every converged trial that made a state transition, like the
+    /// consistency and differential oracles. `strategy`, `window`,
+    /// `max_ops`, and `crash_sweep` are not consulted by the fuzz executor.
     pub campaign: CampaignConfig,
     /// Master seed: the only source of randomness in the run.
     pub seed: u64,
@@ -958,82 +957,33 @@ fn execute_sequence(
         config.bugs.clone(),
         &cp,
     );
-    let t0 = instance.cluster.now();
-    let mut banked: u64 = 0;
-    let mut banked_at_span: u64 = 0;
-    let mut span_start = t0;
-    let mut convergence_waits = 0usize;
+    // Each trial is billed everything it caused since the previous trial,
+    // including banked reference runs.
+    let mut ledger = Ledger::new(&instance, false);
     let mut trials: Vec<Trial> = Vec::new();
     let mut features: Vec<CoverageFeature> = Vec::new();
-    let cr_id = format!(
-        "{}/{}/{}",
-        instance.operator().kind(),
-        instance.namespace,
-        instance.name
-    );
+    let cr_id = step::cr_id(&instance);
     let mut prev_hash = observable_hash(&instance, &cr_id);
     let mut last_good = instance.cr_spec();
-
-    // Span accounting: each trial is billed everything it caused since the
-    // previous trial, including banked reference runs.
-    let take_span =
-        |instance: &Instance, banked: &mut u64, span_start: &mut u64, banked_at_span: &mut u64| {
-            let sim = (instance.cluster.now() - *span_start) + (*banked - *banked_at_span);
-            *span_start = instance.cluster.now();
-            *banked_at_span = *banked;
-            sim
-        };
+    let mut observe = |features: &mut Vec<CoverageFeature>, instance: &Instance, trial: &Trial| {
+        features.push(CoverageFeature::Outcome(trial.outcome.class_name()));
+        for alarm in &trial.alarms {
+            features.push(CoverageFeature::Alarm(alarm.kind.name()));
+        }
+        let h = observable_hash(instance, &cr_id);
+        features.push(CoverageFeature::State(h));
+        features.push(CoverageFeature::Edge(prev_hash, h));
+        prev_hash = h;
+    };
 
     // Fault burst before the ops, mirroring the campaign's error-state
     // start — but without resetting on a failed recovery: a damaged
     // cluster is territory, not contamination, when the goal is coverage.
     if !faults.is_empty() {
-        let pre_fault = masked_snapshot(&instance);
-        let horizon = faults.horizon();
-        instance.cluster.install_fault_plan(faults.clone());
-        instance.advance(horizon);
-        let converged = instance.converge(CONVERGE_RESET, CONVERGE_MAX);
-        convergence_waits += 1;
-        let healthy = !matches!(instance.last_health, managed::Health::Down(_))
-            && !instance.operator_crashed()
-            && acknowledged(&instance)
-            && instance.pod_failures().is_empty();
-        let after = masked_snapshot(&instance);
-        let alarms = collapse(oracles::recovery_check(
-            &pre_fault, &after, healthy, converged,
-        ));
-        let recovered = alarms.is_empty();
-        let outcome = if recovered {
-            TrialOutcome::Converged
-        } else {
-            TrialOutcome::ErrorState("failed to recover from injected faults".to_string())
-        };
-        features.push(CoverageFeature::Outcome(outcome.class_name()));
-        for alarm in &alarms {
-            features.push(CoverageFeature::Alarm(alarm.kind.name()));
-        }
-        let h = observable_hash(&instance, &cr_id);
-        features.push(CoverageFeature::State(h));
-        features.push(CoverageFeature::Edge(prev_hash, h));
-        prev_hash = h;
-        let sim = take_span(&instance, &mut banked, &mut span_start, &mut banked_at_span);
-        trials.push(Trial {
-            op: PlannedOp {
-                index: trials.len(),
-                property: Path::root(),
-                scenario: "fault-burst",
-                value: Value::Null,
-                dependency_assignments: Vec::new(),
-                expectation: Expectation::NormalTransition,
-            },
-            declaration: instance.cr_spec(),
-            outcome,
-            alarms,
-            rollback_recovered: Some(recovered),
-            sim_seconds: sim,
-            fault_events: instance.cluster.fault_events(),
-            crash_points_swept: 0,
-        });
+        let mut burst = step::fault_burst(&mut instance, faults, &mut ledger);
+        observe(&mut features, &instance, &burst);
+        burst.sim_seconds = ledger.take_span(&instance);
+        trials.push(burst);
     }
 
     for (pos, &op_index) in ops.iter().enumerate() {
@@ -1054,96 +1004,28 @@ fn execute_sequence(
         if normalized(&spec) == normalized(&instance.cr_spec()) {
             continue;
         }
-        let pre_state = masked_snapshot(&instance);
-        let writes_before = instance.operator_writes();
-        let t_start = instance.cluster.now();
-        if let Err(err) = instance.submit(spec.clone()) {
-            let outcome = TrialOutcome::RejectedByApi(err.to_string());
-            features.push(CoverageFeature::Outcome(outcome.class_name()));
-            let sim = take_span(&instance, &mut banked, &mut span_start, &mut banked_at_span);
-            trials.push(Trial {
-                op: PlannedOp {
-                    index: trials.len(),
-                    ..planned.clone()
-                },
-                declaration: spec,
-                outcome,
-                alarms: Vec::new(),
-                rollback_recovered: None,
-                sim_seconds: sim,
-                fault_events: Vec::new(),
-                crash_points_swept: 0,
-            });
-            continue;
-        }
-        let converged = instance.converge(CONVERGE_RESET, CONVERGE_MAX);
-        convergence_waits += 1;
-        let mut alarms: Vec<Alarm> = Vec::new();
-        let post_state = masked_snapshot(&instance);
-        let writes_after = instance.operator_writes();
-        let crashed = instance.operator_crashed();
-        let system_down = matches!(instance.last_health, managed::Health::Down(_));
-        let pod_errors = instance.pod_failures();
-        let stalled = !crashed && !acknowledged(&instance);
-        let rejected = oracles::operator_rejected(&instance, t_start);
-
-        let outcome = if crashed {
-            alarms.extend(error_checks(&instance, t_start));
-            TrialOutcome::OperatorCrash(
-                alarms
-                    .first()
-                    .map(|a| a.detail.clone())
-                    .unwrap_or_else(|| "panic".to_string()),
-            )
-        } else if !converged {
-            let writes_during = writes_after - writes_before;
-            if writes_during > 0 {
-                alarms.push(Alarm::new(
-                    AlarmKind::ErrorCheck,
-                    format!(
-                        "livelock: convergence budget exhausted with the operator still writing ({writes_during} writes)"
-                    ),
-                ));
-                TrialOutcome::Livelock
-            } else {
-                alarms.push(Alarm::new(
-                    AlarmKind::ErrorCheck,
-                    "stuck: convergence budget exhausted with no operator writes at all"
-                        .to_string(),
-                ));
-                TrialOutcome::Stuck
-            }
-        } else if system_down || !pod_errors.is_empty() {
-            alarms.extend(error_checks(&instance, t_start));
-            TrialOutcome::ErrorState(
-                instance
-                    .last_health
-                    .reason()
-                    .unwrap_or("pods in error state")
-                    .to_string(),
-            )
-        } else if stalled {
-            alarms.push(Alarm::new(
-                AlarmKind::ErrorCheck,
-                "operator stalled: declaration never acknowledged".to_string(),
-            ));
-            TrialOutcome::ErrorState("operator stalled".to_string())
-        } else if rejected {
-            TrialOutcome::RejectedByOperator
-        } else {
-            TrialOutcome::Converged
+        let op = PlannedOp {
+            index: trials.len(),
+            ..planned.clone()
         };
-
-        if outcome == TrialOutcome::Converged {
-            if let managed::Health::Degraded(reason) = &instance.last_health {
-                alarms.push(Alarm::new(
-                    AlarmKind::ErrorCheck,
-                    format!("managed system degraded: {reason}"),
-                ));
+        let Judged {
+            outcome,
+            mut alarms,
+            pre_state,
+            post_state,
+            ..
+        } = match step::submit_and_judge(&mut instance, &spec, &mut ledger) {
+            Ok(judged) => judged,
+            Err(err) => {
+                let outcome = TrialOutcome::RejectedByApi(err.to_string());
+                features.push(CoverageFeature::Outcome(outcome.class_name()));
+                let sim = ledger.take_span(&instance);
+                trials.push(step::trial(op, spec, outcome, Vec::new(), sim));
+                continue;
             }
-            let target = value_path(&planned.property);
-            let previous = last_good.get_path(&target).cloned();
-            let ctx_oracle = OracleContext {
+        };
+        if outcome == TrialOutcome::Converged {
+            let oracle_ctx = OracleContext {
                 property: &planned.property,
                 declared: &planned.value,
                 declaration: &spec,
@@ -1154,81 +1036,51 @@ fn execute_sequence(
             // Unlike the planned campaign, a mutated sequence may
             // legitimately re-apply a value the system already holds, so
             // "no state transition" is expected noise here, not an alarm:
-            // the consistency oracle runs only when a transition occurred
-            // (or the op is a misoperation probe).
+            // the oracles run only when a transition occurred (or the op
+            // is a misoperation probe).
             if planned.expectation != Expectation::NormalTransition
-                || transition_occurred(&ctx_oracle)
+                || transition_occurred(&oracle_ctx)
             {
-                alarms.extend(consistency_check(&ctx_oracle, previous.as_ref()));
-                if config.differential {
-                    let (reference, hit) =
-                        fresh_reference(config, &spec, Some(ctx.base), Some(ctx.ref_cache));
-                    if hit {
-                        my.ref_cache_hits += 1;
-                    } else {
-                        my.ref_cache_misses += 1;
-                    }
-                    banked += reference.sim_seconds;
-                    convergence_waits += reference.convergence_waits;
-                    if let Some(fresh_state) = &reference.state {
-                        alarms.extend(collapse(oracles::differential_normal(
-                            &post_state,
-                            fresh_state,
-                        )));
-                    }
-                }
+                alarms.extend(step::oracle_pass(
+                    config,
+                    &oracle_ctx,
+                    &last_good,
+                    &instance,
+                    Some(ctx.base),
+                    Some(ctx.ref_cache),
+                    &mut ledger,
+                ));
             }
             last_good = spec.clone();
         }
-
-        features.push(CoverageFeature::Outcome(outcome.class_name()));
-        for alarm in &alarms {
-            features.push(CoverageFeature::Alarm(alarm.kind.name()));
-        }
-        let h = observable_hash(&instance, &cr_id);
-        features.push(CoverageFeature::State(h));
-        features.push(CoverageFeature::Edge(prev_hash, h));
-        prev_hash = h;
-        let sim = take_span(&instance, &mut banked, &mut span_start, &mut banked_at_span);
-        trials.push(Trial {
-            op: PlannedOp {
-                index: trials.len(),
-                ..planned.clone()
-            },
-            declaration: spec,
-            outcome,
-            alarms,
-            rollback_recovered: None,
-            sim_seconds: sim,
-            fault_events: Vec::new(),
-            crash_points_swept: 0,
-        });
+        let mut trial = step::trial(op, spec, outcome, alarms, 0);
+        observe(&mut features, &instance, &trial);
+        trial.sim_seconds = ledger.take_span(&instance);
+        trials.push(trial);
     }
 
     // Final settle: quiesce the cluster once more so the end state (and
     // the crash-consistency comparison against it) is taken at rest. A
     // wedged run fails this converge — that *is* the signal.
     let final_converged = instance.converge(CONVERGE_RESET, CONVERGE_MAX);
-    convergence_waits += 1;
-    let healthy = !matches!(instance.last_health, managed::Health::Down(_))
-        && !instance.operator_crashed()
-        && acknowledged(&instance)
-        && instance.pod_failures().is_empty();
+    ledger.convergence_waits += 1;
     let h = observable_hash(&instance, &cr_id);
     if h != prev_hash {
         features.push(CoverageFeature::State(h));
         features.push(CoverageFeature::Edge(prev_hash, h));
     }
-    let final_state = masked_snapshot(&instance);
-    let sim_seconds = (instance.cluster.now() - t0) + banked;
+    // Reference runs of a crash-consistency comparison fold their stats
+    // into a scratch record, so only the executing run's cache hits count.
+    my.ref_cache_hits += ledger.ref_cache_hits;
+    my.ref_cache_misses += ledger.ref_cache_misses;
     SeqRun {
         trials,
         features,
-        final_state,
-        healthy,
+        final_state: masked_snapshot(&instance),
+        healthy: step::settled(&instance),
         converged: final_converged,
-        sim_seconds,
-        convergence_waits,
+        sim_seconds: ledger.total(&instance),
+        convergence_waits: ledger.convergence_waits,
     }
 }
 
@@ -1317,22 +1169,10 @@ fn execute_input(ctx: &ExecCtx<'_>, input: &FuzzInput, my: &mut WorkerStats) -> 
             } else {
                 TrialOutcome::ErrorState("crash-consistency divergence".to_string())
             };
+            let op = step::synthetic_op(trials.len(), "crash-boundary", Value::Integer(k.into()));
             trials.push(Trial {
-                op: PlannedOp {
-                    index: trials.len(),
-                    property: Path::root(),
-                    scenario: "crash-boundary",
-                    value: Value::Integer(i64::from(k)),
-                    dependency_assignments: Vec::new(),
-                    expectation: Expectation::NormalTransition,
-                },
-                declaration: Value::Null,
-                outcome,
-                alarms,
-                rollback_recovered: None,
-                sim_seconds: reference.sim_seconds,
-                fault_events: Vec::new(),
                 crash_points_swept: 1,
+                ..step::trial(op, Value::Null, outcome, alarms, reference.sim_seconds)
             });
         }
     }

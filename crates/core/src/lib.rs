@@ -24,6 +24,10 @@
 //! - [`campaign`]: campaign planning (100% property coverage) and
 //!   execution with reset-timer convergence, error-state rollbacks, and
 //!   per-trial oracle evaluation (§5.1, §5.5).
+//! - `step` (crate-private): the one trial step every executor shares —
+//!   the settled-health predicate, the outcome classifier, the fault
+//!   burst, the converged-trial oracle pass, and the crash-boundary
+//!   replay (see DESIGN.md, "Trial step").
 //! - [`oracles`]: the consistency oracle, the differential oracles for
 //!   normal and rollback transitions with deterministic-field masking, and
 //!   the regular error checks (§5.3).
@@ -66,6 +70,7 @@ pub mod parallel;
 pub mod persist;
 pub mod report;
 pub mod semantics;
+mod step;
 
 pub use campaign::{
     plan_campaign, run_campaign, run_campaign_with, CampaignConfig, CampaignResult, FreshRefCache,

@@ -14,6 +14,7 @@ use operators::{operator_by_name, Instance, CONVERGE_MAX, CONVERGE_RESET};
 use simkube::PlatformBugs;
 
 use crate::oracles::AlarmKind;
+use crate::step;
 
 /// Replays a declaration sequence on a fresh deployment and reports
 /// whether an alarm of `kind` fires on the final declaration.
@@ -44,12 +45,7 @@ pub fn replays_alarm(
             return false;
         }
     }
-    let cr_id = format!(
-        "{}/{}/{}",
-        instance.operator().kind(),
-        instance.namespace,
-        instance.name
-    );
+    let cr_id = step::cr_id(&instance);
     let strip = |snap: crate::oracles::StateSnapshot| -> crate::oracles::StateSnapshot {
         snap.into_iter()
             .filter(|(k, _)| !k.starts_with(&cr_id))
@@ -65,12 +61,7 @@ pub fn replays_alarm(
     let converged = instance.converge(CONVERGE_RESET, CONVERGE_MAX);
     let post = strip(crate::oracles::masked_snapshot(&instance));
     match kind {
-        AlarmKind::ErrorCheck => {
-            instance.operator_crashed()
-                || !converged
-                || !instance.pod_failures().is_empty()
-                || matches!(instance.last_health, managed::Health::Down(_))
-        }
+        AlarmKind::ErrorCheck => !converged || step::error_state(&instance),
         AlarmKind::Consistency | AlarmKind::DifferentialNormal => {
             // Reproduction signal: the final declaration leaves the system
             // state untouched or the declaration round-trip mismatches.
@@ -85,23 +76,10 @@ pub fn replays_alarm(
                 return false;
             }
             let writes_after = instance.operator_writes();
-            for k in 1..=(writes_after - writes_before) {
-                let mut replay =
-                    Instance::from_checkpoint(operator_by_name(operator), bugs.clone(), &cp);
-                replay
-                    .cluster
-                    .api_mut()
-                    .arm_operator_crash(k as u32, crate::campaign::CRASH_DOWN_FOR);
-                if replay.submit(last.clone()).is_err() {
-                    continue;
-                }
-                let reconverged = replay.converge(CONVERGE_RESET, CONVERGE_MAX);
-                let after = strip(crate::oracles::masked_snapshot(&replay));
-                if !reconverged || after != post {
-                    return true;
-                }
-            }
-            false
+            (1..=(writes_after - writes_before) as u32).any(|k| {
+                step::crash_replay(operator, bugs, &cp, k, last)
+                    .is_some_and(|replay| !replay.converged || strip(replay.state) != post)
+            })
         }
         // Composition alarms need the whole multi-operator harness to
         // reproduce; single-instance minimization cannot re-run them, so
@@ -111,10 +89,7 @@ pub fn replays_alarm(
         // error state the prior declaration fails to clear.
         AlarmKind::DifferentialRollback | AlarmKind::Recovery => {
             // Error state, then a failed rollback.
-            if !(instance.operator_crashed()
-                || !instance.pod_failures().is_empty()
-                || matches!(instance.last_health, managed::Health::Down(_)))
-            {
+            if !step::error_state(&instance) {
                 return false;
             }
             let _ = instance.submit(prev_spec);

@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crdspec::{Path, Value};
+use crdspec::Value;
 use operators::{operator_by_name, Instance, InstanceCheckpoint, CONVERGE_MAX, CONVERGE_RESET};
 
 pub use crate::exec::{
@@ -34,9 +34,10 @@ use crate::exec::{run_segmented, Driver, Segment};
 use crate::campaign::{
     apply_op, plan_campaign, run_campaign_with, CampaignConfig, CampaignResult, FreshRefCache,
 };
-use crate::model::{Expectation, Mode, PlannedOp, Trial, TrialOutcome};
+use crate::model::{Mode, PlannedOp, Trial, TrialOutcome};
 use crate::oracles::AlarmKind;
 use crate::report::{summarize, Alarm, CampaignSummary};
+use crate::step;
 
 /// Planned operations per work-stealing segment. Small enough to balance
 /// load across workers, large enough that the per-segment jump is
@@ -359,26 +360,13 @@ fn run_segment(
 /// Synthesizes a failed trial for a panicked segment, so the loss is
 /// visible in the trial stream instead of silently shrinking coverage.
 fn panicked_segment_trial(segment: usize, skip: usize, panic: &str) -> Trial {
-    Trial {
-        op: PlannedOp {
-            index: skip,
-            property: Path::root(),
-            scenario: "worker-panic",
-            value: Value::Null,
-            dependency_assignments: Vec::new(),
-            expectation: Expectation::NormalTransition,
-        },
-        declaration: Value::Null,
-        outcome: TrialOutcome::ErrorState(format!("segment {segment} worker panicked")),
-        alarms: vec![Alarm::new(
-            AlarmKind::ErrorCheck,
-            format!("worker panic in segment {segment}: {panic}"),
-        )],
-        rollback_recovered: None,
-        sim_seconds: 0,
-        fault_events: Vec::new(),
-        crash_points_swept: 0,
-    }
+    let op = step::synthetic_op(skip, "worker-panic", Value::Null);
+    let outcome = TrialOutcome::ErrorState(format!("segment {segment} worker panicked"));
+    let alarm = Alarm::new(
+        AlarmKind::ErrorCheck,
+        format!("worker panic in segment {segment}: {panic}"),
+    );
+    step::trial(op, Value::Null, outcome, vec![alarm], 0)
 }
 
 #[cfg(test)]
