@@ -131,6 +131,25 @@ fn collect_recovery_classes(dir: &Path, sweep: &mut DurabilitySweep) {
     }
 }
 
+/// Where `got` first departs from `want`, for a mismatch report: the
+/// first differing line, or the line counts when one is a prefix of the
+/// other.
+fn first_difference(want: &str, got: &str) -> String {
+    let differing = want
+        .lines()
+        .zip(got.lines())
+        .enumerate()
+        .find(|(_, (w, g))| w != g);
+    match differing {
+        Some((i, (w, g))) => format!("first differing line {}: expected {w:?}, got {g:?}", i + 1),
+        None => format!(
+            "expected {} lines, got {}",
+            want.lines().count(),
+            got.lines().count()
+        ),
+    }
+}
+
 fn sweep_campaign(opts: &SweepOptions, sweep: &mut DurabilitySweep) -> Result<(), PersistError> {
     // Uninterrupted baseline: fixes the boundary count N and the
     // reference transcript (worker-count-invariant by the core contract).
@@ -171,7 +190,7 @@ fn sweep_campaign(opts: &SweepOptions, sweep: &mut DurabilitySweep) -> Result<()
                 &dir,
                 RecoveryPolicy::Refuse,
                 StoreIo::clean(),
-            )?
+            )
         } else {
             // The crash beat the manifest commit point: the store never
             // existed, so recovery is simply creating it again.
@@ -182,12 +201,21 @@ fn sweep_campaign(opts: &SweepOptions, sweep: &mut DurabilitySweep) -> Result<()
                 opts.segment_ops,
                 &dir,
                 StoreIo::clean(),
-            )?
+            )
         };
-        if recovered.transcript() != reference {
-            sweep.mismatches.push(format!(
-                "campaign boundary {k}: transcript diverged after recovery at {workers} workers"
-            ));
+        match recovered {
+            Ok(res) => {
+                let transcript = res.transcript();
+                if transcript != reference {
+                    sweep.mismatches.push(format!(
+                        "campaign boundary {k}: transcript diverged after recovery at {workers} workers: {}",
+                        first_difference(&reference, &transcript)
+                    ));
+                }
+            }
+            Err(e) => sweep.mismatches.push(format!(
+                "campaign boundary {k}: recovery at {workers} workers failed: {e}"
+            )),
         }
         collect_recovery_classes(&dir, sweep);
         let _ = std::fs::remove_dir_all(&dir);
@@ -288,23 +316,34 @@ fn sweep_fuzz(opts: &SweepOptions, sweep: &mut DurabilitySweep) -> Result<(), Pe
         }
         let mut cfg = opts.fuzz.clone();
         cfg.workers = WORKER_CYCLE[(k as usize) % WORKER_CYCLE.len()];
+        let workers = cfg.workers;
         let recovered = if dir.join("manifest.json").exists() {
             sweep.resumed_after_crash += 1;
-            resume_fuzz_with(&cfg, &dir, RecoveryPolicy::Refuse, StoreIo::clean())?
+            resume_fuzz_with(&cfg, &dir, RecoveryPolicy::Refuse, StoreIo::clean())
         } else {
             sweep.recreated_after_create_crash += 1;
-            run_fuzz_persistent_io(&cfg, &dir, false, StoreIo::clean())?
+            run_fuzz_persistent_io(&cfg, &dir, false, StoreIo::clean())
         };
-        if recovered.transcript() != reference {
-            sweep.mismatches.push(format!(
-                "fuzz boundary {k}: transcript diverged after recovery at {} workers",
-                cfg.workers
-            ));
-        }
-        if recovered.corpus.to_json_string() != reference_corpus {
-            sweep.mismatches.push(format!(
-                "fuzz boundary {k}: corpus diverged after recovery"
-            ));
+        match recovered {
+            Ok(res) => {
+                let transcript = res.transcript();
+                if transcript != reference {
+                    sweep.mismatches.push(format!(
+                        "fuzz boundary {k}: transcript diverged after recovery at {workers} workers: {}",
+                        first_difference(&reference, &transcript)
+                    ));
+                }
+                let corpus = res.corpus.to_json_string();
+                if corpus != reference_corpus {
+                    sweep.mismatches.push(format!(
+                        "fuzz boundary {k}: corpus diverged after recovery at {workers} workers: {}",
+                        first_difference(&reference_corpus, &corpus)
+                    ));
+                }
+            }
+            Err(e) => sweep.mismatches.push(format!(
+                "fuzz boundary {k}: recovery at {workers} workers failed: {e}"
+            )),
         }
         collect_recovery_classes(&dir, sweep);
         let _ = std::fs::remove_dir_all(&dir);

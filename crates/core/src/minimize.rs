@@ -46,12 +46,7 @@ pub fn replays_alarm(
         }
     }
     let cr_id = step::cr_id(&instance);
-    let strip = |snap: crate::oracles::StateSnapshot| -> crate::oracles::StateSnapshot {
-        snap.into_iter()
-            .filter(|(k, _)| !k.starts_with(&cr_id))
-            .collect()
-    };
-    let pre = strip(crate::oracles::masked_snapshot(&instance));
+    let pre = crate::oracles::masked_snapshot(&instance);
     let prev_spec = instance.cr_spec();
     let sweep_cp = (kind == AlarmKind::CrashConsistency).then(|| instance.checkpoint());
     let writes_before = instance.operator_writes();
@@ -59,13 +54,13 @@ pub fn replays_alarm(
         return false;
     }
     let converged = instance.converge(CONVERGE_RESET, CONVERGE_MAX);
-    let post = strip(crate::oracles::masked_snapshot(&instance));
+    let post = crate::oracles::masked_snapshot(&instance);
     match kind {
         AlarmKind::ErrorCheck => !converged || step::error_state(&instance),
         AlarmKind::Consistency | AlarmKind::DifferentialNormal => {
             // Reproduction signal: the final declaration leaves the system
             // state untouched or the declaration round-trip mismatches.
-            pre == post && prev_spec != *last
+            !crate::oracles::changed_outside(&pre, &post, &cr_id) && prev_spec != *last
         }
         AlarmKind::CrashConsistency => {
             // Reproduction signal: re-sweep the final transition's write
@@ -77,8 +72,10 @@ pub fn replays_alarm(
             }
             let writes_after = instance.operator_writes();
             (1..=(writes_after - writes_before) as u32).any(|k| {
-                step::crash_replay(operator, bugs, &cp, k, last)
-                    .is_some_and(|replay| !replay.converged || strip(replay.state) != post)
+                step::crash_replay(operator, bugs, &cp, k, last).is_some_and(|replay| {
+                    !replay.converged
+                        || crate::oracles::changed_outside(&replay.state, &post, &cr_id)
+                })
             })
         }
         // Composition alarms need the whole multi-operator harness to

@@ -19,13 +19,13 @@
 //!   state, rolling back to `D_{i-1}` must restore the pre-error state.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-use crdspec::{diff, DiffKind, Path, Value};
+use crdspec::{diff, DiffEntry, DiffKind, Path, Value};
 use managed::Health;
 use operators::{Composition, Instance, InterferenceEvent};
 use simkube::cluster::LogLevel;
-use simkube::StoredObject;
+use simkube::pmap::DiffItem;
 
 use crate::report::Alarm;
 
@@ -83,94 +83,155 @@ impl AlarmKind {
     }
 }
 
-/// Field names masked as nondeterministic before state comparison. The
-/// remaining fields are the "deterministic fields" of §6.1.3.
-pub const MASKED_FIELDS: &[&str] = &[
-    "uid",
-    "resourceVersion",
-    "generation",
-    "creationTimestamp",
-    "deletionTimestamp",
-    "restarts",
-    "nodeName",
-    "observedGeneration",
-    // Claim wiring is platform bookkeeping: volume claim templates are
-    // immutable and retained claims outlive pods, so pod claim references
-    // depend on creation order, not on the declaration.
-    "claims",
-];
+pub use simkube::{mask_value, SnapEntry, MASKED_FIELDS};
 
-/// One object in a state snapshot: the shared store handle plus a lazily
-/// rendered masked value.
+/// A state snapshot: object id (`kind/ns/name`) to its [`SnapEntry`], in
+/// id order.
 ///
-/// Two entries holding the same `Arc` are *known identical* without
-/// rendering anything — the store never mutates a shared object in place
-/// (writes allocate a fresh `Arc`, and no-op updates restore the original
-/// handle), so pointer equality implies value equality. That makes
-/// [`SnapEntry::same_object`] a sound fast path for the differential
-/// oracles: diff cost scales with the delta between two snapshots, not with
-/// cluster size.
-///
-/// The converse does not hold — distinct handles may still render equal —
-/// so every comparison falls back to the masked values on pointer
-/// inequality.
-#[derive(Debug, Clone)]
-pub struct SnapEntry {
-    /// The store handle; `None` for entries built directly from values
-    /// (tests, replay tooling).
-    handle: Option<Arc<StoredObject>>,
-    /// Masked rendering, computed on first use.
-    masked: OnceLock<Value>,
+/// It is a clone of the store's [`simkube::StateIndex`], so taking one is
+/// O(1), and [`StateSnapshot::diff`] skips every subtree two snapshots
+/// share: comparing them costs O(objects that differ), not O(objects).
+#[derive(Debug, Clone, Default)]
+pub struct StateSnapshot(simkube::StateIndex);
+
+/// One object on which two snapshots differ, from [`StateSnapshot::diff`].
+#[derive(Debug, Clone, Copy)]
+pub enum SnapDelta<'a> {
+    /// Only in the left snapshot.
+    Left(&'a str, &'a SnapEntry),
+    /// Only in the right snapshot.
+    Right(&'a str, &'a SnapEntry),
+    /// In both, as different store objects (their masked values may
+    /// still be equal).
+    Both(&'a str, &'a SnapEntry, &'a SnapEntry),
 }
 
-impl SnapEntry {
-    /// Wraps a shared store handle; the masked value renders lazily.
-    pub fn from_handle(handle: Arc<StoredObject>) -> SnapEntry {
-        SnapEntry {
-            handle: Some(handle),
-            masked: OnceLock::new(),
-        }
+impl StateSnapshot {
+    /// Entries in id order.
+    pub fn iter(&self) -> impl Iterator<Item = (&String, &SnapEntry)> {
+        self.0.iter().map(|(id, entry)| (id, &**entry))
     }
 
-    /// Wraps an already-rendered value verbatim (no masking is applied).
-    pub fn from_value(value: Value) -> SnapEntry {
-        let masked = OnceLock::new();
-        let _ = masked.set(value);
-        SnapEntry {
-            handle: None,
-            masked,
-        }
+    /// Entries from the first id `>= from`, in id order.
+    pub fn range_from<'a>(
+        &'a self,
+        from: &'a str,
+    ) -> impl Iterator<Item = (&'a String, &'a SnapEntry)> {
+        self.0
+            .range_from_by(move |id| id.as_str().cmp(from))
+            .map(|(id, entry)| (id, &**entry))
     }
 
-    /// The masked rendering of this object.
-    pub fn masked(&self) -> &Value {
-        self.masked.get_or_init(|| {
-            let obj = self
-                .handle
-                .as_ref()
-                .expect("SnapEntry has neither handle nor value");
-            mask_value(&obj.to_value())
+    /// Object ids in order.
+    pub fn keys(&self) -> impl Iterator<Item = &String> {
+        self.0.keys()
+    }
+
+    /// The entry for `id`.
+    pub fn get(&self, id: &str) -> Option<&SnapEntry> {
+        self.0.get(id).map(|entry| &**entry)
+    }
+
+    /// Whether `id` is in the snapshot.
+    pub fn contains_key(&self, id: &str) -> bool {
+        self.0.contains_key(id)
+    }
+
+    /// Adds or replaces an entry.
+    pub fn insert(&mut self, id: String, entry: SnapEntry) {
+        self.0.insert(id, Arc::new(entry));
+    }
+
+    /// Removes an entry, returning whether it was present.
+    pub fn remove(&mut self, id: &str) -> bool {
+        self.0.remove(id).is_some()
+    }
+
+    /// The objects on which `self` (left) and `other` (right) differ, in
+    /// id order: ids on one side only, and ids whose entries are not the
+    /// same store object. Shared subtrees and shared entries are skipped
+    /// unvisited; see [`simkube::pmap::Diff`].
+    pub fn diff<'a>(&'a self, other: &'a StateSnapshot) -> impl Iterator<Item = SnapDelta<'a>> {
+        self.0.diff(&other.0).filter_map(|item| match item {
+            DiffItem::Left(id, e) => Some(SnapDelta::Left(id, e)),
+            DiffItem::Right(id, e) => Some(SnapDelta::Right(id, e)),
+            DiffItem::Both(_, l, r) if Arc::ptr_eq(l, r) || l.same_object(r) => None,
+            DiffItem::Both(id, l, r) => Some(SnapDelta::Both(id, l, r)),
         })
     }
+}
 
-    /// `true` when both entries hold the same store object by pointer
-    /// identity — a proof of equality that skips rendering and diffing.
-    pub fn same_object(&self, other: &SnapEntry) -> bool {
-        match (&self.handle, &other.handle) {
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-            _ => false,
+impl SnapDelta<'_> {
+    /// The object id.
+    pub fn id(&self) -> &str {
+        match *self {
+            SnapDelta::Left(id, _) | SnapDelta::Right(id, _) | SnapDelta::Both(id, ..) => id,
         }
     }
 }
 
-impl PartialEq for SnapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.same_object(other) || self.masked() == other.masked()
+impl From<simkube::StateIndex> for StateSnapshot {
+    fn from(index: simkube::StateIndex) -> StateSnapshot {
+        StateSnapshot(index)
     }
 }
 
-/// A state snapshot: object id (`kind/ns/name`) to its [`SnapEntry`].
-pub type StateSnapshot = BTreeMap<String, SnapEntry>;
+impl FromIterator<(String, SnapEntry)> for StateSnapshot {
+    fn from_iter<I: IntoIterator<Item = (String, SnapEntry)>>(iter: I) -> StateSnapshot {
+        let mut snapshot = StateSnapshot::default();
+        for (id, entry) in iter {
+            snapshot.insert(id, entry);
+        }
+        snapshot
+    }
+}
+
+/// Whether `pre` and `post` differ on any object whose id does not start
+/// with `skip`: an id on one side only, or unequal masked values.
+pub(crate) fn changed_outside(pre: &StateSnapshot, post: &StateSnapshot, skip: &str) -> bool {
+    pre.diff(post)
+        .filter(|delta| !delta.id().starts_with(skip))
+        .any(|delta| match delta {
+            SnapDelta::Both(_, l, r) => l.masked() != r.masked(),
+            SnapDelta::Left(..) | SnapDelta::Right(..) => true,
+        })
+}
+
+/// The alarms of a comparing oracle, from the deltas between `left` (the
+/// reference side) and `right`: one per differing masked field of a
+/// changed object and one per lost object, in id order, then — when
+/// `appeared` is given — one per object only on the right, in id order.
+/// Retained persistent volume claims are skipped: the platform keeps them
+/// by design.
+fn compare(
+    kind: AlarmKind,
+    left: &StateSnapshot,
+    right: &StateSnapshot,
+    changed: impl Fn(&str, &DiffEntry) -> String,
+    lost: impl Fn(&str) -> String,
+    appeared: Option<&dyn Fn(&str) -> String>,
+) -> Vec<Alarm> {
+    let mut alarms = Vec::new();
+    let mut appeared_alarms = Vec::new();
+    for delta in left.diff(right) {
+        match delta {
+            d if d.id().starts_with("PersistentVolumeClaim/") => {}
+            SnapDelta::Both(id, l, r) => alarms.extend(
+                diff(l.masked(), r.masked())
+                    .iter()
+                    .map(|entry| Alarm::new(kind, changed(id, entry))),
+            ),
+            SnapDelta::Left(id, _) => alarms.push(Alarm::new(kind, lost(id))),
+            SnapDelta::Right(id, _) => {
+                if let Some(appeared) = appeared {
+                    appeared_alarms.push(Alarm::new(kind, appeared(id)));
+                }
+            }
+        }
+    }
+    alarms.extend(appeared_alarms);
+    alarms
+}
 
 /// An unmasked snapshot: object id to raw rendered value.
 pub type RawSnapshot = BTreeMap<String, Value>;
@@ -206,29 +267,11 @@ pub struct OracleContext<'a> {
     pub cr_id: &'a str,
 }
 
-/// Removes nondeterministic fields recursively.
-pub fn mask_value(v: &Value) -> Value {
-    match v {
-        Value::Object(map) => Value::Object(
-            map.iter()
-                .filter(|(k, _)| !MASKED_FIELDS.contains(&k.as_str()))
-                .map(|(k, val)| (k.clone(), mask_value(val)))
-                .collect(),
-        ),
-        Value::Array(items) => Value::Array(items.iter().map(mask_value).collect()),
-        other => other.clone(),
-    }
-}
-
-/// Takes a masked snapshot of an instance's state objects. O(objects)
-/// refcount bumps — masked values render lazily, only for objects an
-/// oracle actually needs to compare by value.
+/// Takes a masked snapshot of an instance's state objects: an O(1) clone
+/// of the store's state index. Masked values render lazily, once per
+/// object version, and only for objects an oracle compares by value.
 pub fn masked_snapshot(instance: &Instance) -> StateSnapshot {
-    instance
-        .state_handles()
-        .into_iter()
-        .map(|(k, h)| (k, SnapEntry::from_handle(h)))
-        .collect()
+    instance.state_handles().into()
 }
 
 /// Counts the deterministic (kept) and masked leaf fields of a snapshot —
@@ -305,17 +348,7 @@ pub fn operator_rejected(instance: &Instance, since: u64) -> bool {
 /// state transition. Compares masked pre/post states excluding the CR
 /// itself.
 pub fn transition_occurred(ctx: &OracleContext<'_>) -> bool {
-    let pre = ctx
-        .pre_state
-        .iter()
-        .filter(|(k, _)| !k.starts_with(ctx.cr_id));
-    let post = ctx
-        .post_state
-        .iter()
-        .filter(|(k, _)| !k.starts_with(ctx.cr_id));
-    // SnapEntry equality short-circuits on shared handles, so unchanged
-    // objects compare without rendering.
-    !pre.eq(post)
+    changed_outside(ctx.pre_state, ctx.post_state, ctx.cr_id)
 }
 
 /// Values compare as consistent when they are structurally equal, equal as
@@ -377,15 +410,14 @@ fn candidate_fields<'s>(
 ) -> Vec<(&'s str, Path, &'s Value)> {
     let needle = key.to_ascii_lowercase();
     let mut out = Vec::new();
-    for (obj_id, entry) in snapshot {
-        // The CR itself, cluster infrastructure (nodes), and retained
-        // volume claims (platform-kept artifacts of past declarations) are
-        // not reflections of the current declaration; claim templates on
-        // workloads carry the declared values instead.
-        if obj_id.starts_with(cr_id)
-            || obj_id.starts_with("Node/")
-            || obj_id.starts_with("PersistentVolumeClaim/")
-        {
+    // The CR itself, cluster infrastructure (nodes), and retained volume
+    // claims (platform-kept artifacts of past declarations) are not
+    // reflections of the current declaration; claim templates on workloads
+    // carry the declared values instead. Node ids are one contiguous run,
+    // `Node/` up to `Node0` (`'0'` follows `'/'`), which the scan seeks past.
+    let before_nodes = snapshot.iter().take_while(|(id, _)| id.as_str() < "Node/");
+    for (obj_id, entry) in before_nodes.chain(snapshot.range_from("Node0")) {
+        if obj_id.starts_with(cr_id) || obj_id.starts_with("PersistentVolumeClaim/") {
             continue;
         }
         for section in ["spec", "metadata"] {
@@ -533,52 +565,23 @@ pub fn consistency_check(ctx: &OracleContext<'_>, previous: Option<&Value>) -> V
 /// them by design); any other object present on one side only, or any
 /// differing field on common objects, raises an alarm.
 pub fn differential_normal(campaign: &StateSnapshot, fresh: &StateSnapshot) -> Vec<Alarm> {
-    let mut alarms = Vec::new();
-    for (id, campaign_obj) in campaign {
-        if id.starts_with("PersistentVolumeClaim/") {
-            continue;
-        }
-        match fresh.get(id) {
-            Some(fresh_obj) => {
-                // Shared handle ⇒ identical objects: skip without rendering.
-                if campaign_obj.same_object(fresh_obj) {
-                    continue;
-                }
-                for entry in diff(campaign_obj.masked(), fresh_obj.masked()) {
-                    let detail = match &entry.kind {
-                        DiffKind::Changed { left, right } => format!(
-                            "{id} {}: history-reached {} vs fresh {}",
-                            entry.path, left, right
-                        ),
-                        DiffKind::OnlyLeft(v) => {
-                            format!("{id} {}: only after history = {v}", entry.path)
-                        }
-                        DiffKind::OnlyRight(v) => {
-                            format!("{id} {}: only in fresh deployment = {v}", entry.path)
-                        }
-                    };
-                    alarms.push(Alarm::new(AlarmKind::DifferentialNormal, detail));
-                }
+    compare(
+        AlarmKind::DifferentialNormal,
+        campaign,
+        fresh,
+        |id, entry| match &entry.kind {
+            DiffKind::Changed { left, right } => format!(
+                "{id} {}: history-reached {} vs fresh {}",
+                entry.path, left, right
+            ),
+            DiffKind::OnlyLeft(v) => format!("{id} {}: only after history = {v}", entry.path),
+            DiffKind::OnlyRight(v) => {
+                format!("{id} {}: only in fresh deployment = {v}", entry.path)
             }
-            None => {
-                if !id.starts_with("PersistentVolumeClaim/") {
-                    alarms.push(Alarm::new(
-                        AlarmKind::DifferentialNormal,
-                        format!("{id} exists after history but not in a fresh deployment"),
-                    ));
-                }
-            }
-        }
-    }
-    for id in fresh.keys() {
-        if !campaign.contains_key(id) && !id.starts_with("PersistentVolumeClaim/") {
-            alarms.push(Alarm::new(
-                AlarmKind::DifferentialNormal,
-                format!("{id} missing after history (fresh deployment has it)"),
-            ));
-        }
-    }
-    alarms
+        },
+        |id| format!("{id} exists after history but not in a fresh deployment"),
+        Some(&|id| format!("{id} missing after history (fresh deployment has it)")),
+    )
 }
 
 /// Differential oracle for rollback transitions: after an error state,
@@ -595,33 +598,14 @@ pub fn differential_rollback(
             "system still unhealthy after rollback".to_string(),
         ));
     }
-    for (id, before) in before_error {
-        if id.starts_with("PersistentVolumeClaim/") {
-            continue;
-        }
-        match after_rollback.get(id) {
-            Some(after) => {
-                // Shared handle ⇒ restored exactly: skip without rendering.
-                if before.same_object(after) {
-                    continue;
-                }
-                for entry in diff(before.masked(), after.masked()) {
-                    alarms.push(Alarm::new(
-                        AlarmKind::DifferentialRollback,
-                        format!("{id} {}: not restored by rollback", entry.path),
-                    ));
-                }
-            }
-            None => {
-                if !id.starts_with("PersistentVolumeClaim/") {
-                    alarms.push(Alarm::new(
-                        AlarmKind::DifferentialRollback,
-                        format!("{id} lost across rollback"),
-                    ));
-                }
-            }
-        }
-    }
+    alarms.extend(compare(
+        AlarmKind::DifferentialRollback,
+        before_error,
+        after_rollback,
+        |id, entry| format!("{id} {}: not restored by rollback", entry.path),
+        |id| format!("{id} lost across rollback"),
+        None,
+    ));
     alarms
 }
 
@@ -648,39 +632,14 @@ pub fn recovery_check(
             "system still unhealthy after faults cleared".to_string(),
         ));
     }
-    for (id, before) in before_fault {
-        if id.starts_with("PersistentVolumeClaim/") {
-            continue;
-        }
-        match after_recovery.get(id) {
-            Some(after) => {
-                // Shared handle ⇒ recovered exactly: skip without rendering.
-                if before.same_object(after) {
-                    continue;
-                }
-                for entry in diff(before.masked(), after.masked()) {
-                    alarms.push(Alarm::new(
-                        AlarmKind::Recovery,
-                        format!("{id} {}: not restored after faults", entry.path),
-                    ));
-                }
-            }
-            None => {
-                alarms.push(Alarm::new(
-                    AlarmKind::Recovery,
-                    format!("{id} lost across fault recovery"),
-                ));
-            }
-        }
-    }
-    for id in after_recovery.keys() {
-        if !before_fault.contains_key(id) && !id.starts_with("PersistentVolumeClaim/") {
-            alarms.push(Alarm::new(
-                AlarmKind::Recovery,
-                format!("{id} appeared during fault recovery"),
-            ));
-        }
-    }
+    alarms.extend(compare(
+        AlarmKind::Recovery,
+        before_fault,
+        after_recovery,
+        |id, entry| format!("{id} {}: not restored after faults", entry.path),
+        |id| format!("{id} lost across fault recovery"),
+        Some(&|id| format!("{id} appeared during fault recovery")),
+    ));
     alarms
 }
 
@@ -691,10 +650,9 @@ pub fn recovery_check(
 ///
 /// Divergence attributes to non-idempotent or non-atomic reconcile logic
 /// (a half-applied pass the restarted process cannot complete or repair).
-/// The `same_object` fast path is sound here for the same reason as in the
-/// differential oracles: the replay's store descends from the same
-/// checkpoint as the reference's, so shared handles prove equality and diff
-/// cost scales with the crash-induced delta, not with cluster size.
+/// The replay's store descends from the same checkpoint as the
+/// reference's, so the snapshots share every object neither run rewrote
+/// and the comparison costs O(crash-induced delta), not O(cluster size).
 pub fn crash_consistency_check(
     crash_at: u32,
     reference: &StateSnapshot,
@@ -715,51 +673,27 @@ pub fn crash_consistency_check(
             format!("crash at write {crash_at}: system still unhealthy after restart"),
         ));
     }
-    for (id, reference_obj) in reference {
-        if id.starts_with("PersistentVolumeClaim/") {
-            continue;
-        }
-        match after_restart.get(id) {
-            Some(after) => {
-                // Shared handle ⇒ reconverged exactly: skip without
-                // rendering.
-                if reference_obj.same_object(after) {
-                    continue;
-                }
-                for entry in diff(reference_obj.masked(), after.masked()) {
-                    let detail = match &entry.kind {
-                        DiffKind::Changed { left, right } => format!(
-                            "crash at write {crash_at}: {id} {} diverged: reference {} vs after restart {}",
-                            entry.path, left, right
-                        ),
-                        DiffKind::OnlyLeft(v) => format!(
-                            "crash at write {crash_at}: {id} {} missing after restart (reference has {v})",
-                            entry.path
-                        ),
-                        DiffKind::OnlyRight(v) => format!(
-                            "crash at write {crash_at}: {id} {} only after restart = {v}",
-                            entry.path
-                        ),
-                    };
-                    alarms.push(Alarm::new(AlarmKind::CrashConsistency, detail));
-                }
-            }
-            None => {
-                alarms.push(Alarm::new(
-                    AlarmKind::CrashConsistency,
-                    format!("crash at write {crash_at}: {id} lost across crash/restart"),
-                ));
-            }
-        }
-    }
-    for id in after_restart.keys() {
-        if !reference.contains_key(id) && !id.starts_with("PersistentVolumeClaim/") {
-            alarms.push(Alarm::new(
-                AlarmKind::CrashConsistency,
-                format!("crash at write {crash_at}: {id} appeared only in the crashed run"),
-            ));
-        }
-    }
+    alarms.extend(compare(
+        AlarmKind::CrashConsistency,
+        reference,
+        after_restart,
+        |id, entry| match &entry.kind {
+            DiffKind::Changed { left, right } => format!(
+                "crash at write {crash_at}: {id} {} diverged: reference {} vs after restart {}",
+                entry.path, left, right
+            ),
+            DiffKind::OnlyLeft(v) => format!(
+                "crash at write {crash_at}: {id} {} missing after restart (reference has {v})",
+                entry.path
+            ),
+            DiffKind::OnlyRight(v) => format!(
+                "crash at write {crash_at}: {id} {} only after restart = {v}",
+                entry.path
+            ),
+        },
+        |id| format!("crash at write {crash_at}: {id} lost across crash/restart"),
+        Some(&|id| format!("crash at write {crash_at}: {id} appeared only in the crashed run")),
+    ));
     alarms
 }
 

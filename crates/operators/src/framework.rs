@@ -691,46 +691,29 @@ impl Instance {
             .collect()
     }
 
-    /// Snapshot of all state objects rendered as values, keyed by
-    /// `kind/namespace/name` — the uniform system-state view Acto's oracles
-    /// compare. Background scale-workload pods
+    /// Snapshot of the operator-visible state objects rendered as values,
+    /// keyed by `kind/namespace/name` — the uniform system-state view
+    /// Acto's oracles compare. Background scale-workload pods
     /// ([`simkube::BACKGROUND_NAMESPACE`]) are inert cluster scaffolding —
-    /// no operator manages them — so they are excluded, keeping oracle cost
-    /// proportional to operator state rather than cluster size.
+    /// no operator manages them — so the store's state index leaves them
+    /// out, and the render costs O(operator-visible objects) whatever the
+    /// cluster's size.
     pub fn state_snapshot(&self) -> std::collections::BTreeMap<String, Value> {
-        self.cluster
-            .api()
-            .store()
+        self.state_handles()
             .iter()
-            .filter(|(k, _)| k.namespace != simkube::BACKGROUND_NAMESPACE)
-            .map(|(k, o)| {
-                (
-                    format!("{}/{}/{}", k.kind.name(), k.namespace, k.name),
-                    o.to_value(),
-                )
+            .map(|(id, entry)| {
+                let obj = entry.object().expect("store index entries hold a handle");
+                (id.clone(), obj.to_value())
             })
             .collect()
     }
 
-    /// Snapshot of all state objects as shared handles, keyed like
-    /// [`Instance::state_snapshot`] (background scale-workload pods
-    /// excluded the same way). Oracles use the handles to prune unchanged
-    /// objects by pointer identity before rendering values.
-    pub fn state_handles(
-        &self,
-    ) -> std::collections::BTreeMap<String, std::sync::Arc<simkube::StoredObject>> {
-        self.cluster
-            .api()
-            .store()
-            .iter_shared()
-            .filter(|(k, _)| k.namespace != simkube::BACKGROUND_NAMESPACE)
-            .map(|(k, o)| {
-                (
-                    format!("{}/{}/{}", k.kind.name(), k.namespace, k.name),
-                    std::sync::Arc::clone(o),
-                )
-            })
-            .collect()
+    /// The store's state index: the objects of
+    /// [`Instance::state_snapshot`] as shared handles with lazily masked,
+    /// per-version memoised renders. An O(1) clone; oracles diff two of
+    /// them in time proportional to the objects that differ.
+    pub fn state_handles(&self) -> simkube::StateIndex {
+        self.cluster.api().store().state_index().clone()
     }
 }
 

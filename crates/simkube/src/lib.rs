@@ -6,7 +6,8 @@
 //!
 //! - Uniform, interpretable **state objects** with `metadata`/`spec`/`status`
 //!   sections, resource versions, and owner references ([`objects`],
-//!   [`store`]).
+//!   [`store`]), plus the operator-visible state index whose O(1) clones
+//!   are the oracles' snapshots ([`state`]).
 //! - An **API server** with validation, optimistic-concurrency conflicts, and
 //!   admission webhooks ([`api`]).
 //! - A **scheduler** honouring resources, node selectors, affinity rules, and
@@ -33,6 +34,7 @@ pub mod pmap;
 pub mod quantity;
 pub mod resources;
 pub mod scheduler;
+pub mod state;
 pub mod store;
 
 pub use api::{ApiError, ApiServer};
@@ -55,4 +57,5 @@ pub use resources::{
     Affinity, NodeAffinityTerm, PodAffinityTerm, ResourceRequirements, SecurityContext, Taint,
     TaintEffect, Toleration, TolerationOperator,
 };
+pub use state::{mask_value, object_id, SnapEntry, StateIndex, MASKED_FIELDS};
 pub use store::{ObjKey, ObjectStore, WatchEvent, WatchEventKind};

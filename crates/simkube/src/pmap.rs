@@ -13,6 +13,7 @@
 //!   stay taller than strictly necessary until enough keys are removed;
 //! - iteration order is the key order (`K: Ord`), same as `BTreeMap`.
 
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::sync::Arc;
 use std::sync::OnceLock;
@@ -135,25 +136,32 @@ impl<K: Ord + Clone, V: Clone> PMap<K, V> {
         self.len == 0
     }
 
-    pub fn get(&self, key: &K) -> Option<&V> {
+    /// Looks a key up by any borrowed form of it, like `BTreeMap::get`.
+    pub fn get<Q: Ord + ?Sized>(&self, key: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+    {
         let mut node = self.root.as_deref()?;
         loop {
             match &node.body {
                 Body::Leaf(entries) => {
                     return entries
-                        .binary_search_by(|(k, _)| k.cmp(key))
+                        .binary_search_by(|(k, _)| k.borrow().cmp(key))
                         .ok()
                         .map(|i| &entries[i].1);
                 }
                 Body::Branch { keys, children } => {
-                    let idx = keys.partition_point(|sep| sep <= key);
+                    let idx = keys.partition_point(|sep| sep.borrow() <= key);
                     node = &children[idx];
                 }
             }
         }
     }
 
-    pub fn contains_key(&self, key: &K) -> bool {
+    pub fn contains_key<Q: Ord + ?Sized>(&self, key: &Q) -> bool
+    where
+        K: Borrow<Q>,
+    {
         self.get(key).is_some()
     }
 
@@ -241,7 +249,10 @@ impl<K: Ord + Clone, V: Clone> PMap<K, V> {
         }
     }
 
-    pub fn remove(&mut self, key: &K) -> Option<V> {
+    pub fn remove<Q: Ord + ?Sized>(&mut self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+    {
         let root = self.root.as_mut()?;
         let (removed, now_empty) = Self::remove_rec(root, key);
         if removed.is_some() {
@@ -259,10 +270,15 @@ impl<K: Ord + Clone, V: Clone> PMap<K, V> {
     }
 
     /// Returns (removed value, whether this node is now empty).
-    fn remove_rec(node: &mut Arc<Node<K, V>>, key: &K) -> (Option<V>, bool) {
+    fn remove_rec<Q: Ord + ?Sized>(node: &mut Arc<Node<K, V>>, key: &Q) -> (Option<V>, bool)
+    where
+        K: Borrow<Q>,
+    {
         // Probe before make_mut so a miss leaves sharing intact.
         let hit = match &node.body {
-            Body::Leaf(entries) => entries.binary_search_by(|(k, _)| k.cmp(key)).is_ok(),
+            Body::Leaf(entries) => entries
+                .binary_search_by(|(k, _)| k.borrow().cmp(key))
+                .is_ok(),
             Body::Branch { .. } => true,
         };
         if !hit {
@@ -270,7 +286,7 @@ impl<K: Ord + Clone, V: Clone> PMap<K, V> {
         }
         match Node::touch(node) {
             Body::Leaf(entries) => {
-                let i = match entries.binary_search_by(|(k, _)| k.cmp(key)) {
+                let i = match entries.binary_search_by(|(k, _)| k.borrow().cmp(key)) {
                     Ok(i) => i,
                     Err(_) => return (None, false),
                 };
@@ -278,7 +294,7 @@ impl<K: Ord + Clone, V: Clone> PMap<K, V> {
                 (Some(v), entries.is_empty())
             }
             Body::Branch { keys, children } => {
-                let idx = keys.partition_point(|sep| sep <= key);
+                let idx = keys.partition_point(|sep| sep.borrow() <= key);
                 let (removed, child_empty) = Self::remove_rec(&mut children[idx], key);
                 if removed.is_some() && child_empty {
                     children.remove(idx);
@@ -361,10 +377,10 @@ impl<K: Ord + Clone, V: Clone> PMap<K, V> {
     /// Counts values shared with other clones of the map versus uniquely
     /// owned: `(shared, owned)`. A value is shared when any ancestor node is
     /// referenced by more than one tree version (structural sharing), or
-    /// when `value_shared` reports the value itself as shared (e.g. an `Arc`
-    /// payload still referenced by a diverged snapshot).
-    pub fn sharing_stats<F: Fn(&V) -> bool>(&self, value_shared: F) -> (usize, usize) {
-        fn walk<K, V, F: Fn(&V) -> bool>(
+    /// when `value_shared` reports the entry's value itself as shared (e.g.
+    /// an `Arc` payload still referenced by a diverged snapshot).
+    pub fn sharing_stats<F: Fn(&K, &V) -> bool>(&self, value_shared: F) -> (usize, usize) {
+        fn walk<K, V, F: Fn(&K, &V) -> bool>(
             node: &Arc<Node<K, V>>,
             ancestor_shared: bool,
             value_shared: &F,
@@ -374,8 +390,8 @@ impl<K: Ord + Clone, V: Clone> PMap<K, V> {
             let node_shared = ancestor_shared || Arc::strong_count(node) > 1;
             match &node.body {
                 Body::Leaf(entries) => {
-                    for (_, v) in entries {
-                        if node_shared || value_shared(v) {
+                    for (k, v) in entries {
+                        if node_shared || value_shared(k, v) {
                             *shared += 1;
                         } else {
                             *owned += 1;
@@ -403,6 +419,17 @@ impl<K: Ord + Clone, V: Clone> PMap<K, V> {
 
     pub fn values(&self) -> impl Iterator<Item = &V> {
         self.iter().map(|(_, v)| v)
+    }
+
+    /// Walks the keys on which `self` (left) and `other` (right) may
+    /// differ, in key order; see [`Diff`]. Subtrees the two maps share by
+    /// pointer are skipped whole, so after k writes since a common clone
+    /// the walk visits O(k · log n) entries instead of all of them.
+    pub fn diff<'a>(&'a self, other: &'a PMap<K, V>) -> Diff<'a, K, V> {
+        Diff {
+            left: Cursor::new(self),
+            right: Cursor::new(other),
+        }
     }
 }
 
@@ -437,6 +464,183 @@ impl<'a, K, V> Iterator for Iter<'a, K, V> {
                         self.stack.pop();
                     }
                 }
+            }
+        }
+    }
+}
+
+/// One key a [`Diff`] walk reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DiffItem<'a, K, V> {
+    /// The key is only in the left map.
+    Left(&'a K, &'a V),
+    /// The key is only in the right map.
+    Right(&'a K, &'a V),
+    /// The key is in both maps, outside any subtree they share. The values
+    /// may still be equal: comparing them is the caller's call.
+    Both(&'a K, &'a V, &'a V),
+}
+
+/// A merge walk over two maps that skips the subtrees they share.
+///
+/// Pruning is sound because a node is never mutated while more than one
+/// map holds it (`Node::touch` copies a shared node first): two maps that
+/// hold the same node pointer hold the same entries under it. Each side
+/// keeps a cursor — a stack of pending subtrees and entries, next item on
+/// top. At every step the walk either skips a pointer-equal pair of
+/// subtrees, opens (descends into) the subtree that starts first or is
+/// taller, or emits the smaller entry, so it returns exactly what a full
+/// merge of both key sequences would, minus the common entries inside
+/// shared subtrees. Where node shapes differ (splits, pruned leaves) the
+/// walk falls back to merging entries until the cursors meet on a shared
+/// node again.
+pub struct Diff<'a, K, V> {
+    left: Cursor<'a, K, V>,
+    right: Cursor<'a, K, V>,
+}
+
+impl<K, V> Diff<'_, K, V> {
+    /// Nodes and entries the walk has popped so far: its cost, countable
+    /// without timing it.
+    pub fn visited(&self) -> usize {
+        self.left.popped + self.right.popped
+    }
+}
+
+/// A pending subtree (with its height above the leaves) or entry.
+enum Pending<'a, K, V> {
+    Node(&'a Node<K, V>, usize),
+    Entry(&'a K, &'a V),
+}
+
+impl<K, V> Clone for Pending<'_, K, V> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<K, V> Copy for Pending<'_, K, V> {}
+
+impl<'a, K, V> Pending<'a, K, V> {
+    /// The smallest key at or under this item (`None` for an empty node).
+    fn min_key(self) -> Option<&'a K> {
+        let mut node = match self {
+            Pending::Entry(k, _) => return Some(k),
+            Pending::Node(node, _) => node,
+        };
+        loop {
+            match &node.body {
+                Body::Leaf(entries) => return entries.first().map(|(k, _)| k),
+                Body::Branch { children, .. } => node = children.first()?,
+            }
+        }
+    }
+}
+
+struct Cursor<'a, K, V> {
+    stack: Vec<Pending<'a, K, V>>,
+    /// Items taken off the stack.
+    popped: usize,
+}
+
+impl<'a, K, V> Cursor<'a, K, V> {
+    fn new(map: &'a PMap<K, V>) -> Self {
+        let mut stack = Vec::new();
+        if let Some(root) = map.root.as_deref() {
+            let mut height = 0;
+            let mut node = root;
+            while let Body::Branch { children, .. } = &node.body {
+                height += 1;
+                node = &children[0];
+            }
+            stack.push(Pending::Node(root, height));
+        }
+        Cursor { stack, popped: 0 }
+    }
+
+    fn peek(&self) -> Option<Pending<'a, K, V>> {
+        self.stack.last().copied()
+    }
+
+    fn pop(&mut self) {
+        self.stack.pop();
+        self.popped += 1;
+    }
+
+    /// Replaces the node on top with its children or entries.
+    fn open(&mut self) {
+        let Some(Pending::Node(node, height)) = self.stack.pop() else {
+            unreachable!("open: top of the cursor is a node");
+        };
+        self.popped += 1;
+        match &node.body {
+            Body::Leaf(entries) => self
+                .stack
+                .extend(entries.iter().rev().map(|(k, v)| Pending::Entry(k, v))),
+            Body::Branch { children, .. } => self.stack.extend(
+                children
+                    .iter()
+                    .rev()
+                    .map(|c| Pending::Node(c, height.saturating_sub(1))),
+            ),
+        }
+    }
+}
+
+impl<'a, K: Ord, V> Iterator for Diff<'a, K, V> {
+    type Item = DiffItem<'a, K, V>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        use Pending::{Entry, Node};
+        loop {
+            let (a, b) = (self.left.peek(), self.right.peek());
+            // Every key below both cursors' next keys has been walked on
+            // both sides, so the side whose next key is smaller holds that
+            // key alone. An exhausted side sorts last; an empty node sorts
+            // first, so that opening drops it.
+            let order = match (a, b) {
+                (None, None) => return None,
+                (Some(Node(x, _)), Some(Node(y, _))) if std::ptr::eq(x, y) => {
+                    self.left.pop();
+                    self.right.pop();
+                    continue;
+                }
+                (Some(_), None) => Ordering::Less,
+                (None, Some(_)) => Ordering::Greater,
+                (Some(a), Some(b)) => match (a.min_key(), b.min_key()) {
+                    (Some(ka), Some(kb)) => ka.cmp(kb),
+                    (None, _) => Ordering::Less,
+                    (_, None) => Ordering::Greater,
+                },
+            };
+            match (order, a, b) {
+                (Ordering::Less, Some(Entry(k, v)), _) => {
+                    self.left.pop();
+                    return Some(DiffItem::Left(k, v));
+                }
+                (Ordering::Greater, _, Some(Entry(k, v))) => {
+                    self.right.pop();
+                    return Some(DiffItem::Right(k, v));
+                }
+                (Ordering::Equal, Some(Entry(k, va)), Some(Entry(_, vb))) => {
+                    self.left.pop();
+                    self.right.pop();
+                    return Some(DiffItem::Both(k, va, vb));
+                }
+                // Same first key: open the taller node (both on a tie), so
+                // a subtree shared at some height meets its twin there.
+                (Ordering::Equal, Some(Node(_, ha)), Some(Node(_, hb))) => {
+                    if ha >= hb {
+                        self.left.open();
+                    }
+                    if hb >= ha {
+                        self.right.open();
+                    }
+                }
+                (Ordering::Less | Ordering::Equal, Some(Node(..)), _) => self.left.open(),
+                // What is left: the right side's next item is a node that
+                // starts first, or at the left side's next entry.
+                _ => self.right.open(),
             }
         }
     }
@@ -582,6 +786,95 @@ mod tests {
             }
         }
         assert_eq!(m.digest_sum(&entry_digest), model_digest(&m));
+    }
+
+    /// `(tag, key)` for every key on which `a` and `b` differ, by a full
+    /// merge of both key sequences.
+    fn naive_diff(a: &PMap<u64, u64>, b: &PMap<u64, u64>) -> Vec<(char, u64)> {
+        let (a, b): (BTreeMap<u64, u64>, BTreeMap<u64, u64>) = (
+            a.iter().map(|(k, v)| (*k, *v)).collect(),
+            b.iter().map(|(k, v)| (*k, *v)).collect(),
+        );
+        let keys: std::collections::BTreeSet<u64> = a.keys().chain(b.keys()).copied().collect();
+        keys.into_iter()
+            .filter_map(|k| match (a.get(&k), b.get(&k)) {
+                (Some(_), None) => Some(('<', k)),
+                (None, Some(_)) => Some(('>', k)),
+                (Some(x), Some(y)) if x != y => Some(('=', k)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn walked_diff(a: &PMap<u64, u64>, b: &PMap<u64, u64>) -> Vec<(char, u64)> {
+        a.diff(b)
+            .filter_map(|item| match item {
+                DiffItem::Left(k, _) => Some(('<', *k)),
+                DiffItem::Right(k, _) => Some(('>', *k)),
+                DiffItem::Both(k, x, y) if x != y => Some(('=', *k)),
+                DiffItem::Both(..) => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn diff_matches_a_full_merge_across_forks() {
+        let mut x: u64 = 0x2545f4914f6cdd1d;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for round in 0..40u64 {
+            let mut base: PMap<u64, u64> = PMap::new();
+            for _ in 0..(next() % 600) {
+                base.insert(next() % 1000, round);
+            }
+            let mut left = base.clone();
+            let mut right = base.clone();
+            for (side, writes) in [(&mut left, next() % 60), (&mut right, next() % 300)] {
+                for w in 0..writes {
+                    let key = next() % 1000;
+                    match next() % 4 {
+                        0 => {
+                            side.remove(&key);
+                        }
+                        1 => {
+                            if let Some(v) = side.get_mut(&key) {
+                                *v = w;
+                            }
+                        }
+                        _ => {
+                            side.insert(key, w);
+                        }
+                    }
+                }
+            }
+            for (a, b) in [(&base, &left), (&left, &right), (&right, &base)] {
+                assert_eq!(walked_diff(a, b), naive_diff(a, b), "round {round}");
+            }
+        }
+    }
+
+    #[test]
+    fn diff_skips_shared_subtrees() {
+        let mut a: PMap<u32, u32> = PMap::new();
+        for i in 0..5000 {
+            a.insert(i, i);
+        }
+        let mut b = a.clone();
+        let mut walk = a.diff(&b);
+        assert_eq!(walk.by_ref().count(), 0);
+        assert_eq!(walk.visited(), 2, "a clone shares its root");
+        *b.get_mut(&2500).unwrap() = 0;
+        let mut walk = a.diff(&b);
+        let items: Vec<_> = walk
+            .by_ref()
+            .filter(|i| matches!(i, DiffItem::Both(_, x, y) if x != y))
+            .collect();
+        assert_eq!(items, [DiffItem::Both(&2500, &2500, &0)]);
+        assert!(walk.visited() < 200, "visited {}", walk.visited());
     }
 
     #[test]

@@ -10,6 +10,10 @@
 //! and a snapshot shares every object and every tree node with its parent
 //! until one of them writes. A write copies only the touched root-to-leaf
 //! path plus the single object payload being changed.
+//!
+//! Beside the object map the store keeps the operator-visible
+//! [`StateIndex`], written on the same three paths (create, changed update,
+//! delete), so oracle snapshots are O(1) clones of it too.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -17,6 +21,7 @@ use std::sync::Arc;
 use crate::meta::ObjectMeta;
 use crate::objects::{Kind, ObjectData, StoredObject};
 use crate::pmap::PMap;
+use crate::state::{self, SnapEntry, StateIndex};
 
 /// Key identifying a stored object.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -102,6 +107,8 @@ pub struct ObjectStore {
     /// The map's (kind, namespace, name) key order doubles as the per-kind
     /// index — `list`/`list_all` are contiguous range scans.
     objects: PMap<ObjKey, Arc<StoredObject>>,
+    /// The operator-visible objects by id, one entry per object version.
+    index: StateIndex,
     revision: u64,
     next_uid: u64,
     /// Watch-event log, shared between snapshots until one side appends.
@@ -131,6 +138,7 @@ impl ObjectStore {
     pub fn new() -> ObjectStore {
         ObjectStore {
             objects: PMap::new(),
+            index: PMap::new(),
             revision: 0,
             next_uid: 1,
             events: Arc::new(Vec::new()),
@@ -245,6 +253,7 @@ impl ObjectStore {
         meta.creation_timestamp = time;
         let obj = Arc::new(StoredObject { meta, data });
         self.objects.insert(key.clone(), Arc::clone(&obj));
+        self.index_put(&key, &obj);
         *self.kind_counts.entry(key.kind.clone()).or_insert(0) += 1;
         self.bump(WatchEventKind::Added, key.clone(), time, Some(obj));
         Ok(key)
@@ -287,16 +296,14 @@ impl ObjectStore {
         }
         // A replacement gets a fresh Arc instead of mutating in place, so
         // snapshots holding the old handle are untouched.
-        let obj = Arc::new(StoredObject { meta, data });
-        *self.objects.get_mut(key).expect("checked above") = Arc::clone(&obj);
-        self.bump(WatchEventKind::Modified, key.clone(), time, Some(obj));
+        self.replace(key.clone(), Arc::new(StoredObject { meta, data }), time);
         Ok(())
     }
 
-    /// Mutates an object in place through a closure. No event is recorded
-    /// when the closure leaves the object unchanged; in that case the
-    /// original shared handle is restored, so a no-op never breaks
-    /// `Arc::ptr_eq`-based sharing with snapshots.
+    /// Mutates an object through a closure applied to a copy of it. A
+    /// closure that leaves the object unchanged records no event and
+    /// touches neither map, so a no-op keeps every tree node and handle
+    /// shared with snapshots (`Arc::ptr_eq`-based pruning stays exact).
     pub fn update_with<F: FnOnce(&mut StoredObject)>(
         &mut self,
         key: &ObjKey,
@@ -305,8 +312,7 @@ impl ObjectStore {
     ) -> Result<(), String> {
         let resolved = self.resolve_key(key);
         let key = &*resolved;
-        let next_rv = self.revision + 1;
-        let slot = self.objects.get_mut(key).ok_or_else(|| {
+        let before = self.objects.get(key).ok_or_else(|| {
             format!(
                 "{} {}/{} not found",
                 key.kind.name(),
@@ -314,28 +320,40 @@ impl ObjectStore {
                 key.name
             )
         })?;
-        let before = Arc::clone(slot);
-        let obj = Arc::make_mut(slot);
-        f(obj);
+        let mut obj = StoredObject::clone(before);
+        f(&mut obj);
         // Restore store-managed metadata the closure must not forge.
         obj.meta.uid = before.meta.uid;
         obj.meta.resource_version = before.meta.resource_version;
         obj.meta.generation = before.meta.generation;
         obj.meta.creation_timestamp = before.meta.creation_timestamp;
-        let changed = obj.data != before.data || obj.meta != before.meta;
-        if !changed {
-            // Put the shared handle back: callers comparing by pointer
-            // (oracle pruning, sharing stats) must see a no-op as a no-op.
-            *slot = before;
+        if obj.data == before.data && obj.meta == before.meta {
             return Ok(());
         }
-        obj.meta.resource_version = next_rv;
+        obj.meta.resource_version = self.revision + 1;
         if !obj.data.spec_eq(&before.data) {
             obj.meta.generation += 1;
         }
-        let handle = Arc::clone(slot);
-        self.bump(WatchEventKind::Modified, key.clone(), time, Some(handle));
+        self.replace(key.clone(), Arc::new(obj), time);
         Ok(())
+    }
+
+    /// Installs a changed version of an existing object in both maps and
+    /// records the write.
+    fn replace(&mut self, key: ObjKey, obj: Arc<StoredObject>, time: u64) {
+        *self.objects.get_mut(&key).expect("replace: key exists") = Arc::clone(&obj);
+        self.index_put(&key, &obj);
+        self.bump(WatchEventKind::Modified, key, time, Some(obj));
+    }
+
+    /// Points the state index at `obj`'s current version.
+    fn index_put(&mut self, key: &ObjKey, obj: &Arc<StoredObject>) {
+        if state::visible(key) {
+            self.index.insert(
+                state::object_id(key),
+                Arc::new(SnapEntry::from_handle(Arc::clone(obj))),
+            );
+        }
     }
 
     /// Deletes an object, returning its shared handle.
@@ -343,6 +361,9 @@ impl ObjectStore {
         let resolved = self.resolve_key(key);
         let key = &*resolved;
         let removed = self.objects.remove(key)?;
+        if state::visible(key) {
+            self.index.remove(&state::object_id(key));
+        }
         if let Some(count) = self.kind_counts.get_mut(&key.kind) {
             *count = count.saturating_sub(1);
         }
@@ -379,6 +400,13 @@ impl ObjectStore {
         self.objects.iter()
     }
 
+    /// The operator-visible objects (everything outside
+    /// [`crate::BACKGROUND_NAMESPACE`]) by `kind/namespace/name`. Cloning
+    /// it is the O(1) state snapshot the oracles take.
+    pub fn state_index(&self) -> &StateIndex {
+        &self.index
+    }
+
     /// Commutative digest over every stored object, computed incrementally.
     ///
     /// Delegates to [`PMap::digest_sum`]: per-subtree sums are cached inside
@@ -396,19 +424,22 @@ impl ObjectStore {
     /// snapshot, or when its payload `Arc` itself is multiply referenced.
     pub fn sharing_stats(&self) -> (usize, usize) {
         // The store's own event log holds a handle per recorded write (how
-        // index sync avoids per-key store descents); those references are
-        // part of this store, not divergence, so discount them.
+        // index sync avoids per-key store descents), and its state index
+        // one per visible object; those references are part of this store,
+        // not divergence, so discount them.
         let mut event_refs: BTreeMap<usize, usize> = BTreeMap::new();
         for event in self.events.iter() {
             if let Some(obj) = &event.obj {
                 *event_refs.entry(Arc::as_ptr(obj) as usize).or_insert(0) += 1;
             }
         }
-        self.objects.sharing_stats(|obj| {
-            let own = 1 + event_refs
-                .get(&(Arc::as_ptr(obj) as usize))
-                .copied()
-                .unwrap_or(0);
+        self.objects.sharing_stats(|key, obj| {
+            let own = 1
+                + usize::from(state::visible(key))
+                + event_refs
+                    .get(&(Arc::as_ptr(obj) as usize))
+                    .copied()
+                    .unwrap_or(0);
             Arc::strong_count(obj) > own
         })
     }
@@ -474,8 +505,16 @@ impl ObjectStore {
     /// used as the pre-CoW baseline in benchmarks.
     pub fn deep_clone(&self) -> ObjectStore {
         let mut objects = PMap::new();
+        let mut index = PMap::new();
         for (key, obj) in self.objects.iter() {
-            objects.insert(key.clone(), Arc::new((**obj).clone()));
+            let obj = Arc::new((**obj).clone());
+            if state::visible(key) {
+                index.insert(
+                    state::object_id(key),
+                    Arc::new(SnapEntry::from_handle(Arc::clone(&obj))),
+                );
+            }
+            objects.insert(key.clone(), obj);
         }
         // Event payloads must reference the clone's objects, not the
         // original's: current versions map to the fresh handle, stale
@@ -504,6 +543,7 @@ impl ObjectStore {
             .collect();
         ObjectStore {
             objects,
+            index,
             revision: self.revision,
             next_uid: self.next_uid,
             events: Arc::new(events),
@@ -597,12 +637,19 @@ mod tests {
         let key = store.create(meta, data, 0).unwrap();
         let snap = store.snapshot();
         store.update_with(&key, 1, |_| {}).unwrap();
-        // The no-op restored the original Arc: snapshot and store still
-        // share the payload, which is what makes ptr_eq pruning sound.
+        // The no-op kept the original Arc: snapshot and store still share
+        // the payload, which is what makes ptr_eq pruning sound.
         assert!(Arc::ptr_eq(
             store.get_shared(&key).unwrap(),
             snap.get_shared(&key).unwrap()
         ));
+        // ...and it copied no tree node: both maps still share their roots.
+        let mut walk = store.objects.diff(&snap.objects);
+        assert_eq!(walk.by_ref().count(), 0);
+        assert_eq!(walk.visited(), 2);
+        let mut walk = store.index.diff(&snap.index);
+        assert_eq!(walk.by_ref().count(), 0);
+        assert_eq!(walk.visited(), 2);
         // A real change replaces the handle in the store only.
         store
             .update_with(&key, 2, |o| {
