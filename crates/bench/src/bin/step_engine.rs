@@ -5,14 +5,15 @@
 //! and the fresh-reference cache absorbs repeated declarations.
 //!
 //! Usage: `step_engine [--quick]` (or `ACTO_QUICK=1`). Writes
-//! `BENCH_step_engine.json` into the working directory and exits nonzero
-//! on transcript drift, a zero cache-hit count, or an event-engine
-//! wall-clock above the budgeted fraction of the ticked baseline.
+//! `BENCH_step_engine.json`, stamped with the host's `nproc` and the git
+//! rev, into the working directory and exits nonzero on transcript drift,
+//! a zero cache-hit count, or an event-engine wall-clock above the
+//! budgeted fraction of the ticked baseline.
 
 use std::time::{Duration, Instant};
 
 use acto::{run_campaign, CampaignConfig, CampaignResult, Mode};
-use acto_bench::{quick, render_table, BENCH_SCHEMA_VERSION};
+use acto_bench::{git_rev, nproc, quick, render_table, BENCH_SCHEMA_VERSION};
 use simkube::{engine_counters, set_ticked_engine};
 
 const OPERATORS: [&str; 2] = ["RabbitMQOp", "ZooKeeperOp"];
@@ -174,8 +175,10 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"step_engine\",\n  \"schema_version\": {},\n  \"quick\": {},\n  \"wall_budget\": {:.4},\n  \"runs\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"step_engine\",\n  \"schema_version\": {},\n  \"nproc\": {},\n  \"git_rev\": \"{}\",\n  \"quick\": {},\n  \"wall_budget\": {:.4},\n  \"runs\": [\n{}\n  ]\n}}\n",
         BENCH_SCHEMA_VERSION,
+        nproc(),
+        git_rev(),
         quick,
         budget,
         json_entries.join(",\n")

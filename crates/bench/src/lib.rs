@@ -5,6 +5,9 @@
 //! the plain-text table renderer they share. See `EXPERIMENTS.md` at the
 //! repository root for the paper-vs-measured record.
 
+use std::fs;
+use std::path::Path;
+
 use acto::{CampaignConfig, CampaignResult, Mode};
 use operators::registry::all_operators;
 
@@ -53,6 +56,36 @@ pub fn quick() -> bool {
 /// bench artifact as `schema_version` so downstream consumers can detect
 /// layout changes.
 pub const BENCH_SCHEMA_VERSION: u64 = 1;
+
+/// Worker threads the host offers, recorded beside every wall-clock
+/// figure.
+pub fn nproc() -> usize {
+    std::thread::available_parallelism().map_or(1, usize::from)
+}
+
+/// The commit the repository was built from, read from its `.git` without
+/// running git; `"unknown"` outside a repository.
+pub fn git_rev() -> String {
+    let git = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../.git");
+    let Ok(head) = fs::read_to_string(git.join("HEAD")) else {
+        return "unknown".to_string();
+    };
+    let head = head.trim();
+    let Some(reference) = head.strip_prefix("ref: ") else {
+        return head.to_string();
+    };
+    if let Ok(rev) = fs::read_to_string(git.join(reference)) {
+        return rev.trim().to_string();
+    }
+    fs::read_to_string(git.join("packed-refs"))
+        .ok()
+        .and_then(|packed| {
+            packed
+                .lines()
+                .find_map(|l| l.strip_suffix(reference).map(|rev| rev.trim().to_string()))
+        })
+        .unwrap_or_else(|| "unknown".to_string())
+}
 
 /// Renders rows as a fixed-width plain-text table.
 pub fn render_table(title: &str, header: &[&str], rows: &[Vec<String>]) -> String {

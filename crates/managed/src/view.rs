@@ -127,23 +127,25 @@ impl<'a> SystemView<'a> {
 
     /// Reads the instance's config map (`{instance}-config`).
     pub fn config(&self) -> BTreeMap<String, String> {
+        self.config_data().cloned().unwrap_or_default()
+    }
+
+    /// Reads one config entry, cloning only that entry.
+    pub fn config_value(&self, key: &str) -> Option<String> {
+        self.config_data()?.get(key).cloned()
+    }
+
+    /// The stored config map's data, borrowed in place.
+    fn config_data(&self) -> Option<&BTreeMap<String, String>> {
         let key = ObjKey::new(
             Kind::ConfigMap,
             &self.namespace,
             &format!("{}-config", self.instance),
         );
-        match self.cluster.api().get(&key) {
-            Some(obj) => match &obj.data {
-                ObjectData::ConfigMap(c) => c.data.clone(),
-                _ => BTreeMap::new(),
-            },
-            None => BTreeMap::new(),
+        match &self.cluster.api().get(&key)?.data {
+            ObjectData::ConfigMap(c) => Some(&c.data),
+            _ => None,
         }
-    }
-
-    /// Reads one config entry.
-    pub fn config_value(&self, key: &str) -> Option<String> {
-        self.config().get(key).cloned()
     }
 
     /// Marks a pod as crash-looping for a system-semantic reason. The
@@ -196,6 +198,12 @@ pub trait SystemModel: Send {
 
     /// Advances the model one tick: reads the cluster, injects semantic
     /// failures, and reports system health.
+    ///
+    /// Contract: a tick is a deterministic function of the cluster state.
+    /// It never reads the clock, and keeps no in-memory state that changes
+    /// a later tick. The operator harness relies on this to skip a tick
+    /// whose cluster is unchanged since a tick that changed nothing, and
+    /// reuse that tick's health.
     fn tick(&mut self, view: &mut SystemView<'_>) -> Health;
 }
 

@@ -59,6 +59,13 @@ pub trait Operator: Send {
     /// `health` is the managed system's current health (operators commonly
     /// gate operations on it — the double-edged practice behind the
     /// paper's recovery-failure bugs).
+    ///
+    /// Contract: a pass is a deterministic function of `cr`, `health`,
+    /// `bugs` and the cluster state. It reads the clock only to stamp the
+    /// writes it makes, and keeps no in-memory state that changes a later
+    /// pass. The harness relies on this: a pass whose inputs are unchanged
+    /// since a pass that changed nothing is skipped (see
+    /// [`Instance::tick`]).
     fn reconcile(
         &mut self,
         cr: &Value,
@@ -68,10 +75,10 @@ pub trait Operator: Send {
     ) -> Result<(), OperatorError>;
 
     /// Called when the operator "process" restarts after a crash-point
-    /// firing: drop any in-memory state, as a real process death would.
-    /// Operators in this repo are stateless unit structs rebuilt from the
-    /// registry constructor, so the default is a no-op; stateful operators
-    /// must override it.
+    /// firing, as a real process death would. Operators keep no in-memory
+    /// state (see [`Operator::reconcile`]), so there is nothing to drop and
+    /// the default is a no-op; an override must not change what a later
+    /// pass does.
     fn restart(&mut self) {}
 }
 
@@ -159,6 +166,15 @@ pub struct Instance {
     spec_cache: Option<(u64, Value)>,
     /// Serialized length of the cached spec (the PLAT-3 payload check).
     payload_len_cache: usize,
+    /// The model-tick memo: the cluster fingerprint a model tick and health
+    /// reflection left unchanged, and the health that tick returned. Like
+    /// `spec_cache` it is derived state, never checkpointed, and every
+    /// constructor starts it empty.
+    observe_memo: Option<(simkube::ClusterFingerprint, Health)>,
+    /// The reconcile memo: the inputs of the last reconcile pass that
+    /// returned `Ok` without a crash point firing and left the cluster
+    /// fingerprint unchanged.
+    reconcile_memo: Option<(simkube::ClusterFingerprint, u64, Health)>,
 }
 
 /// Namespace every instance is deployed into.
@@ -229,6 +245,8 @@ impl Instance {
             last_health: Health::Down("not yet deployed".to_string()),
             spec_cache: None,
             payload_len_cache: 0,
+            observe_memo: None,
+            reconcile_memo: None,
         };
         instance.converge(CONVERGE_RESET, CONVERGE_MAX);
         Ok(instance)
@@ -274,6 +292,8 @@ impl Instance {
             last_health: Health::Down("not yet deployed".to_string()),
             spec_cache: None,
             payload_len_cache: 0,
+            observe_memo: None,
+            reconcile_memo: None,
         })
     }
 
@@ -317,6 +337,8 @@ impl Instance {
             last_health: cp.last_health.clone(),
             spec_cache: None,
             payload_len_cache: 0,
+            observe_memo: None,
+            reconcile_memo: None,
         }
     }
 
@@ -399,6 +421,19 @@ impl Instance {
 
     /// Advances the world one simulated second: cluster controllers, the
     /// managed-system model, and one operator reconcile pass.
+    ///
+    /// The event-driven engine gives the model and the operator a
+    /// watch-driven work queue, as the cluster controllers already have: a
+    /// model tick or reconcile pass whose inputs are unchanged since its
+    /// last pass that changed nothing reuses that pass's result instead of
+    /// running. The inputs are the cluster fingerprint
+    /// ([`simkube::ClusterFingerprint`]: store revision, logs, crash
+    /// conditions, pending conflicts, fault injector and crash-point
+    /// interposer), plus the CR generation and health for a reconcile pass.
+    /// Both are deterministic functions of them (see
+    /// [`Operator::reconcile`] and [`SystemModel::tick`]), so the repeat
+    /// would be a no-op too. The ticked engine runs every pass; it is the
+    /// reference the skipping is checked against.
     pub fn tick(&mut self) {
         self.cluster.step();
         self.post_step();
@@ -433,42 +468,14 @@ impl Instance {
     }
 
     fn post_step_inner(&mut self) {
-        // Managed-system model observes and may inject crash loops.
-        let health = {
-            let mut view = SystemView::new(&mut self.cluster, &self.namespace, &self.name);
-            self.model.tick(&mut view)
-        };
+        let memo = !simkube::ticked_engine();
+        let health = self.observe(memo);
         self.last_health = health.clone();
-        // Reflect runtime health into the CR status (the monitoring path
-        // Acto's error oracle reads from state objects).
-        let health_str = match &health {
-            Health::Healthy => "Healthy".to_string(),
-            Health::Degraded(r) => format!("Degraded: {r}"),
-            Health::Down(r) => format!("Down: {r}"),
-        };
         let key = self.cr_key();
         let Some(cr_obj) = self.cluster.api().get(&key) else {
             return;
         };
         let generation = cr_obj.meta.generation;
-        // Compare against the stored status in place; the status value is
-        // only rendered (and written back) when the health actually moved.
-        let stored_health = cr_obj
-            .data
-            .status_field("systemHealth")
-            .and_then(Value::as_str);
-        if stored_health != Some(health_str.as_str()) {
-            let mut status = cr_obj.data.status_value();
-            status.set_path(
-                &"systemHealth".parse().expect("path"),
-                Value::from(health_str),
-            );
-            let time = self.cluster.now();
-            let _ = self
-                .cluster
-                .api_mut()
-                .update_custom_status(&key, status, time);
-        }
         // An injected watch blackout starves the operator of events: no
         // reconcile runs until watches resume.
         if self.cluster.watch_blackout_active() {
@@ -485,6 +492,7 @@ impl Instance {
             self.operator.restart();
             self.operator_restarts += 1;
             self.spec_cache = None;
+            self.reconcile_memo = None;
             self.cluster.log(
                 LogLevel::Warn,
                 "crash-point",
@@ -533,6 +541,19 @@ impl Instance {
             );
             return;
         }
+        // Every gate above that reads the clock or consumes fault state has
+        // run; what is left is a pure function of the memo key.
+        let memo_key = memo.then(|| {
+            (
+                self.cluster.quiescence_fingerprint(),
+                generation,
+                health.clone(),
+            )
+        });
+        if memo_key.is_some() && self.reconcile_memo == memo_key {
+            return;
+        }
+        self.reconcile_memo = None;
         let spec = &self.spec_cache.as_ref().expect("populated above").1;
         self.cluster.api_mut().begin_operator_pass();
         let result = self
@@ -558,7 +579,10 @@ impl Instance {
             return;
         }
         match result {
-            Ok(()) => {}
+            Ok(()) => {
+                self.reconcile_memo =
+                    memo_key.filter(|k| k.0 == self.cluster.quiescence_fingerprint());
+            }
             Err(OperatorError::Transient(msg)) => {
                 let source = self.operator.name();
                 self.cluster.log(LogLevel::Error, source, msg);
@@ -566,6 +590,61 @@ impl Instance {
             Err(OperatorError::Panic(msg)) => {
                 self.record_panic(generation, msg);
             }
+        }
+    }
+
+    /// The managed-system model's tick plus the reflection of its health
+    /// into the CR status (the monitoring path Acto's error oracle reads
+    /// from state objects). With `memo`, a tick whose cluster fingerprint
+    /// matches the last tick that left it unchanged returns that tick's
+    /// health without running: the model would return the same health, and
+    /// the CR status already holds it.
+    fn observe(&mut self, memo: bool) -> Health {
+        let entry = memo.then(|| self.cluster.quiescence_fingerprint());
+        if let Some((fp, health)) = &self.observe_memo {
+            if entry.as_ref() == Some(fp) {
+                return health.clone();
+            }
+        }
+        // The model observes and may inject crash loops.
+        let health = {
+            let mut view = SystemView::new(&mut self.cluster, &self.namespace, &self.name);
+            self.model.tick(&mut view)
+        };
+        self.reflect_health(&health);
+        self.observe_memo = entry
+            .filter(|fp| *fp == self.cluster.quiescence_fingerprint())
+            .map(|fp| (fp, health.clone()));
+        health
+    }
+
+    fn reflect_health(&mut self, health: &Health) {
+        let key = self.cr_key();
+        let Some(cr_obj) = self.cluster.api().get(&key) else {
+            return;
+        };
+        let health_str = match health {
+            Health::Healthy => "Healthy".to_string(),
+            Health::Degraded(r) => format!("Degraded: {r}"),
+            Health::Down(r) => format!("Down: {r}"),
+        };
+        // Compare against the stored status in place; the status value is
+        // only rendered (and written back) when the health actually moved.
+        let stored_health = cr_obj
+            .data
+            .status_field("systemHealth")
+            .and_then(Value::as_str);
+        if stored_health != Some(health_str.as_str()) {
+            let mut status = cr_obj.data.status_value();
+            status.set_path(
+                &"systemHealth".parse().expect("path"),
+                Value::from(health_str),
+            );
+            let time = self.cluster.now();
+            let _ = self
+                .cluster
+                .api_mut()
+                .update_custom_status(&key, status, time);
         }
     }
 
@@ -581,9 +660,12 @@ impl Instance {
 
     /// Observable fingerprint of the whole instance: the cluster's
     /// quiescence fingerprint plus operator-side state a tick can change.
-    /// Two equal fingerprints around a tick prove it was a no-op (operators
-    /// and models are deterministic functions of this state, never of the
-    /// clock), which lets the event-driven engine fast-forward.
+    /// Two equal fingerprints around a tick prove it was a no-op: operators
+    /// and models are deterministic functions of this state and read the
+    /// clock only to stamp writes (the contract on [`Operator::reconcile`]
+    /// and [`SystemModel::tick`]), so the next tick is a no-op too. The
+    /// event-driven engine fast-forwards on this; `tick` skips a model tick
+    /// or reconcile pass on the same argument, keyed on the cluster part.
     pub(crate) fn fingerprint(
         &self,
     ) -> (
@@ -725,6 +807,8 @@ mod tests {
     use simkube::meta::LabelSelector;
     use simkube::meta::ObjectMeta;
     use simkube::objects::{Container, ObjectData, PodTemplate, StatefulSet};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     /// A minimal operator managing a fake "zookeeper" with one knob.
     struct ToyOperator;
@@ -795,6 +879,223 @@ mod tests {
                 .map_err(|e| OperatorError::Transient(e.to_string()))?;
             Ok(())
         }
+    }
+
+    /// Counts reconcile passes of [`ToyOperator`]; with `transient`, every
+    /// pass fails with a write-free transient error.
+    struct CountingOperator {
+        passes: Arc<AtomicUsize>,
+        transient: bool,
+    }
+
+    impl Operator for CountingOperator {
+        fn name(&self) -> &'static str {
+            ToyOperator.name()
+        }
+        fn system(&self) -> &'static str {
+            ToyOperator.system()
+        }
+        fn kind(&self) -> &'static str {
+            ToyOperator.kind()
+        }
+        fn schema(&self) -> Schema {
+            ToyOperator.schema()
+        }
+        fn ir(&self) -> IrModule {
+            ToyOperator.ir()
+        }
+        fn initial_cr(&self) -> Value {
+            ToyOperator.initial_cr()
+        }
+        fn images(&self) -> Vec<String> {
+            ToyOperator.images()
+        }
+        fn reconcile(
+            &mut self,
+            cr: &Value,
+            health: &Health,
+            cluster: &mut SimCluster,
+            bugs: &BugToggles,
+        ) -> Result<(), OperatorError> {
+            self.passes.fetch_add(1, Ordering::Relaxed);
+            if self.transient {
+                return Err(OperatorError::Transient("backend unavailable".to_string()));
+            }
+            ToyOperator.reconcile(cr, health, cluster, bugs)
+        }
+    }
+
+    /// Counts ticks of the operator's managed-system model.
+    struct CountingModel {
+        inner: Box<dyn SystemModel>,
+        ticks: Arc<AtomicUsize>,
+    }
+
+    impl SystemModel for CountingModel {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+        fn tick(&mut self, view: &mut SystemView<'_>) -> Health {
+            self.ticks.fetch_add(1, Ordering::Relaxed);
+            self.inner.tick(view)
+        }
+    }
+
+    /// A deployed, converged [`ToyOperator`] instance.
+    fn settled() -> InstanceCheckpoint {
+        Instance::deploy(
+            Box::new(ToyOperator),
+            BugToggles::all_injected(),
+            PlatformBugs::none(),
+        )
+        .unwrap()
+        .checkpoint()
+    }
+
+    /// Model ticks and reconcile passes run so far.
+    struct Counters {
+        ticks: Arc<AtomicUsize>,
+        passes: Arc<AtomicUsize>,
+    }
+
+    impl Counters {
+        fn get(&self) -> (usize, usize) {
+            (
+                self.ticks.load(Ordering::Relaxed),
+                self.passes.load(Ordering::Relaxed),
+            )
+        }
+    }
+
+    /// Restores `cp` with counting wrappers around the operator and model.
+    fn counted(cp: &InstanceCheckpoint, transient: bool) -> (Instance, Counters) {
+        let counters = Counters {
+            ticks: Arc::default(),
+            passes: Arc::default(),
+        };
+        let operator = CountingOperator {
+            passes: counters.passes.clone(),
+            transient,
+        };
+        let mut instance =
+            Instance::from_checkpoint(Box::new(operator), BugToggles::all_injected(), cp);
+        instance.model = Box::new(CountingModel {
+            inner: managed::model_for(ToyOperator.system()),
+            ticks: counters.ticks.clone(),
+        });
+        (instance, counters)
+    }
+
+    /// Restores the thread's engine selection even if an assertion panics.
+    struct EngineGuard;
+
+    impl Drop for EngineGuard {
+        fn drop(&mut self) {
+            simkube::set_ticked_engine(false);
+        }
+    }
+
+    #[test]
+    fn quiet_tick_runs_neither_model_nor_reconcile() {
+        let (mut instance, counters) = counted(&settled(), false);
+        // A fresh restore runs its first pass of each.
+        instance.tick();
+        assert_eq!(counters.get(), (1, 1));
+        // The settled system's confirmation tick reuses both.
+        instance.tick();
+        instance.tick();
+        assert_eq!(counters.get(), (1, 1));
+        let revision = instance.cluster.api().store().revision();
+        // The ticked reference engine runs both on every tick.
+        let _guard = EngineGuard;
+        simkube::set_ticked_engine(true);
+        instance.tick();
+        instance.tick();
+        assert_eq!(counters.get(), (3, 3));
+        assert_eq!(instance.cluster.api().store().revision(), revision);
+    }
+
+    #[test]
+    fn every_pass_input_invalidates_the_memo() {
+        /// What changes, how, and the (model ticks, reconcile passes) after.
+        type Change = (&'static str, fn(&mut Instance), (usize, usize));
+        let base = settled();
+        let changes: [Change; 7] = [
+            (
+                "crash condition",
+                |i| i.cluster.set_crashing(NAMESPACE, "test-cluster-0", "test"),
+                (2, 2),
+            ),
+            (
+                "injected conflicts",
+                |i| i.cluster.api_mut().inject_conflicts(1),
+                (2, 2),
+            ),
+            (
+                "armed crash point",
+                |i| i.cluster.api_mut().arm_operator_crash(3, 5),
+                (2, 2),
+            ),
+            (
+                "installed fault plan",
+                |i| i.cluster.install_fault_plan(simkube::FaultPlan::default()),
+                (2, 2),
+            ),
+            (
+                "new declaration",
+                |i| {
+                    i.submit(Value::object([("replicas", Value::from(3))]))
+                        .unwrap()
+                },
+                (2, 2),
+            ),
+            // A health change or a new generation with an unchanged cluster
+            // cannot come from a model or operator that keeps the purity
+            // contract; rewrite the recorded memo to isolate each key part.
+            (
+                "health change",
+                |i| {
+                    let (fp, _) = i.observe_memo.clone().expect("recorded");
+                    i.observe_memo = Some((fp, Health::Degraded("test".to_string())));
+                },
+                (1, 2),
+            ),
+            (
+                "generation change",
+                |i| {
+                    let memo = i.reconcile_memo.as_mut().expect("recorded");
+                    memo.1 -= 1;
+                },
+                (1, 2),
+            ),
+        ];
+        for (label, change, expected) in changes {
+            let (mut instance, counters) = counted(&base, false);
+            instance.post_step();
+            instance.post_step();
+            assert_eq!(counters.get(), (1, 1), "{label}: quiet passes reused");
+            change(&mut instance);
+            instance.post_step();
+            assert_eq!(counters.get(), expected, "{label}: the next pass re-runs");
+        }
+    }
+
+    #[test]
+    fn failed_pass_is_not_memoised() {
+        let (mut instance, counters) = counted(&settled(), true);
+        let errors = |i: &Instance| {
+            i.cluster
+                .logs()
+                .iter()
+                .filter(|l| l.source == "ToyOp" && l.level == LogLevel::Error)
+                .count()
+        };
+        let before = errors(&instance);
+        for _ in 0..3 {
+            instance.post_step();
+        }
+        assert_eq!(counters.get().1, 3);
+        assert_eq!(errors(&instance), before + 3);
     }
 
     #[test]

@@ -5,10 +5,12 @@
 //! every tick is a provable no-op, but sim timestamps, logs, watch events,
 //! alarms, and therefore campaign transcripts must be byte-identical to
 //! ticking one second at a time. This harness runs every registered
-//! operator's campaign under both engines — with and without a fault plan —
+//! operator's campaign under both engines — with and without a fault plan,
+//! with crash-point sweeps, and as a composed pair sharing one cluster —
 //! and compares transcripts (which embed per-trial `sim=` timestamps,
 //! alarms, outcomes, and total sim-seconds).
 
+use acto_repro::acto::compose::run_composed_campaign;
 use acto_repro::acto::{run_campaign, CampaignConfig, CampaignResult, Mode, Strategy};
 use acto_repro::operators::registry::all_operators;
 use acto_repro::operators::BugToggles;
@@ -91,4 +93,42 @@ fn differential_campaigns_are_engine_equivalent() {
         let (ticked, event) = run_both(&config);
         assert_equivalent(operator, &ticked, &event);
     }
+}
+
+#[test]
+fn crash_sweeps_are_engine_equivalent() {
+    // A sweep crashes the operator at every write boundary, so the
+    // operator-down, restart and armed-crash gates of a reconcile pass meet
+    // the event engine's skipping of repeated passes.
+    for operator in ["ZooKeeperOp", "RabbitMQOp"] {
+        let mut config = config(operator, 8, FaultPlan::default());
+        config.crash_sweep = true;
+        let (ticked, event) = run_both(&config);
+        assert!(
+            event.crash_points_swept > 0,
+            "{operator}: the sweep must replay at least one crash boundary"
+        );
+        assert_eq!(ticked.crash_points_swept, event.crash_points_swept);
+        assert_equivalent(operator, &ticked, &event);
+    }
+}
+
+#[test]
+fn composed_pairs_are_engine_equivalent() {
+    // Members share one cluster, so each member's pass skipping has to see
+    // the writes of the other.
+    let mut config = CampaignConfig::composed(&["ZooKeeperOp", "RabbitMQOp"], Mode::Whitebox);
+    config.bugs = BugToggles::all_injected();
+    config.max_ops = Some(12);
+    let _guard = EngineGuard;
+    set_ticked_engine(true);
+    let ticked = run_composed_campaign(&config).expect("composed campaign runs");
+    set_ticked_engine(false);
+    let event = run_composed_campaign(&config).expect("composed campaign runs");
+    assert!(!event.trials.is_empty());
+    assert_eq!(
+        ticked.transcript(),
+        event.transcript(),
+        "ZooKeeperOp+RabbitMQOp: transcripts diverged"
+    );
 }
