@@ -133,7 +133,6 @@ fn bench_campaign(c: &mut Criterion) {
                 max_ops: Some(5),
                 differential: false,
                 strategy: acto::Strategy::Full,
-                window: None,
                 custom_oracles: Vec::new(),
                 faults: Default::default(),
                 crash_sweep: false,

@@ -34,7 +34,6 @@ fn campaign_config(max_ops: usize) -> CampaignConfig {
         max_ops: Some(max_ops),
         differential: false,
         strategy: Strategy::Full,
-        window: None,
         custom_oracles: Vec::new(),
         faults: Default::default(),
         crash_sweep: false,

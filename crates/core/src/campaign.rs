@@ -48,10 +48,6 @@ pub struct CampaignConfig {
     pub differential: bool,
     /// The test-exploration strategy (Figure 4).
     pub strategy: Strategy,
-    /// Execute only the plan window `(skip, take)`: the prefix is replaced
-    /// by a single jump operation `S_0 → S_skip` (test partitioning,
-    /// paper §5.5).
-    pub window: Option<(usize, usize)>,
     /// User-provided domain-specific oracles, run on every converged trial
     /// after the built-in ones.
     pub custom_oracles: Vec<std::sync::Arc<dyn crate::oracles::CustomOracle>>,
@@ -78,7 +74,6 @@ impl std::fmt::Debug for CampaignConfig {
             .field("max_ops", &self.max_ops)
             .field("differential", &self.differential)
             .field("strategy", &self.strategy)
-            .field("window", &self.window)
             .field("custom_oracles", &self.custom_oracles.len())
             .field("faults", &self.faults.len())
             .field("crash_sweep", &self.crash_sweep)
@@ -110,7 +105,6 @@ impl CampaignConfig {
             max_ops: None,
             differential: true,
             strategy: Strategy::Full,
-            window: None,
             custom_oracles: Vec::new(),
             faults: simkube::FaultPlan::default(),
             crash_sweep: false,
@@ -124,8 +118,8 @@ impl CampaignConfig {
     /// noise; the efficacy suite seeds ground-truth bugs explicitly. The
     /// differential oracle stays off by default (the fuzzer's per-input
     /// crash-consistency reference plays the same role); `strategy`,
-    /// `window`, `max_ops` and `crash_sweep` are ignored by the fuzz
-    /// executor, while `custom_oracles` run on its converged transitions.
+    /// `max_ops` and `crash_sweep` are ignored by the fuzz executor, while
+    /// `custom_oracles` run on its converged transitions.
     pub fn fuzz(operator: &str, mode: Mode) -> CampaignConfig {
         CampaignConfig {
             operators: vec![operator.to_string()],
@@ -135,7 +129,6 @@ impl CampaignConfig {
             max_ops: None,
             differential: false,
             strategy: Strategy::OperationSequence,
-            window: None,
             custom_oracles: Vec::new(),
             faults: simkube::FaultPlan::default(),
             crash_sweep: false,
@@ -155,7 +148,6 @@ impl CampaignConfig {
             max_ops: None,
             differential: false,
             strategy: Strategy::OperationSequence,
-            window: None,
             custom_oracles: Vec::new(),
             faults: simkube::FaultPlan::default(),
             crash_sweep: false,
@@ -527,13 +519,11 @@ pub fn run_campaign(config: &CampaignConfig) -> CampaignResult {
 
 /// Executes a campaign over an externally computed `plan`.
 ///
-/// The work-stealing runner calls this once per segment with the shared
-/// plan (planned exactly once per run), a `base` checkpoint of the
-/// deploy-converged initial state (restored for every reset and
-/// differential reference instead of paying for a redeployment), and a
-/// `start` checkpoint of the converged prefix state for the segment's
-/// window (skipping both the deployment and the jump operation).
-/// `None` everywhere gives the sequential behaviour of [`run_campaign`].
+/// `base` is a checkpoint of the deploy-converged initial state, restored
+/// for every reset and differential reference instead of paying for a
+/// redeployment; `start` is the state the campaign begins from (the base
+/// when `None`). `None` everywhere gives the sequential behaviour of
+/// [`run_campaign`].
 ///
 /// `ref_cache` shares differential-oracle reference runs across trials
 /// (and, when the parallel runner passes one cache to every segment,
@@ -546,6 +536,27 @@ pub fn run_campaign_with(
     start: Option<&InstanceCheckpoint>,
     ref_cache: Option<&FreshRefCache>,
 ) -> CampaignResult {
+    let window = (0, plan.len());
+    CampaignResult {
+        gen_duration,
+        ..run_window(config, plan, window, config.max_ops, base, start, ref_cache)
+    }
+}
+
+/// The campaign body: executes the plan window `(skip, take)`, stopping
+/// after `max_trials` trials. A window with `skip > 0` is a work-stealing
+/// segment, and `start` must then be the canonical state after the first
+/// `skip` operations (the driver's jump `S_0 → S_skip`, paper §5.5).
+pub(crate) fn run_window(
+    config: &CampaignConfig,
+    plan: &[PlannedOp],
+    (skip, take): (usize, usize),
+    max_trials: Option<usize>,
+    base: Option<&InstanceCheckpoint>,
+    start: Option<&InstanceCheckpoint>,
+    ref_cache: Option<&FreshRefCache>,
+) -> CampaignResult {
+    debug_assert!(skip == 0 || start.is_some(), "no prefix state");
     let operator = operator_by_name(config.operator());
     let schema = operator.schema();
     let (mut instance, fresh) = acquire_instance(config, start.or(base));
@@ -568,7 +579,6 @@ pub fn run_campaign_with(
     let cr_id = step::cr_id(&instance);
     let raw_final_state = instance.state_snapshot();
     let deterministic_fields = oracles::field_determinism(&raw_final_state);
-    let (skip, take) = config.window.unwrap_or((0, plan.len()));
 
     // Error-state campaign start: the burst belongs to the campaign as a
     // whole, so a windowed run only executes it for the segment that
@@ -584,24 +594,10 @@ pub fn run_campaign_with(
         burst.sim_seconds = ledger.take_span(&instance);
         trials.push(burst);
     }
-
-    // Test partitioning: replace the plan prefix with one jump operation —
-    // unless the caller already handed us a converged prefix checkpoint.
-    if start.is_none() && skip > 0 {
-        let mut jump = operator.initial_cr();
-        for op in plan.iter().take(skip) {
-            apply_op(&mut jump, op);
-        }
-        if instance.submit(jump.clone()).is_ok() {
-            let _ = instance.converge(CONVERGE_RESET, CONVERGE_MAX);
-            ledger.convergence_waits += 1;
-            last_good = jump;
-        }
-    }
     setup_sim_seconds += ledger.take_span(&instance);
 
     for planned in plan.iter().skip(skip).take(take) {
-        if config.max_ops.is_some_and(|max| trials.len() >= max) {
+        if max_trials.is_some_and(|max| trials.len() >= max) {
             break;
         }
         // The single-operation strategy always starts from the initial
@@ -780,7 +776,7 @@ pub fn run_campaign_with(
         sim_seconds,
         setup_sim_seconds,
         convergence_waits: ledger.convergence_waits,
-        gen_duration,
+        gen_duration: Duration::ZERO,
         resets,
         summary,
         deterministic_fields,
@@ -1079,7 +1075,6 @@ mod tests {
             max_ops: Some(15),
             differential: false,
             strategy: Strategy::Full,
-            window: None,
             custom_oracles: Vec::new(),
             faults: Default::default(),
             crash_sweep: false,
@@ -1107,7 +1102,6 @@ mod tests {
             max_ops: Some(6),
             differential: false,
             strategy: Strategy::Full,
-            window: None,
             custom_oracles: Vec::new(),
             faults: Default::default(),
             crash_sweep: false,
@@ -1138,7 +1132,6 @@ mod tests {
                 max_ops: Some(8),
                 differential: true,
                 strategy,
-                window: None,
                 custom_oracles: Vec::new(),
                 faults: if faults {
                     simkube::FaultPlan::generate(7, &simkube::FaultProfile::default())
@@ -1160,10 +1153,12 @@ mod tests {
         }
     }
 
-    /// A windowed run must bill the jump to setup and each windowed trial
-    /// only once (the old accounting double-counted rollback spans).
+    /// A windowed run must bill each windowed trial only once (the old
+    /// accounting double-counted rollback spans). The window starts from
+    /// the driver's real prefix checkpoint, exactly as a segment does.
     #[test]
     fn windowed_sim_seconds_decompose_exactly() {
+        use crate::exec::Driver;
         let config = CampaignConfig {
             operators: vec!["ZooKeeperOp".to_string()],
             mode: Mode::Whitebox,
@@ -1172,13 +1167,28 @@ mod tests {
             max_ops: None,
             differential: false,
             strategy: Strategy::Full,
-            window: Some((5, 4)),
             custom_oracles: Vec::new(),
             faults: Default::default(),
             crash_sweep: false,
             topology: None,
         };
-        let result = run_campaign(&config);
+        let plan = plan_for("ZooKeeperOp", Mode::Whitebox);
+        let driver = crate::parallel::CampaignDriver::new(&config, &plan);
+        let (base, _) = driver.deploy_base();
+        let mut stats = crate::exec::WorkerStats::new(0);
+        let start = driver.build_prefix(&base, 5, &mut stats);
+        assert_eq!(stats.convergence_waits, 1, "the jump converges once");
+        let result = run_window(
+            &config,
+            &plan,
+            (5, 4),
+            None,
+            Some(&base),
+            Some(&start),
+            None,
+        );
+        assert!(!result.trials.is_empty());
+        assert!(result.trials.iter().all(|t| (5..9).contains(&t.op.index)));
         let trial_sum: u64 = result.trials.iter().map(|t| t.sim_seconds).sum();
         assert_eq!(result.sim_seconds, result.setup_sim_seconds + trial_sum);
     }

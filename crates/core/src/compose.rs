@@ -16,9 +16,12 @@
 //! The composed runners mirror the single-operator family:
 //! [`run_composed_campaign`] is the sequential executor,
 //! [`run_composed_work_stealing`] cuts the interleaved plan into fixed
-//! segments claimed through [`steal_map`] with whole-composition
-//! checkpoints in a [`SnapshotDepot`], and [`run_composed_fuzz`] explores
-//! op-sequence interleavings coverage-guided over snapshot forking.
+//! segments claimed through [`crate::exec::run_segmented`] with
+//! whole-composition checkpoints in a [`SnapshotDepot`], and
+//! [`run_composed_fuzz`] explores op-sequence interleavings
+//! coverage-guided over snapshot forking. Each runner resolves its member
+//! operators once, at run start; past that point building a composition
+//! cannot fail.
 //! Every composed trial — campaign or fuzz — is judged by the composition
 //! oracle over the interference drained from its convergence wait, then by
 //! the single-operator outcome classifier (`crate::step`) on the acting
@@ -35,8 +38,8 @@ use std::time::{Duration, Instant};
 
 use crdspec::Value;
 use operators::{
-    try_operator_by_name, Composition, CompositionCheckpoint, InterferenceEvent, Operator,
-    CONVERGE_MAX, CONVERGE_RESET,
+    operator_by_name, try_operator_by_name, Composition, CompositionCheckpoint, InterferenceEvent,
+    Operator, CONVERGE_MAX, CONVERGE_RESET,
 };
 use simkube::{ApiError, FaultPlan};
 
@@ -123,8 +126,32 @@ fn resolve_operator(name: &str) -> Result<Box<dyn Operator>, String> {
     })
 }
 
-fn build_operators(names: &[String]) -> Result<Vec<Box<dyn Operator>>, String> {
-    names.iter().map(|n| resolve_operator(n)).collect()
+/// Resolves every member against the registry, once per run: a
+/// composition built from the returned names cannot fail.
+fn resolve_members(names: &[String]) -> Result<Vec<&'static str>, String> {
+    names
+        .iter()
+        .map(|n| resolve_operator(n).map(|op| op.name()))
+        .collect()
+}
+
+/// Instantiates the members of a resolved composition.
+fn members(names: &[&'static str]) -> Vec<Box<dyn Operator>> {
+    names.iter().map(|n| operator_by_name(n)).collect()
+}
+
+/// Deploys the resolved members onto one fresh shared cluster.
+fn deploy_composition(
+    config: &CampaignConfig,
+    names: &[&'static str],
+) -> Result<Composition, String> {
+    Composition::deploy_on(
+        members(names),
+        config.bugs.clone(),
+        config.platform,
+        config.topology.clone(),
+    )
+    .map_err(|e| format!("composed deployment failed: {e:?}"))
 }
 
 /// One executed composed trial.
@@ -264,7 +291,12 @@ pub fn run_composed_campaign(config: &CampaignConfig) -> Result<ComposedResult, 
     let gen_start = Instant::now();
     let plan = plan_composed(config)?;
     let gen_duration = gen_start.elapsed();
-    run_composed_with(config, &plan, gen_duration, None, None)
+    let comp = deploy_composition(config, &resolve_members(&config.operators)?)?;
+    let window = (0, plan.len());
+    Ok(ComposedResult {
+        gen_duration,
+        ..run_composed_window(config, &plan, comp, window, config.max_ops)
+    })
 }
 
 /// Reads every member's shadow health (valid while parked: `last_health`
@@ -274,23 +306,6 @@ fn member_healths(comp: &Composition) -> Vec<managed::Health> {
         .iter()
         .map(|m| m.last_health.clone())
         .collect()
-}
-
-fn acquire_composition(
-    config: &CampaignConfig,
-    base: Option<&CompositionCheckpoint>,
-) -> Result<Composition, String> {
-    let ops = build_operators(&config.operators)?;
-    match base {
-        Some(cp) => Ok(Composition::from_checkpoint(ops, &config.bugs, cp)),
-        None => Composition::deploy_on(
-            ops,
-            config.bugs.clone(),
-            config.platform,
-            config.topology.clone(),
-        )
-        .map_err(|e| format!("composed deployment failed: {e:?}")),
-    }
 }
 
 /// A submitted, converged and judged composed trial.
@@ -343,19 +358,17 @@ fn composed_step(
     })
 }
 
-/// Executes a composed campaign over an externally computed interleaved
-/// `plan`. Mirrors [`crate::campaign::run_campaign_with`]: `base` is the
-/// deploy-converged composition checkpoint (restored for resets), `start`
-/// the converged prefix state for the segment's window. `None` everywhere
-/// gives the sequential behaviour of [`run_composed_campaign`].
-pub fn run_composed_with(
+/// The composed campaign body: executes the interleaved plan window
+/// `(skip, take)` on `comp`, stopping after `max_trials` trials. A window
+/// with `skip > 0` is a work-stealing segment, and `comp` must then hold
+/// the canonical prefix state.
+fn run_composed_window(
     config: &CampaignConfig,
     plan: &[ComposedOp],
-    gen_duration: Duration,
-    base: Option<&CompositionCheckpoint>,
-    start: Option<&CompositionCheckpoint>,
-) -> Result<ComposedResult, String> {
-    let mut comp = acquire_composition(config, start.or(base))?;
+    mut comp: Composition,
+    (skip, take): (usize, usize),
+    max_trials: Option<usize>,
+) -> ComposedResult {
     let n = comp.member_count();
     let t0 = comp.now();
     let mut convergence_waits = 0usize;
@@ -366,7 +379,6 @@ pub fn run_composed_with(
         .map(|i| comp.with_member(i, |m| m.cr_spec()))
         .collect();
     let mut last_good = current.clone();
-    let (skip, take) = config.window.unwrap_or((0, plan.len()));
 
     // Deploy-time interference (a seeded GC fires from the very first
     // reconcile) belongs to the campaign as a whole: only the segment that
@@ -407,7 +419,7 @@ pub fn run_composed_with(
     }
 
     for planned in plan.iter().skip(skip).take(take) {
-        if config.max_ops.is_some_and(|max| trials.len() >= max) {
+        if max_trials.is_some_and(|max| trials.len() >= max) {
             break;
         }
         let m = planned.member;
@@ -476,7 +488,7 @@ pub fn run_composed_with(
     }
 
     let summary = summarize_composed(&config.operators, &trials);
-    Ok(ComposedResult {
+    ComposedResult {
         operators: config.operators.clone(),
         mode: config.mode,
         trials,
@@ -484,8 +496,8 @@ pub fn run_composed_with(
         convergence_waits,
         interference_events,
         summary,
-        gen_duration,
-    })
+        gen_duration: Duration::ZERO,
+    }
 }
 
 /// The result of a parallel composed campaign.
@@ -555,8 +567,9 @@ pub fn run_composed_work_stealing(
 }
 
 /// Runs a composed campaign across `workers` threads, claiming
-/// `segment_ops`-sized slices of the interleaved plan through [`steal_map`]
-/// and reusing whole-composition prefix checkpoints from `depot`.
+/// `segment_ops`-sized slices of the interleaved plan through
+/// [`crate::exec::run_segmented`] and reusing whole-composition prefix
+/// checkpoints from `depot`.
 ///
 /// Determinism mirrors the single-operator runner: segment `k`'s start
 /// state is always the canonical prefix state — restore the
@@ -569,118 +582,19 @@ pub fn run_composed_work_stealing_with(
     segment_ops: usize,
     depot: &SnapshotDepot<CompositionCheckpoint>,
 ) -> Result<ComposedParallelResult, String> {
-    run_composed_work_stealing_core(config, workers, segment_ops, depot, BTreeMap::new(), None)
-}
-
-/// The composed [`Driver`]: whole-composition checkpoints, segments
-/// executed as windowed composed campaigns from canonical prefix states.
-/// Failures propagate as `Err` values through `SegmentOut` instead of the
-/// quarantine path — a composed segment error is a configuration problem,
-/// not a flaky worker.
-struct ComposedDriver<'a> {
-    config: &'a CampaignConfig,
-    plan: &'a [ComposedOp],
-    plan_len: usize,
-    initial_crs: &'a [Value],
-    base: Arc<CompositionCheckpoint>,
-    base_sim_seconds: u64,
-}
-
-impl Driver for ComposedDriver<'_> {
-    type Checkpoint = CompositionCheckpoint;
-    type SegmentOut = Result<ComposedResult, String>;
-
-    fn plan_len(&self) -> usize {
-        self.plan_len
-    }
-
-    fn deploy_base(&self) -> (Arc<CompositionCheckpoint>, u64) {
-        (Arc::clone(&self.base), self.base_sim_seconds)
-    }
-
-    fn run_segment(
-        &self,
-        seg: Segment,
-        base: &Arc<CompositionCheckpoint>,
-        depot: &SnapshotDepot<CompositionCheckpoint>,
-        my: &mut WorkerStats,
-    ) -> Result<ComposedResult, String> {
-        let (skip, take) = (seg.skip, seg.take);
-        let start_cp = match depot.get(skip) {
-            Some(cp) => {
-                my.depot_hits += 1;
-                cp
-            }
-            None => {
-                // Canonical prefix state: restore the base, fold each
-                // member's ops within plan[..skip] from its initial CR,
-                // submit every changed member's jump, converge once.
-                let cp = Arc::new(build_composed_prefix(
-                    self.config,
-                    self.plan,
-                    self.initial_crs,
-                    base,
-                    skip,
-                    my,
-                )?);
-                depot.put(skip, Arc::clone(&cp));
-                cp
-            }
-        };
-        let (shared, owned) = start_cp.sharing_stats();
-        my.restored_objects_shared += shared;
-        my.restored_objects_owned += owned;
-        let mut seg_config = self.config.clone();
-        seg_config.window = Some((skip, take));
-        seg_config.max_ops = None;
-        let result = run_composed_with(
-            &seg_config,
-            self.plan,
-            Duration::ZERO,
-            Some(base),
-            Some(&start_cp),
-        )?;
-        my.sim_seconds += result.sim_seconds;
-        my.convergence_waits += result.convergence_waits;
-        Ok(result)
-    }
-
-    fn quarantined(&self, seg: Segment, panic: &str) -> Result<ComposedResult, String> {
-        Err(format!("segment {} quarantined: {panic}", seg.index))
-    }
-
-    fn quarantines(&self) -> bool {
-        false
-    }
-}
-
-/// The composed work-stealing core behind the plain entry point and the
-/// persistence layer: `completed` splices journaled segment results,
-/// `sink` observes each freshly finished segment.
-pub(crate) fn run_composed_work_stealing_core(
-    config: &CampaignConfig,
-    workers: usize,
-    segment_ops: usize,
-    depot: &SnapshotDepot<CompositionCheckpoint>,
-    completed: BTreeMap<usize, Result<ComposedResult, String>>,
-    sink: Option<crate::exec::SegmentSink<'_, Result<ComposedResult, String>>>,
-) -> Result<ComposedParallelResult, String> {
     let start = Instant::now();
     let gen_start = Instant::now();
     let plan = plan_composed(config)?;
     let gen_duration = gen_start.elapsed();
-    let initial_crs: Vec<Value> = config
-        .operators
-        .iter()
-        .map(|n| resolve_operator(n).map(|op| op.initial_cr()))
-        .collect::<Result<_, _>>()?;
+    let names = resolve_members(&config.operators)?;
+    let initial_crs: Vec<Value> = members(&names).iter().map(|op| op.initial_cr()).collect();
 
     let plan_len = config.max_ops.map_or(plan.len(), |max| plan.len().min(max));
     let segment_ops = segment_ops.max(1);
 
     // Deploy the shared base composition once; every segment start and
     // depot miss restores this snapshot instead of redeploying N systems.
-    let mut base_comp = acquire_composition(config, None)?;
+    let mut base_comp = deploy_composition(config, &names)?;
     let base_sim_seconds = base_comp.now();
     let base = Arc::new(base_comp.checkpoint());
     drop(base_comp);
@@ -689,16 +603,16 @@ pub(crate) fn run_composed_work_stealing_core(
         config,
         plan: &plan,
         plan_len,
-        initial_crs: &initial_crs,
+        names,
+        initial_crs,
         base,
         base_sim_seconds,
     };
-    let run = run_segmented(&driver, workers, segment_ops, depot, completed, sink);
+    let run = run_segmented(&driver, workers, segment_ops, depot, BTreeMap::new(), None);
 
     let mut trials: Vec<ComposedTrial> = Vec::new();
     let mut interference_events = 0usize;
     for seg in run.outputs {
-        let seg = seg?;
         interference_events += seg.interference_events;
         trials.extend(seg.trials);
     }
@@ -725,41 +639,87 @@ pub(crate) fn run_composed_work_stealing_core(
     })
 }
 
-/// Builds the canonical composed prefix checkpoint for `skip`: restore the
-/// base composition, submit each member's jump declaration (the fold of
-/// that member's operations within `plan[..skip]` over its initial CR),
-/// converge the whole composition once, checkpoint.
-fn build_composed_prefix(
-    config: &CampaignConfig,
-    plan: &[ComposedOp],
-    initial_crs: &[Value],
-    base: &CompositionCheckpoint,
-    skip: usize,
-    my: &mut WorkerStats,
-) -> Result<CompositionCheckpoint, String> {
-    let ops = build_operators(&config.operators)?;
-    let mut comp = Composition::from_checkpoint(ops, &config.bugs, base);
-    let t0 = comp.now();
-    let mut changed = false;
-    for (member, initial) in initial_crs.iter().enumerate() {
-        let mut jump = initial.clone();
-        for c in plan.iter().take(skip).filter(|c| c.member == member) {
-            apply_op(&mut jump, &c.op);
-        }
-        let current = comp.with_member(member, |m| m.cr_spec());
-        if normalized(&jump) != normalized(&current) && comp.submit(member, jump).is_ok() {
-            changed = true;
-        }
+/// The composed [`Driver`]: whole-composition checkpoints, segments
+/// executed as windows of the interleaved plan from canonical prefix
+/// states. A panicking composed segment aborts the run instead of being
+/// quarantined.
+struct ComposedDriver<'a> {
+    config: &'a CampaignConfig,
+    plan: &'a [ComposedOp],
+    plan_len: usize,
+    names: Vec<&'static str>,
+    initial_crs: Vec<Value>,
+    base: Arc<CompositionCheckpoint>,
+    base_sim_seconds: u64,
+}
+
+impl Driver for ComposedDriver<'_> {
+    type Checkpoint = CompositionCheckpoint;
+    type SegmentOut = ComposedResult;
+
+    fn plan_len(&self) -> usize {
+        self.plan_len
     }
-    if changed {
-        let _ = comp.converge(CONVERGE_RESET, CONVERGE_MAX);
-        my.convergence_waits += 1;
+
+    fn deploy_base(&self) -> (Arc<CompositionCheckpoint>, u64) {
+        (Arc::clone(&self.base), self.base_sim_seconds)
     }
-    // Prefix-building interference is not window-local: discard it so the
-    // checkpoint matches the state a depot hit would serve.
-    let _ = comp.drain_interference();
-    my.sim_seconds += comp.now() - t0;
-    Ok(comp.checkpoint())
+
+    /// Restores the base composition, submits each member's jump
+    /// declaration (the fold of that member's operations within
+    /// `plan[..skip]` over its initial CR), converges the whole
+    /// composition once, and checkpoints.
+    fn build_prefix(
+        &self,
+        base: &CompositionCheckpoint,
+        skip: usize,
+        my: &mut WorkerStats,
+    ) -> CompositionCheckpoint {
+        let mut comp = Composition::from_checkpoint(members(&self.names), &self.config.bugs, base);
+        let t0 = comp.now();
+        let mut changed = false;
+        for (member, initial) in self.initial_crs.iter().enumerate() {
+            let mut jump = initial.clone();
+            for c in self.plan.iter().take(skip).filter(|c| c.member == member) {
+                apply_op(&mut jump, &c.op);
+            }
+            let current = comp.with_member(member, |m| m.cr_spec());
+            if normalized(&jump) != normalized(&current) && comp.submit(member, jump).is_ok() {
+                changed = true;
+            }
+        }
+        if changed {
+            let _ = comp.converge(CONVERGE_RESET, CONVERGE_MAX);
+            my.convergence_waits += 1;
+        }
+        // Prefix-building interference is not window-local: discard it so
+        // the checkpoint matches the state a depot hit would serve.
+        let _ = comp.drain_interference();
+        my.sim_seconds += comp.now() - t0;
+        comp.checkpoint()
+    }
+
+    fn run_segment(
+        &self,
+        seg: Segment,
+        _base: &CompositionCheckpoint,
+        start: &CompositionCheckpoint,
+        my: &mut WorkerStats,
+    ) -> ComposedResult {
+        let comp = Composition::from_checkpoint(members(&self.names), &self.config.bugs, start);
+        let result = run_composed_window(self.config, self.plan, comp, (seg.skip, seg.take), None);
+        my.sim_seconds += result.sim_seconds;
+        my.convergence_waits += result.convergence_waits;
+        result
+    }
+
+    fn quarantined(&self, _seg: Segment, _panic: &str) -> ComposedResult {
+        unreachable!("composed segments are never quarantined")
+    }
+
+    fn quarantines(&self) -> bool {
+        false
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -900,13 +860,13 @@ struct ComposedExec {
 /// checkpoint. A pure function of its arguments.
 fn execute_composed_sequence(
     config: &CampaignConfig,
+    names: &[&'static str],
     plan: &[ComposedOp],
     base: &CompositionCheckpoint,
     ops: &[usize],
     my: &mut WorkerStats,
-) -> Result<ComposedExec, String> {
-    let operators = build_operators(&config.operators)?;
-    let mut comp = Composition::from_checkpoint(operators, &config.bugs, base);
+) -> ComposedExec {
+    let mut comp = Composition::from_checkpoint(members(names), &config.bugs, base);
     my.depot_hits += 1;
     let (shared, owned) = base.sharing_stats();
     my.restored_objects_shared += shared;
@@ -986,11 +946,11 @@ fn execute_composed_sequence(
     }
     let sim_seconds = comp.now() - t0;
     my.sim_seconds += sim_seconds;
-    Ok(ComposedExec {
+    ComposedExec {
         trials,
         features,
         sim_seconds,
-    })
+    }
 }
 
 /// Runs a coverage-guided fuzzing campaign over a composition: the input
@@ -1008,7 +968,8 @@ pub fn run_composed_fuzz(cfg: &FuzzConfig) -> Result<ComposedFuzzResult, String>
             "composed fuzz operation pool is empty: planning produced no operations".to_string(),
         );
     }
-    let mut base_comp = acquire_composition(config, None)?;
+    let names = resolve_members(&config.operators)?;
+    let mut base_comp = deploy_composition(config, &names)?;
     let base_sim_seconds = base_comp.now();
     let base = base_comp.checkpoint();
     drop(base_comp);
@@ -1025,14 +986,10 @@ pub fn run_composed_fuzz(cfg: &FuzzConfig) -> Result<ComposedFuzzResult, String>
         worker_stats: (0..cfg.workers.max(1)).map(WorkerStats::new).collect(),
         executed: 0,
         rounds: 0,
-        error: None,
     };
     drive(&mut source, cfg.workers.max(1), |_, cand: &Candidate, my| {
-        execute_composed_sequence(config, &plan, &base, &cand.input.ops, my)
+        execute_composed_sequence(config, &names, &plan, &base, &cand.input.ops, my)
     });
-    if let Some(err) = source.error {
-        return Err(err);
-    }
 
     let all_trials: Vec<ComposedTrial> = source
         .records
@@ -1062,8 +1019,7 @@ pub fn run_composed_fuzz(cfg: &FuzzConfig) -> Result<ComposedFuzzResult, String>
 /// The composed fuzz loop as a [`TrialSource`]: always coverage-guided,
 /// with fault plans and crash arming stripped from every generated input
 /// (both are single-instance machinery — the territory being explored is
-/// the interleaving itself). An execution error stops the run and is
-/// surfaced after the drive loop ends.
+/// the interleaving itself).
 struct ComposedFuzzSource<'a> {
     cfg: &'a FuzzConfig,
     gen: GuidedGen,
@@ -1073,15 +1029,14 @@ struct ComposedFuzzSource<'a> {
     worker_stats: Vec<WorkerStats>,
     executed: usize,
     rounds: usize,
-    error: Option<String>,
 }
 
 impl TrialSource for ComposedFuzzSource<'_> {
     type Input = Candidate;
-    type Output = Result<ComposedExec, String>;
+    type Output = ComposedExec;
 
     fn next_batch(&mut self) -> Vec<Candidate> {
-        if self.error.is_some() || self.executed >= self.cfg.execs {
+        if self.executed >= self.cfg.execs {
             return Vec::new();
         }
         let batch_n = self.cfg.batch.max(1).min(self.cfg.execs - self.executed);
@@ -1102,19 +1057,12 @@ impl TrialSource for ComposedFuzzSource<'_> {
     fn absorb(
         &mut self,
         batch: Vec<Candidate>,
-        outputs: Vec<Result<ComposedExec, String>>,
+        outputs: Vec<ComposedExec>,
         stats: Vec<WorkerStats>,
     ) {
         fold_batch_stats(&mut self.worker_stats, stats);
         let n = batch.len();
         for (cand, exec) in batch.into_iter().zip(outputs) {
-            let exec = match exec {
-                Ok(exec) => exec,
-                Err(err) => {
-                    self.error = Some(err);
-                    return;
-                }
-            };
             let index = self.records.len();
             let novel = self.coverage.observe_all(&exec.features);
             if !novel.is_empty() {

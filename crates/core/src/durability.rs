@@ -29,7 +29,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use crate::campaign::CampaignConfig;
-use crate::fuzz::FuzzConfig;
+use crate::fuzz::{FuzzConfig, FuzzResult};
 use crate::persist::{
     resume_fuzz_with, resume_work_stealing_with, run_fuzz_persistent_io,
     run_work_stealing_persistent_io, IoFaultPlan, PersistError, PersistErrorKind, RecoveryPolicy,
@@ -101,9 +101,70 @@ const WORKER_CYCLE: [usize; 3] = [1, 2, 4];
 /// classification, for both run kinds.
 pub fn persist_sweep(opts: &SweepOptions) -> Result<DurabilitySweep, PersistError> {
     let mut sweep = DurabilitySweep::default();
-    sweep_campaign(opts, &mut sweep)?;
-    sweep_fuzz(opts, &mut sweep)?;
+    sweep.campaign_boundaries = sweep_kind(
+        opts,
+        &mut sweep,
+        SweptRun {
+            label: "campaign",
+            journal_unit: "segments",
+            workers: 2,
+            refuse_workers: 1,
+            transient_at: [2, 5],
+            create: &|dir, workers, io| {
+                run_work_stealing_persistent_io(&opts.campaign, workers, opts.segment_ops, dir, io)
+                    .map(|res| res.transcript())
+            },
+            resume: &|dir, workers, policy| {
+                resume_work_stealing_with(&opts.campaign, workers, dir, policy, StoreIo::clean())
+                    .map(|res| res.transcript())
+            },
+        },
+    )?;
+    // A fuzz run renders as its transcript followed by its corpus JSON, so
+    // a divergence in either is a mismatch.
+    let fuzz_at = |workers: usize| FuzzConfig {
+        workers,
+        ..opts.fuzz.clone()
+    };
+    let render = |res: FuzzResult| res.transcript() + &res.corpus.to_json_string();
+    sweep.fuzz_boundaries = sweep_kind(
+        opts,
+        &mut sweep,
+        SweptRun {
+            label: "fuzz",
+            journal_unit: "rounds",
+            workers: opts.fuzz.workers,
+            refuse_workers: opts.fuzz.workers,
+            transient_at: [3, 7],
+            create: &|dir, workers, io| {
+                run_fuzz_persistent_io(&fuzz_at(workers), dir, false, io).map(render)
+            },
+            resume: &|dir, workers, policy| {
+                resume_fuzz_with(&fuzz_at(workers), dir, policy, StoreIo::clean()).map(render)
+            },
+        },
+    )?;
     Ok(sweep)
+}
+
+/// One run kind under sweep.
+struct SweptRun<'a> {
+    /// Prefix of the scratch directories and the mismatch reports.
+    label: &'static str,
+    /// What one journal record holds, for the too-short-journal report.
+    journal_unit: &'static str,
+    /// Workers of the baseline, transient and salvage runs.
+    workers: usize,
+    /// Workers of the resume that must refuse the bit flip.
+    refuse_workers: usize,
+    /// Mutating IO operations whose first attempt fails transiently.
+    transient_at: [u64; 2],
+    /// Creates a store in a directory through an IO handle, runs it with
+    /// the given workers, and renders the result.
+    create: &'a dyn Fn(&Path, usize, StoreIo) -> Result<String, PersistError>,
+    /// Resumes the store in a directory with the given workers under a
+    /// policy, and renders the result.
+    resume: &'a dyn Fn(&Path, usize, RecoveryPolicy) -> Result<String, PersistError>,
 }
 
 fn fresh_dir(scratch: &Path, tag: &str) -> PathBuf {
@@ -150,71 +211,55 @@ fn first_difference(want: &str, got: &str) -> String {
     }
 }
 
-fn sweep_campaign(opts: &SweepOptions, sweep: &mut DurabilitySweep) -> Result<(), PersistError> {
+/// Sweeps one run kind: crash at every mutating IO boundary of an
+/// uninterrupted baseline and recover, absorb transient errors, then
+/// refuse and salvage a mid-journal bit flip. Returns the boundary count.
+fn sweep_kind(
+    opts: &SweepOptions,
+    sweep: &mut DurabilitySweep,
+    run: SweptRun<'_>,
+) -> Result<u64, PersistError> {
+    let label = run.label;
     // Uninterrupted baseline: fixes the boundary count N and the
-    // reference transcript (worker-count-invariant by the core contract).
-    let base_dir = fresh_dir(&opts.scratch, "campaign-base");
+    // reference rendering (worker-count-invariant by the core contract).
+    let base_dir = fresh_dir(&opts.scratch, &format!("{label}-base"));
     let base_io = StoreIo::clean();
-    let baseline = run_work_stealing_persistent_io(
-        &opts.campaign,
-        2,
-        opts.segment_ops,
-        &base_dir,
-        base_io.clone(),
-    )?;
-    let reference = baseline.transcript();
+    let reference = (run.create)(&base_dir, run.workers, base_io.clone())?;
     let base_stats = base_io.stats();
-    sweep.campaign_boundaries = base_stats.ops;
 
     // Crash at every boundary, recover, compare.
     for k in 1..=base_stats.ops {
-        let dir = fresh_dir(&opts.scratch, &format!("campaign-k{k}"));
+        let dir = fresh_dir(&opts.scratch, &format!("{label}-k{k}"));
         let io = StoreIo::with_plan(IoFaultPlan {
             seed: opts.seed ^ k,
             crash_at: Some(k),
             ..IoFaultPlan::default()
         });
-        let _ = run_work_stealing_persistent_io(&opts.campaign, 2, opts.segment_ops, &dir, io.clone());
+        let _ = (run.create)(&dir, run.workers, io.clone());
         if !io.stats().crashed {
             sweep
                 .mismatches
-                .push(format!("campaign boundary {k}: injected crash never fired"));
+                .push(format!("{label} boundary {k}: injected crash never fired"));
             continue;
         }
         let workers = WORKER_CYCLE[(k as usize) % WORKER_CYCLE.len()];
         let recovered = if dir.join("manifest.json").exists() {
             sweep.resumed_after_crash += 1;
-            resume_work_stealing_with(
-                &opts.campaign,
-                workers,
-                &dir,
-                RecoveryPolicy::Refuse,
-                StoreIo::clean(),
-            )
+            (run.resume)(&dir, workers, RecoveryPolicy::Refuse)
         } else {
             // The crash beat the manifest commit point: the store never
             // existed, so recovery is simply creating it again.
             sweep.recreated_after_create_crash += 1;
-            run_work_stealing_persistent_io(
-                &opts.campaign,
-                workers,
-                opts.segment_ops,
-                &dir,
-                StoreIo::clean(),
-            )
+            (run.create)(&dir, workers, StoreIo::clean())
         };
         match recovered {
-            Ok(res) => {
-                let transcript = res.transcript();
-                if transcript != reference {
-                    sweep.mismatches.push(format!(
-                        "campaign boundary {k}: transcript diverged after recovery at {workers} workers: {}",
-                        first_difference(&reference, &transcript)
-                    ));
-                }
-            }
+            Ok(got) if got != reference => sweep.mismatches.push(format!(
+                "{label} boundary {k}: diverged after recovery at {workers} workers: {}",
+                first_difference(&reference, &got)
+            )),
+            Ok(_) => {}
             Err(e) => sweep.mismatches.push(format!(
-                "campaign boundary {k}: recovery at {workers} workers failed: {e}"
+                "{label} boundary {k}: recovery at {workers} workers failed: {e}"
             )),
         }
         collect_recovery_classes(&dir, sweep);
@@ -222,207 +267,76 @@ fn sweep_campaign(opts: &SweepOptions, sweep: &mut DurabilitySweep) -> Result<()
     }
 
     // Transient IO errors must be absorbed by backoff, invisibly.
-    let dir = fresh_dir(&opts.scratch, "campaign-transient");
+    let dir = fresh_dir(&opts.scratch, &format!("{label}-transient"));
     let io = StoreIo::with_plan(IoFaultPlan {
         seed: opts.seed,
-        transient_at: [2u64, 5].into_iter().filter(|k| *k <= base_stats.ops).collect(),
+        transient_at: run
+            .transient_at
+            .into_iter()
+            .filter(|k| *k <= base_stats.ops)
+            .collect(),
         ..IoFaultPlan::default()
     });
-    match run_work_stealing_persistent_io(&opts.campaign, 2, opts.segment_ops, &dir, io.clone()) {
-        Ok(res) if res.transcript() == reference => {
+    match (run.create)(&dir, run.workers, io.clone()) {
+        Ok(got) if got == reference => {
             let retries = io.stats().retries;
             if retries == 0 {
                 sweep
                     .mismatches
-                    .push("campaign transient: no retries were taken".to_string());
+                    .push(format!("{label} transient: no retries were taken"));
             }
             sweep.transient_retries += retries;
         }
         Ok(_) => sweep
             .mismatches
-            .push("campaign transient: transcript diverged".to_string()),
+            .push(format!("{label} transient: diverged")),
         Err(e) => sweep
             .mismatches
-            .push(format!("campaign transient: run failed: {e}")),
+            .push(format!("{label} transient: run failed: {e}")),
     }
     let _ = std::fs::remove_dir_all(&dir);
 
-    // A bit flip in a mid-journal record: refused with a classified
-    // error by default, salvaged byte-identically on request.
+    // A bit flip in a mid-journal record: refused with a classified error
+    // by default, salvaged byte-identically on request (campaigns drop the
+    // damaged segment, fuzz runs truncate at the damaged round).
     if base_stats.appends >= 2 {
         let flip_at = base_stats
             .first_append_op
             .expect("appends >= 2 implies a first append");
-        let dir = fresh_dir(&opts.scratch, "campaign-flip");
+        let dir = fresh_dir(&opts.scratch, &format!("{label}-flip"));
         let io = StoreIo::with_plan(IoFaultPlan {
             seed: opts.seed,
             flip_at: Some(flip_at),
             ..IoFaultPlan::default()
         });
-        let _ = run_work_stealing_persistent_io(&opts.campaign, 2, opts.segment_ops, &dir, io)?;
-        match resume_work_stealing_with(&opts.campaign, 1, &dir, RecoveryPolicy::Refuse, StoreIo::clean()) {
+        (run.create)(&dir, run.workers, io)?;
+        match (run.resume)(&dir, run.refuse_workers, RecoveryPolicy::Refuse) {
             Err(e) if e.kind == PersistErrorKind::Corrupt => sweep.corrupt_refused += 1,
             Err(e) => sweep
                 .mismatches
-                .push(format!("campaign flip: refusal was misclassified: {e}")),
+                .push(format!("{label} flip: refusal was misclassified: {e}")),
             Ok(_) => sweep
                 .mismatches
-                .push("campaign flip: corruption was not refused".to_string()),
+                .push(format!("{label} flip: corruption was not refused")),
         }
         collect_recovery_classes(&dir, sweep);
-        match resume_work_stealing_with(&opts.campaign, 2, &dir, RecoveryPolicy::Salvage, StoreIo::clean()) {
-            Ok(res) if res.transcript() == reference => sweep.corrupt_salvaged += 1,
+        match (run.resume)(&dir, run.workers, RecoveryPolicy::Salvage) {
+            Ok(got) if got == reference => sweep.corrupt_salvaged += 1,
             Ok(_) => sweep
                 .mismatches
-                .push("campaign flip: salvage diverged".to_string()),
+                .push(format!("{label} flip: salvage diverged")),
             Err(e) => sweep
                 .mismatches
-                .push(format!("campaign flip: salvage failed: {e}")),
+                .push(format!("{label} flip: salvage failed: {e}")),
         }
         let _ = std::fs::remove_dir_all(&dir);
     } else {
         sweep.mismatches.push(format!(
-            "campaign sweep config journals only {} segments; need >= 2 for mid-file corruption",
-            base_stats.appends
+            "{label} sweep config journals only {} {}; need >= 2 for mid-file corruption",
+            base_stats.appends, run.journal_unit
         ));
     }
 
     let _ = std::fs::remove_dir_all(&base_dir);
-    Ok(())
-}
-
-fn sweep_fuzz(opts: &SweepOptions, sweep: &mut DurabilitySweep) -> Result<(), PersistError> {
-    let base_dir = fresh_dir(&opts.scratch, "fuzz-base");
-    let base_io = StoreIo::clean();
-    let baseline = run_fuzz_persistent_io(&opts.fuzz, &base_dir, false, base_io.clone())?;
-    let reference = baseline.transcript();
-    let reference_corpus = baseline.corpus.to_json_string();
-    let base_stats = base_io.stats();
-    sweep.fuzz_boundaries = base_stats.ops;
-
-    for k in 1..=base_stats.ops {
-        let dir = fresh_dir(&opts.scratch, &format!("fuzz-k{k}"));
-        let io = StoreIo::with_plan(IoFaultPlan {
-            seed: opts.seed ^ k,
-            crash_at: Some(k),
-            ..IoFaultPlan::default()
-        });
-        let _ = run_fuzz_persistent_io(&opts.fuzz, &dir, false, io.clone());
-        if !io.stats().crashed {
-            sweep
-                .mismatches
-                .push(format!("fuzz boundary {k}: injected crash never fired"));
-            continue;
-        }
-        let mut cfg = opts.fuzz.clone();
-        cfg.workers = WORKER_CYCLE[(k as usize) % WORKER_CYCLE.len()];
-        let workers = cfg.workers;
-        let recovered = if dir.join("manifest.json").exists() {
-            sweep.resumed_after_crash += 1;
-            resume_fuzz_with(&cfg, &dir, RecoveryPolicy::Refuse, StoreIo::clean())
-        } else {
-            sweep.recreated_after_create_crash += 1;
-            run_fuzz_persistent_io(&cfg, &dir, false, StoreIo::clean())
-        };
-        match recovered {
-            Ok(res) => {
-                let transcript = res.transcript();
-                if transcript != reference {
-                    sweep.mismatches.push(format!(
-                        "fuzz boundary {k}: transcript diverged after recovery at {workers} workers: {}",
-                        first_difference(&reference, &transcript)
-                    ));
-                }
-                let corpus = res.corpus.to_json_string();
-                if corpus != reference_corpus {
-                    sweep.mismatches.push(format!(
-                        "fuzz boundary {k}: corpus diverged after recovery at {workers} workers: {}",
-                        first_difference(&reference_corpus, &corpus)
-                    ));
-                }
-            }
-            Err(e) => sweep.mismatches.push(format!(
-                "fuzz boundary {k}: recovery at {workers} workers failed: {e}"
-            )),
-        }
-        collect_recovery_classes(&dir, sweep);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    // Transient absorption.
-    let dir = fresh_dir(&opts.scratch, "fuzz-transient");
-    let io = StoreIo::with_plan(IoFaultPlan {
-        seed: opts.seed,
-        transient_at: [3u64, 7].into_iter().filter(|k| *k <= base_stats.ops).collect(),
-        ..IoFaultPlan::default()
-    });
-    match run_fuzz_persistent_io(&opts.fuzz, &dir, false, io.clone()) {
-        Ok(res) if res.transcript() == reference => {
-            let retries = io.stats().retries;
-            if retries == 0 {
-                sweep
-                    .mismatches
-                    .push("fuzz transient: no retries were taken".to_string());
-            }
-            sweep.transient_retries += retries;
-        }
-        Ok(_) => sweep
-            .mismatches
-            .push("fuzz transient: transcript diverged".to_string()),
-        Err(e) => sweep
-            .mismatches
-            .push(format!("fuzz transient: run failed: {e}")),
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-
-    // Bit-flip classification: refuse, then salvage (which truncates at
-    // the damaged round and re-executes forward).
-    if base_stats.appends >= 2 {
-        let flip_at = base_stats
-            .first_append_op
-            .expect("appends >= 2 implies a first append");
-        let dir = fresh_dir(&opts.scratch, "fuzz-flip");
-        let io = StoreIo::with_plan(IoFaultPlan {
-            seed: opts.seed,
-            flip_at: Some(flip_at),
-            ..IoFaultPlan::default()
-        });
-        let _ = run_fuzz_persistent_io(&opts.fuzz, &dir, false, io)?;
-        match resume_fuzz_with(&opts.fuzz, &dir, RecoveryPolicy::Refuse, StoreIo::clean()) {
-            Err(e) if e.kind == PersistErrorKind::Corrupt => sweep.corrupt_refused += 1,
-            Err(e) => sweep
-                .mismatches
-                .push(format!("fuzz flip: refusal was misclassified: {e}")),
-            Ok(_) => sweep
-                .mismatches
-                .push("fuzz flip: corruption was not refused".to_string()),
-        }
-        collect_recovery_classes(&dir, sweep);
-        match resume_fuzz_with(&opts.fuzz, &dir, RecoveryPolicy::Salvage, StoreIo::clean()) {
-            Ok(res) if res.transcript() == reference => {
-                if res.corpus.to_json_string() != reference_corpus {
-                    sweep
-                        .mismatches
-                        .push("fuzz flip: salvage corpus diverged".to_string());
-                } else {
-                    sweep.corrupt_salvaged += 1;
-                }
-            }
-            Ok(_) => sweep
-                .mismatches
-                .push("fuzz flip: salvage transcript diverged".to_string()),
-            Err(e) => sweep
-                .mismatches
-                .push(format!("fuzz flip: salvage failed: {e}")),
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    } else {
-        sweep.mismatches.push(format!(
-            "fuzz sweep config journals only {} rounds; need >= 2 for mid-file corruption",
-            base_stats.appends
-        ));
-    }
-
-    let _ = std::fs::remove_dir_all(&base_dir);
-    Ok(())
+    Ok(base_stats.ops)
 }

@@ -12,10 +12,10 @@
 //!   exactly one [`WorkerStats`] fold.
 //! - [`Driver`]: what differs between a single-operator campaign and a
 //!   multi-operator [`operators::Composition`] — how the shared base is
-//!   deployed, how one plan segment executes from its canonical prefix
-//!   checkpoint, and what a quarantined segment leaves behind. The
-//!   segmentation, depot plumbing, claim loop, and in-order assembly in
-//!   [`run_segmented`] are shared.
+//!   deployed, how the canonical prefix state of a segment is built, how
+//!   the segment executes from it, and what a quarantined segment leaves
+//!   behind. The segmentation, depot lookup and deposit, claim loop, and
+//!   in-order assembly in [`run_segmented`] are shared.
 //! - [`TrialSource`]: where work comes from — planned segments are a
 //!   single batch, fuzz runs draw batch after batch from a corpus, crash
 //!   sweeps enumerate write boundaries. [`drive`] runs any source to
@@ -144,17 +144,9 @@ pub struct SupervisionEvent {
     pub overdue: Duration,
 }
 
-/// The per-item supervision deadline: `ACTO_SEGMENT_DEADLINE_MS`
-/// (milliseconds), defaulting to 300 000 — generous enough that reclaims
-/// fire only for genuinely stuck workers, never for slow-but-progressing
-/// ones.
-pub fn segment_deadline() -> Duration {
-    let ms = std::env::var("ACTO_SEGMENT_DEADLINE_MS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(300_000);
-    Duration::from_millis(ms)
-}
+/// The per-item supervision deadline: generous enough that reclaims fire
+/// only for genuinely stuck workers, never for slow-but-progressing ones.
+const SEGMENT_DEADLINE: Duration = Duration::from_secs(300);
 
 /// Copy-on-write checkpoints that can report their structural-sharing
 /// accounting. Implemented by the single-operator [`InstanceCheckpoint`]
@@ -641,14 +633,14 @@ pub struct Segment {
 pub type SegmentSink<'s, Out> = &'s (dyn Fn(Segment, &Out) + Sync);
 
 /// What differs between the single-operator and composed segment runners:
-/// base deployment, per-segment execution from the canonical prefix
-/// checkpoint, and the placeholder a quarantined segment leaves behind.
-/// Everything else — segmentation, depot plumbing, the claim loop, the
-/// stats fold, in-order assembly — is [`run_segmented`].
+/// base deployment, the canonical prefix state a segment starts from, the
+/// segment body, and the placeholder a quarantined segment leaves behind.
+/// Everything else — segmentation, the depot lookup and deposit, the claim
+/// loop, the stats fold, in-order assembly — is [`run_segmented`].
 pub trait Driver: Sync {
     /// Checkpoint type the snapshot depot stores for this target.
     type Checkpoint: CheckpointSharing + Send + Sync;
-    /// Per-segment output (the segment's trials, or a fallible wrapper).
+    /// Per-segment output (the segment's trials).
     type SegmentOut: Send;
 
     /// Planned operations the campaign will execute (after the budget
@@ -659,24 +651,33 @@ pub trait Driver: Sync {
     /// simulated seconds the deployment consumed.
     fn deploy_base(&self) -> (Arc<Self::Checkpoint>, u64);
 
-    /// Executes one segment from its canonical prefix state, folding the
-    /// segment's accounting into `my`.
+    /// Builds the canonical state after the first `skip` planned
+    /// operations: restore `base`, submit the single jump declaration
+    /// `S_0 → S_skip`, converge, checkpoint. Called only on a depot miss;
+    /// the jump's accounting is folded into `my`.
+    fn build_prefix(
+        &self,
+        base: &Self::Checkpoint,
+        skip: usize,
+        my: &mut WorkerStats,
+    ) -> Self::Checkpoint;
+
+    /// Executes one segment from its canonical prefix state `start`,
+    /// folding the segment's accounting into `my`.
     fn run_segment(
         &self,
         seg: Segment,
-        base: &Arc<Self::Checkpoint>,
-        depot: &SnapshotDepot<Self::Checkpoint>,
+        base: &Self::Checkpoint,
+        start: &Self::Checkpoint,
         my: &mut WorkerStats,
     ) -> Self::SegmentOut;
 
     /// The output recorded for a segment quarantined after two panics.
-    /// Drivers that propagate failures as values instead of capturing
-    /// panics return `None` from [`Driver::quarantines`] and never see
-    /// this called.
+    /// Never called when [`Driver::quarantines`] is `false`.
     fn quarantined(&self, seg: Segment, panic: &str) -> Self::SegmentOut;
 
     /// Whether segment panics are captured and quarantined. The composed
-    /// runner reports failures through its fallible `SegmentOut` instead.
+    /// runner lets a panic abort the run instead.
     fn quarantines(&self) -> bool {
         true
     }
@@ -766,7 +767,23 @@ pub fn run_segmented<D: Driver>(
     depot.put(0, Arc::clone(&base));
 
     let work = |_i: usize, seg: &Segment, my: &mut WorkerStats| {
-        let out = driver.run_segment(*seg, &base, depot, my);
+        // Segment `k` starts from the canonical prefix state, served from
+        // the depot or built once and deposited for every later claim.
+        let start = match depot.get(seg.skip) {
+            Some(cp) => {
+                my.depot_hits += 1;
+                cp
+            }
+            None => {
+                let cp = Arc::new(driver.build_prefix(&base, seg.skip, my));
+                depot.put(seg.skip, Arc::clone(&cp));
+                cp
+            }
+        };
+        let (shared, owned) = start.sharing_stats();
+        my.restored_objects_shared += shared;
+        my.restored_objects_owned += owned;
+        let out = driver.run_segment(*seg, &base, &start, my);
         if let Some(sink) = sink {
             sink(*seg, &out);
         }
@@ -774,7 +791,7 @@ pub fn run_segmented<D: Driver>(
     };
     let scheduler = Scheduler::new(workers)
         .preassigned()
-        .supervised(segment_deadline());
+        .supervised(SEGMENT_DEADLINE);
     let run = if driver.quarantines() {
         let placeholder = |_i: usize, seg: &Segment, panic: &str| {
             let out = driver.quarantined(*seg, panic);
@@ -865,7 +882,7 @@ where
             return;
         }
         let run = Scheduler::new(workers)
-            .supervised(segment_deadline())
+            .supervised(SEGMENT_DEADLINE)
             .run_plain(&batch, &exec);
         source.absorb(batch, run.results, run.worker_stats);
     }

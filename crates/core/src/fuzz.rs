@@ -47,6 +47,7 @@ use crate::exec::{drive, fold_batch_stats, TrialSource};
 use crate::model::{Expectation, Mode, PlannedOp, Trial, TrialOutcome};
 use crate::oracles::{self, masked_snapshot, transition_occurred, OracleContext, StateSnapshot};
 use crate::parallel::{steal_map, SnapshotDepot, WorkerStats};
+use crate::persist;
 use crate::report::{summarize, CampaignSummary};
 use crate::step::{self, Judged, Ledger, CRASH_DOWN_FOR};
 
@@ -164,7 +165,7 @@ impl FuzzInput {
 
 /// One unit of observable territory.
 ///
-/// State hashes come from [`observable_hash`]: the masked rendering of
+/// State hashes come from `observable_hash`: the masked rendering of
 /// every non-CR state object plus the cluster fingerprint's repeatable
 /// components (`ClusterFingerprint::coverage_hash`). The CR itself is
 /// excluded — it echoes the submitted declaration, and hashing the input
@@ -309,95 +310,48 @@ pub struct Corpus {
     pub entries: Vec<CorpusEntry>,
 }
 
+/// Format version stamped into `corpus.json`.
+const CORPUS_VERSION: i64 = 1;
+
 impl Corpus {
-    /// Serializes the corpus to pretty JSON.
+    /// Serializes the corpus to pretty JSON. Entries go through the same
+    /// codec as the run store's journal.
     pub fn to_json_string(&self) -> String {
-        let entries = Value::array(self.entries.iter().map(|e| {
-            Value::object([
-                ("id", Value::Integer(e.id as i64)),
-                (
-                    "parent",
-                    e.parent.map_or(Value::Null, |p| Value::Integer(p as i64)),
-                ),
-                ("mutation", Value::String(e.mutation.clone())),
-                ("exec", Value::Integer(e.exec as i64)),
-                ("input", e.input.to_value()),
-                (
-                    "new_features",
-                    Value::array(e.new_features.iter().map(|f| Value::String(f.clone()))),
-                ),
-            ])
-        }));
         let root = Value::object([
-            ("version", Value::Integer(1)),
+            ("version", Value::Integer(CORPUS_VERSION)),
             ("operator", Value::String(self.operator.clone())),
-            ("entries", entries),
+            (
+                "entries",
+                Value::array(self.entries.iter().map(persist::corpus_entry_to_value)),
+            ),
         ]);
         crdspec::json::to_string_pretty(&root)
     }
 
-    /// Parses a corpus from [`Corpus::to_json_string`]'s rendering.
+    /// Parses a corpus from [`Corpus::to_json_string`]'s rendering. An
+    /// unsupported version or a malformed entry is an error, never
+    /// silently dropped.
     pub fn from_json_str(s: &str) -> Result<Corpus, String> {
         let root = crdspec::json::from_str(s).map_err(|e| format!("corpus parse: {e:?}"))?;
-        let operator = root
-            .get("operator")
-            .and_then(Value::as_str)
-            .ok_or_else(|| "corpus missing string field \"operator\"".to_string())?
-            .to_string();
-        let mut entries = Vec::new();
-        for (i, e) in root
-            .get("entries")
-            .and_then(Value::as_array)
-            .ok_or_else(|| "corpus missing array field \"entries\"".to_string())?
+        let version = persist::req_i64(&root, "version").map_err(|e| format!("corpus {e}"))?;
+        if version != CORPUS_VERSION {
+            return Err(format!(
+                "corpus version {version} is not the supported version {CORPUS_VERSION}"
+            ));
+        }
+        let operator = persist::req_str(&root, "operator").map_err(|e| format!("corpus {e}"))?;
+        let entries = persist::req_array(&root, "entries")
+            .map_err(|e| format!("corpus {e}"))?
             .iter()
             .enumerate()
-        {
-            let id = e
-                .get("id")
-                .and_then(Value::as_i64)
-                .and_then(|n| usize::try_from(n).ok())
-                .ok_or_else(|| format!("entry {i} missing id"))?;
-            let parent = match e.get("parent") {
-                None | Some(Value::Null) => None,
-                Some(v) => Some(
-                    v.as_i64()
-                        .and_then(|n| usize::try_from(n).ok())
-                        .ok_or_else(|| format!("entry {i}: bad parent"))?,
-                ),
-            };
-            let mutation = e
-                .get("mutation")
-                .and_then(Value::as_str)
-                .ok_or_else(|| format!("entry {i} missing mutation"))?
-                .to_string();
-            let exec = e
-                .get("exec")
-                .and_then(Value::as_i64)
-                .and_then(|n| usize::try_from(n).ok())
-                .ok_or_else(|| format!("entry {i} missing exec"))?;
-            let input = e
-                .get("input")
-                .ok_or_else(|| format!("entry {i} missing input"))
-                .and_then(FuzzInput::from_value)?;
-            let new_features = e
-                .get("new_features")
-                .and_then(Value::as_array)
-                .map(|a| {
-                    a.iter()
-                        .filter_map(|v| v.as_str().map(str::to_string))
-                        .collect()
-                })
-                .unwrap_or_default();
-            entries.push(CorpusEntry {
-                id,
-                parent,
-                mutation,
-                exec,
-                input,
-                new_features,
-            });
-        }
-        Ok(Corpus { operator, entries })
+            .map(|(i, e)| {
+                persist::corpus_entry_from_value(e).map_err(|e| format!("entry {i}: {e}"))
+            })
+            .collect::<Result<Vec<CorpusEntry>, String>>()?;
+        Ok(Corpus {
+            operator: operator.to_string(),
+            entries,
+        })
     }
 }
 
@@ -407,8 +361,8 @@ pub struct FuzzConfig {
     /// The underlying campaign configuration (operator, mode, bug toggles,
     /// platform, differential oracle, custom oracles). Custom oracles run
     /// on every converged trial that made a state transition, like the
-    /// consistency and differential oracles. `strategy`, `window`,
-    /// `max_ops`, and `crash_sweep` are not consulted by the fuzz executor.
+    /// consistency and differential oracles. `strategy`, `max_ops`, and
+    /// `crash_sweep` are not consulted by the fuzz executor.
     pub campaign: CampaignConfig,
     /// Master seed: the only source of randomness in the run.
     pub seed: u64,
@@ -794,7 +748,7 @@ struct SeqReference {
     convergence_waits: usize,
 }
 
-/// Cross-worker cache of [`SeqReference`]s.
+/// Cross-worker cache of `SeqReference`s.
 #[derive(Debug, Default)]
 pub struct SeqRefCache {
     entries: Mutex<BTreeMap<String, Arc<SeqReference>>>,
@@ -1307,7 +1261,7 @@ impl GuidedGen {
 /// registry (the message lists the valid names) or an empty operation
 /// pool.
 pub fn run_fuzz(config: &FuzzConfig) -> Result<FuzzResult, String> {
-    run_fuzz_with(config, Guidance::Coverage, None)
+    run_fuzz_hooked(config, Guidance::Coverage, None, FuzzHooks::default())
 }
 
 /// Runs the equal-budget pure-random baseline: same executor, same
@@ -1315,24 +1269,46 @@ pub fn run_fuzz(config: &FuzzConfig) -> Result<FuzzResult, String> {
 /// space — no corpus, no mutation, no crash arming. Errors like
 /// [`run_fuzz`].
 pub fn run_random(config: &FuzzConfig) -> Result<FuzzResult, String> {
-    run_fuzz_with(config, Guidance::Random, None)
+    run_fuzz_hooked(config, Guidance::Random, None, FuzzHooks::default())
 }
 
 /// Resumes a fuzzing campaign from a saved corpus: every saved entry is
 /// replayed first (rebuilding the coverage map and seeding the population;
 /// replays are not charged to `config.execs`), then the guided loop
-/// continues for the configured budget. Errors like [`run_fuzz`].
+/// continues for the configured budget. Errors like [`run_fuzz`], and when
+/// the corpus was grown against another operator.
 pub fn run_fuzz_resumed(config: &FuzzConfig, saved: &Corpus) -> Result<FuzzResult, String> {
-    run_fuzz_with(config, Guidance::Coverage, Some(saved))
+    ensure_same_operator(config, saved)?;
+    run_fuzz_hooked(
+        config,
+        Guidance::Coverage,
+        Some(saved),
+        FuzzHooks::default(),
+    )
 }
 
 /// Replays exactly the saved corpus entries — no mutation, no budget —
 /// and returns the resulting records, coverage, and rebuilt corpus.
 /// Deterministic for any worker count; the round-trip check in CI compares
 /// transcripts of replays at different worker counts. Errors like
-/// [`run_fuzz`].
+/// [`run_fuzz_resumed`].
 pub fn replay_corpus(config: &FuzzConfig, saved: &Corpus) -> Result<FuzzResult, String> {
+    ensure_same_operator(config, saved)?;
     run_replay(config, saved)
+}
+
+/// Refuses a corpus grown against another operator: its op indices point
+/// into that operator's pool, so replaying them here would silently run
+/// unrelated operations.
+fn ensure_same_operator(config: &FuzzConfig, saved: &Corpus) -> Result<(), String> {
+    let operator = config.campaign.operator();
+    if saved.operator != operator {
+        return Err(format!(
+            "corpus was grown against {:?}, not the configured operator {operator:?}",
+            saved.operator
+        ));
+    }
+    Ok(())
 }
 
 /// Rejects an empty planned-op pool at the run boundary. Op indices are
@@ -1637,18 +1613,8 @@ pub(crate) fn run_fuzz_hooked(
         // Resume-from-corpus: replay every saved entry first (rebuilding
         // the coverage map and seeding the population; replays are not
         // charged to `cfg.execs`).
-        let replays: Vec<Candidate> = saved
-            .entries
-            .iter()
-            .map(|e| {
-                gen.seen.insert(e.input.key());
-                Candidate {
-                    input: e.input.clone(),
-                    mutation: "replay",
-                    parent: e.parent,
-                }
-            })
-            .collect();
+        let replays = replay_candidates(saved);
+        gen.seen.extend(replays.iter().map(|c| c.input.key()));
         replay = Some(replays);
     }
 
@@ -1671,19 +1637,9 @@ pub(crate) fn run_fuzz_hooked(
     Ok(source.progress.finish(cfg, &state, executed, rounds, start))
 }
 
-fn run_fuzz_with(
-    cfg: &FuzzConfig,
-    guidance: Guidance,
-    resume: Option<&Corpus>,
-) -> Result<FuzzResult, String> {
-    run_fuzz_hooked(cfg, guidance, resume, FuzzHooks::default())
-}
-
-fn run_replay(cfg: &FuzzConfig, saved: &Corpus) -> Result<FuzzResult, String> {
-    let start = Instant::now();
-    let state = ExecState::new(cfg)?;
-    let mut progress = Progress::new(cfg);
-    let replays: Vec<Candidate> = saved
+/// One replay candidate per saved corpus entry, in corpus order.
+fn replay_candidates(saved: &Corpus) -> Vec<Candidate> {
+    saved
         .entries
         .iter()
         .map(|e| Candidate {
@@ -1691,7 +1647,14 @@ fn run_replay(cfg: &FuzzConfig, saved: &Corpus) -> Result<FuzzResult, String> {
             mutation: "replay",
             parent: e.parent,
         })
-        .collect();
+        .collect()
+}
+
+fn run_replay(cfg: &FuzzConfig, saved: &Corpus) -> Result<FuzzResult, String> {
+    let start = Instant::now();
+    let state = ExecState::new(cfg)?;
+    let mut progress = Progress::new(cfg);
+    let replays = replay_candidates(saved);
     let n = replays.len();
     if !replays.is_empty() {
         let ctx = state.ctx(cfg);
@@ -1836,6 +1799,65 @@ mod tests {
         };
         let parsed = Corpus::from_json_str(&corpus.to_json_string()).expect("corpus round trip");
         assert_eq!(parsed, corpus);
+    }
+
+    #[test]
+    fn foreign_corpus_is_refused_naming_both_operators() {
+        let saved = Corpus {
+            operator: "ZooKeeperOp".to_string(),
+            entries: Vec::new(),
+        };
+        let cfg = FuzzConfig::new("RabbitMQOp");
+        for err in [
+            replay_corpus(&cfg, &saved).unwrap_err(),
+            run_fuzz_resumed(&cfg, &saved).unwrap_err(),
+        ] {
+            assert!(err.contains("ZooKeeperOp"), "names its operator: {err}");
+            assert!(err.contains("RabbitMQOp"), "names the config's: {err}");
+        }
+    }
+
+    fn corpus_json_with(version: i64, new_features: Option<Value>) -> String {
+        let mut entry = persist::corpus_entry_to_value(&CorpusEntry {
+            id: 0,
+            parent: None,
+            mutation: "fresh".to_string(),
+            exec: 0,
+            input: FuzzInput {
+                seed: 1,
+                ops: vec![0],
+                faults: FaultPlan::new(),
+                crash: None,
+            },
+            new_features: Vec::new(),
+        });
+        match new_features {
+            Some(features) => entry.set_path(&"new_features".parse().unwrap(), features),
+            None => entry.remove_path(&"new_features".parse().unwrap()),
+        };
+        let root = Value::object([
+            ("version", Value::Integer(version)),
+            ("operator", Value::String("ZooKeeperOp".to_string())),
+            ("entries", Value::array([entry])),
+        ]);
+        crdspec::json::to_string_pretty(&root)
+    }
+
+    #[test]
+    fn corpus_reader_refuses_an_unsupported_version() {
+        let features = Some(Value::array([Value::String("state:01".to_string())]));
+        assert!(Corpus::from_json_str(&corpus_json_with(1, features.clone())).is_ok());
+        let err = Corpus::from_json_str(&corpus_json_with(2, features)).unwrap_err();
+        assert!(err.contains("version 2"), "names the bad version: {err}");
+    }
+
+    #[test]
+    fn corpus_reader_refuses_missing_or_non_string_features() {
+        let err = Corpus::from_json_str(&corpus_json_with(1, None)).unwrap_err();
+        assert!(err.contains("new_features"), "names the field: {err}");
+        let mixed = Value::array([Value::String("state:01".to_string()), Value::Integer(7)]);
+        let err = Corpus::from_json_str(&corpus_json_with(1, Some(mixed))).unwrap_err();
+        assert!(err.contains("entry 0"), "names the bad entry: {err}");
     }
 
     /// Shrink-safety: every mutated input must stay consumable — op

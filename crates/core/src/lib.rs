@@ -35,18 +35,22 @@
 //!   prefix into a minimal e2e test and emitting its code (§5.4).
 //! - [`exec`]: the generic execution core every runner sits on — the
 //!   work-stealing [`exec::Scheduler`] (the sequential runner is its
-//!   1-worker special case), the [`exec::Driver`] abstraction over
-//!   single-operator and composed targets, and the batch-shaped
+//!   1-worker special case), [`exec::run_segmented`] with the snapshot
+//!   depot plumbing, the [`exec::Driver`] abstraction over
+//!   single-operator and composed targets (a driver supplies only its
+//!   prefix build and segment body), and the batch-shaped
 //!   [`exec::TrialSource`] loop the fuzzers drive.
 //! - [`parallel`]: work-stealing test partitioning across workers with a
 //!   shared plan and checkpoint-based jump-state reuse (§5.5).
 //! - [`persist`]: the versioned, crash-hardened on-disk run store
 //!   (atomic manifest + CRC-framed append-only journal, all IO behind the
 //!   fault-injectable [`persist::StoreIo`]) behind persistent, kill-safe,
-//!   resumable campaign and fuzz runs with byte-identical transcripts.
+//!   resumable campaign and fuzz runs — one resume path for both — with
+//!   byte-identical transcripts.
 //! - [`durability`]: the persist sweep — the paper's crash-point sweep
 //!   turned on our own store: crash at every IO boundary, resume, and
-//!   prove the transcript unchanged.
+//!   prove the transcript unchanged, with one sweep routine for both run
+//!   kinds.
 //! - [`compose`]: multi-operator composition campaigns — 2+ operators on
 //!   one shared cluster with an interleaved plan, cross-operator oracles,
 //!   and composed work-stealing/fuzzing runners.
@@ -77,14 +81,13 @@ pub use campaign::{
     Strategy, PLAN_COMPUTATIONS,
 };
 pub use compose::{
-    plan_composed, run_composed_campaign, run_composed_fuzz, run_composed_with,
-    run_composed_work_stealing, run_composed_work_stealing_with, ComposedExecRecord,
-    ComposedFuzzResult, ComposedOp, ComposedParallelResult, ComposedResult, ComposedTrial,
+    plan_composed, run_composed_campaign, run_composed_fuzz, run_composed_work_stealing,
+    run_composed_work_stealing_with, ComposedExecRecord, ComposedFuzzResult, ComposedOp,
+    ComposedParallelResult, ComposedResult, ComposedTrial,
 };
 pub use deps::{infer_dependencies, Dependency};
 pub use exec::{
-    drive, run_segmented, segment_deadline, steal_map, Driver, Scheduler, Segment,
-    SupervisionEvent, TrialSource,
+    drive, run_segmented, steal_map, Driver, Scheduler, Segment, SupervisionEvent, TrialSource,
 };
 pub use fuzz::{
     replay_corpus, run_fuzz, run_fuzz_resumed, run_random, Corpus, CorpusEntry, CoverageFeature,
@@ -94,8 +97,8 @@ pub use gen::{generator_catalog, scenarios_for, GenContext, Scenario};
 pub use model::{Expectation, Mode, PlannedOp, Trial, TrialOutcome};
 pub use oracles::{AlarmKind, CustomOracle, OracleContext};
 pub use parallel::{
-    declaration_after_prefix, run_partitioned, run_work_stealing, run_work_stealing_with,
-    FailedSegment, ParallelResult, SnapshotDepot, WorkerStats, DEFAULT_SEGMENT_OPS,
+    declaration_after_prefix, run_work_stealing, run_work_stealing_with, FailedSegment,
+    ParallelResult, SnapshotDepot, WorkerStats, DEFAULT_SEGMENT_OPS,
 };
 pub use durability::{persist_sweep, DurabilitySweep, SweepOptions};
 pub use persist::{

@@ -10,9 +10,9 @@
 //! this module contributes the single-operator [`Driver`]: how the shared
 //! base deploys, how one plan segment executes from its canonical prefix
 //! checkpoint (restore base, submit the jump declaration, converge), and
-//! what a quarantined segment leaves behind. The historical entry points
-//! ([`run_work_stealing`], [`run_partitioned`]) are thin wrappers over
-//! [`crate::exec::run_segmented`].
+//! what a quarantined segment leaves behind. The entry points
+//! ([`run_work_stealing`], [`run_work_stealing_with`]) are thin wrappers
+//! over [`crate::exec::run_segmented`], which owns the depot plumbing.
 //!
 //! Determinism: segment `k`'s start state is always the *canonical* prefix
 //! state — restore(base), submit jump `J_k`, converge — whether it comes
@@ -24,7 +24,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crdspec::Value;
-use operators::{operator_by_name, Instance, InstanceCheckpoint, CONVERGE_MAX, CONVERGE_RESET};
+use operators::{operator_by_name, InstanceCheckpoint, CONVERGE_MAX, CONVERGE_RESET};
 
 pub use crate::exec::{
     steal_map, CheckpointSharing, FailedSegment, SnapshotDepot, SupervisionEvent, WorkerStats,
@@ -32,7 +32,7 @@ pub use crate::exec::{
 use crate::exec::{run_segmented, Driver, Segment};
 
 use crate::campaign::{
-    apply_op, plan_campaign, run_campaign_with, CampaignConfig, CampaignResult, FreshRefCache,
+    acquire_instance, apply_op, plan_campaign, run_window, CampaignConfig, FreshRefCache,
 };
 use crate::model::{Mode, PlannedOp, Trial, TrialOutcome};
 use crate::oracles::AlarmKind;
@@ -163,14 +163,32 @@ pub fn run_work_stealing_with(
 }
 
 /// The single-operator [`Driver`]: plan shared immutably across workers,
-/// base deployed once, segments executed as windowed campaigns from
-/// canonical prefix checkpoints.
+/// base deployed once, segments executed as plan windows from canonical
+/// prefix checkpoints.
 pub(crate) struct CampaignDriver<'a> {
     config: &'a CampaignConfig,
-    plan: &'a Arc<Vec<PlannedOp>>,
+    plan: &'a [PlannedOp],
     plan_len: usize,
     initial_cr: Value,
     ref_cache: FreshRefCache,
+}
+
+impl<'a> CampaignDriver<'a> {
+    /// A driver over the shared `plan`, capped at `config.max_ops`
+    /// operations. Applying the cap before segmentation keeps it
+    /// worker-count-agnostic.
+    pub(crate) fn new(config: &'a CampaignConfig, plan: &'a [PlannedOp]) -> CampaignDriver<'a> {
+        CampaignDriver {
+            config,
+            plan,
+            plan_len: config.max_ops.map_or(plan.len(), |max| plan.len().min(max)),
+            initial_cr: operator_by_name(config.operator()).initial_cr(),
+            // One fresh-reference cache for the whole run: reference runs
+            // depend only on the declaration, so workers share them like
+            // depot snapshots.
+            ref_cache: FreshRefCache::new(),
+        }
+    }
 }
 
 impl Driver for CampaignDriver<'_> {
@@ -182,34 +200,43 @@ impl Driver for CampaignDriver<'_> {
     }
 
     fn deploy_base(&self) -> (Arc<InstanceCheckpoint>, u64) {
-        let base_instance = Instance::deploy_on(
-            operator_by_name(self.config.operator()),
-            self.config.bugs.clone(),
-            self.config.platform,
-            self.config.topology.clone(),
-        )
-        .expect("initial deployment");
+        let (base_instance, _) = acquire_instance(self.config, None);
         let base_sim_seconds = base_instance.cluster.now();
         (Arc::new(base_instance.checkpoint()), base_sim_seconds)
+    }
+
+    fn build_prefix(
+        &self,
+        base: &InstanceCheckpoint,
+        skip: usize,
+        my: &mut WorkerStats,
+    ) -> InstanceCheckpoint {
+        let jump = declaration_after_prefix(&self.initial_cr, self.plan, skip);
+        let (mut instance, _) = acquire_instance(self.config, Some(base));
+        let t0 = instance.cluster.now();
+        if instance.submit(jump).is_ok() {
+            let _ = instance.converge(CONVERGE_RESET, CONVERGE_MAX);
+            my.convergence_waits += 1;
+        }
+        my.sim_seconds += instance.cluster.now() - t0;
+        instance.checkpoint()
     }
 
     fn run_segment(
         &self,
         seg: Segment,
-        base: &Arc<InstanceCheckpoint>,
-        depot: &SnapshotDepot,
+        base: &InstanceCheckpoint,
+        start: &InstanceCheckpoint,
         my: &mut WorkerStats,
     ) -> Vec<Trial> {
-        let result = run_segment(
+        let result = run_window(
             self.config,
             self.plan,
-            &self.initial_cr,
-            base,
-            depot,
-            &self.ref_cache,
-            seg.skip,
-            seg.take,
-            my,
+            (seg.skip, seg.take),
+            None,
+            Some(base),
+            Some(start),
+            Some(&self.ref_cache),
         );
         my.sim_seconds += result.sim_seconds;
         my.convergence_waits += result.convergence_waits;
@@ -238,30 +265,18 @@ pub(crate) fn run_work_stealing_core(
     let start = Instant::now();
     let operator = operator_by_name(config.operator());
     let gen_start = Instant::now();
-    let plan: Arc<Vec<PlannedOp>> = Arc::new(plan_campaign(
+    let plan = plan_campaign(
         &operator.schema(),
         Some(&operator.ir()),
         config.mode,
         &operator.initial_cr(),
         &operator.images(),
         operators::INSTANCE,
-    ));
+    );
     let gen_duration = gen_start.elapsed();
 
-    // `max_ops` bounds the planned operations considered; applying it to
-    // the shared plan before segmentation keeps it worker-count-agnostic.
-    let plan_len = config.max_ops.map_or(plan.len(), |max| plan.len().min(max));
     let segment_ops = segment_ops.max(1);
-    let driver = CampaignDriver {
-        config,
-        plan: &plan,
-        plan_len,
-        initial_cr: operator.initial_cr(),
-        // One fresh-reference cache for the whole run: reference runs
-        // depend only on the declaration, so workers share them like
-        // depot snapshots.
-        ref_cache: FreshRefCache::new(),
-    };
+    let driver = CampaignDriver::new(config, &plan);
     let run = run_segmented(&driver, workers, segment_ops, depot, completed, sink);
 
     let trials: Vec<Trial> = run.outputs.into_iter().flatten().collect();
@@ -296,67 +311,6 @@ pub(crate) fn run_work_stealing_core(
     }
 }
 
-/// Backwards-compatible entry point: a partitioned run is now a
-/// work-stealing run (static chunks were both load-imbalanced and spawned
-/// zero-work clusters whenever `plan_len % workers != 0`).
-pub fn run_partitioned(config: &CampaignConfig, workers: usize) -> ParallelResult {
-    run_work_stealing(config, workers)
-}
-
-/// Executes one plan segment from its canonical prefix state.
-#[allow(clippy::too_many_arguments)]
-fn run_segment(
-    config: &CampaignConfig,
-    plan: &[PlannedOp],
-    initial_cr: &Value,
-    base: &Arc<InstanceCheckpoint>,
-    depot: &SnapshotDepot,
-    ref_cache: &FreshRefCache,
-    skip: usize,
-    take: usize,
-    my: &mut WorkerStats,
-) -> CampaignResult {
-    let start_cp = match depot.get(skip) {
-        Some(cp) => {
-            my.depot_hits += 1;
-            cp
-        }
-        None => {
-            // Build the canonical prefix state: restore the base (free),
-            // converge the jump declaration, checkpoint, deposit.
-            let jump = declaration_after_prefix(initial_cr, plan, skip);
-            let mut instance = Instance::from_checkpoint(
-                operator_by_name(config.operator()),
-                config.bugs.clone(),
-                base,
-            );
-            let t0 = instance.cluster.now();
-            if instance.submit(jump).is_ok() {
-                let _ = instance.converge(CONVERGE_RESET, CONVERGE_MAX);
-                my.convergence_waits += 1;
-            }
-            my.sim_seconds += instance.cluster.now() - t0;
-            let cp = Arc::new(instance.checkpoint());
-            depot.put(skip, Arc::clone(&cp));
-            cp
-        }
-    };
-    let (shared, owned) = start_cp.sharing_stats();
-    my.restored_objects_shared += shared;
-    my.restored_objects_owned += owned;
-    let mut seg_config = config.clone();
-    seg_config.window = Some((skip, take));
-    seg_config.max_ops = None;
-    run_campaign_with(
-        &seg_config,
-        plan,
-        Duration::ZERO,
-        Some(base),
-        Some(&start_cp),
-        Some(ref_cache),
-    )
-}
-
 /// Synthesizes a failed trial for a panicked segment, so the loss is
 /// visible in the trial stream instead of silently shrinking coverage.
 fn panicked_segment_trial(segment: usize, skip: usize, panic: &str) -> Trial {
@@ -374,6 +328,7 @@ mod tests {
     use super::*;
     use crate::model::Mode;
     use operators::bugs::BugToggles;
+    use operators::Instance;
     use simkube::PlatformBugs;
     use std::sync::atomic::Ordering;
 
@@ -386,7 +341,6 @@ mod tests {
             max_ops: Some(8),
             differential: false,
             strategy: crate::campaign::Strategy::Full,
-            window: None,
             custom_oracles: Vec::new(),
             faults: Default::default(),
             crash_sweep: false,
@@ -415,7 +369,7 @@ mod tests {
     fn partitioned_run_covers_all_windows() {
         let mut config = quick_config();
         config.max_ops = Some(24);
-        let result = run_partitioned(&config, 3);
+        let result = run_work_stealing(&config, 3);
         assert_eq!(result.workers, 3);
         assert!(result.total_sim_seconds >= result.makespan_sim_seconds);
         assert!(!result.trials.is_empty());

@@ -775,14 +775,7 @@ impl Manifest {
         let mode =
             mode_from_name(req_str(v, "mode").map_err(PersistError::format)?)
                 .map_err(PersistError::format)?;
-        let max_ops = match v.get("max_ops") {
-            None | Some(Value::Null) => None,
-            Some(n) => Some(
-                n.as_i64()
-                    .and_then(|n| usize::try_from(n).ok())
-                    .ok_or_else(|| PersistError::format("bad max_ops"))?,
-            ),
-        };
+        let max_ops = opt_usize(v, "max_ops").map_err(PersistError::format)?;
         Ok(Manifest {
             version,
             kind,
@@ -1207,35 +1200,51 @@ pub fn resume_work_stealing_with(
     policy: RecoveryPolicy,
     io: StoreIo,
 ) -> Result<ParallelResult, PersistError> {
+    let expected = |stored: &Manifest| campaign_manifest(config, stored.segment_ops);
+    let segment = |line: &Value| -> Result<(usize, Vec<Trial>), String> {
+        let index = req_usize(line, "segment")?;
+        let trials = req_array(line, "trials")?.iter().map(trial_from_value);
+        Ok((index, trials.collect::<Result<_, _>>()?))
+    };
+    let (store, manifest, completed) = reopen(dir, io, policy, expected, |lines| {
+        (lines.iter().enumerate())
+            .map(|(i, line)| segment(line).map_err(|e| format!("journal line {i}: {e}")))
+            .collect::<Result<BTreeMap<usize, Vec<Trial>>, String>>()
+    })?;
+    run_campaign_against(config, workers, manifest.segment_ops, &store, completed)
+}
+
+/// The one resume path: opens the store at `dir`, checks its run kind and
+/// manifest against `expected` (built from the stored manifest, for the
+/// fields a resume inherits), recovers the journal under `policy`, decodes
+/// the validated lines, and only then re-anchors the journal to them so
+/// later appends start on a clean line boundary.
+fn reopen<T>(
+    dir: &Path,
+    io: StoreIo,
+    policy: RecoveryPolicy,
+    expected: impl FnOnce(&Manifest) -> Manifest,
+    decode: impl FnOnce(&[Value]) -> Result<T, String>,
+) -> Result<(RunStore, Manifest, T), PersistError> {
     let (store, manifest) = RunStore::open_io(dir, io)?;
-    if manifest.kind != RunKind::WorkStealing {
+    let expected = expected(&manifest);
+    if manifest.kind != expected.kind {
         return Err(PersistError::with_path(
             PersistErrorKind::Mismatch,
             dir,
             format!(
-                "store at {} holds a {} run, not a work-stealing campaign",
+                "store at {} holds a {} run, not a {} run",
                 dir.display(),
-                manifest.kind.name()
+                manifest.kind.name(),
+                expected.kind.name()
             ),
         ));
     }
-    manifest.ensure_matches(&campaign_manifest(config, manifest.segment_ops))?;
-    let recovery = store.recover_journal(RunKind::WorkStealing, policy)?;
-    let mut completed: BTreeMap<usize, Vec<Trial>> = BTreeMap::new();
-    for (i, line) in recovery.lines.iter().enumerate() {
-        let segment = req_usize(line, "segment")
-            .map_err(|e| PersistError::format(format!("journal line {i}: {e}")))?;
-        let trials = req_array(line, "trials")
-            .map_err(|e| PersistError::format(format!("journal line {i}: {e}")))?
-            .iter()
-            .map(trial_from_value)
-            .collect::<Result<Vec<Trial>, String>>()
-            .map_err(|e| PersistError::format(format!("journal line {i}: {e}")))?;
-        completed.insert(segment, trials);
-    }
-    // Re-anchor the journal to its validated records before appending.
+    manifest.ensure_matches(&expected)?;
+    let recovery = store.recover_journal(manifest.kind, policy)?;
+    let decoded = decode(&recovery.lines).map_err(PersistError::format)?;
     store.rewrite_journal(&recovery.lines)?;
-    run_campaign_against(config, workers, manifest.segment_ops, &store, completed)
+    Ok((store, manifest, decoded))
 }
 
 fn run_campaign_against(
@@ -1337,22 +1346,10 @@ pub fn resume_fuzz_with(
     policy: RecoveryPolicy,
     io: StoreIo,
 ) -> Result<FuzzResult, PersistError> {
-    let (store, manifest) = RunStore::open_io(dir, io)?;
-    if manifest.kind != RunKind::Fuzz {
-        return Err(PersistError::with_path(
-            PersistErrorKind::Mismatch,
-            dir,
-            format!(
-                "store at {} holds a {} run, not a fuzz run",
-                dir.display(),
-                manifest.kind.name()
-            ),
-        ));
-    }
-    manifest.ensure_matches(&fuzz_manifest(cfg, manifest.minimize))?;
-    let recovery = store.recover_journal(RunKind::Fuzz, policy)?;
-    let restored = restore_from_rounds(cfg, &recovery.lines).map_err(PersistError::format)?;
-    store.rewrite_journal(&recovery.lines)?;
+    let expected = |stored: &Manifest| fuzz_manifest(cfg, stored.minimize);
+    let (store, manifest, restored) = reopen(dir, io, policy, expected, |lines| {
+        restore_from_rounds(cfg, lines)
+    })?;
     run_fuzz_against(cfg, &store, &manifest, restored)
 }
 
@@ -1520,24 +1517,36 @@ pub fn write_minimized(
 // Value codecs (crdspec::Value <-> run data)
 // ---------------------------------------------------------------------------
 
-fn req_i64(v: &Value, key: &str) -> Result<i64, String> {
+pub(crate) fn req_i64(v: &Value, key: &str) -> Result<i64, String> {
     v.get(key)
         .and_then(Value::as_i64)
         .ok_or_else(|| format!("missing integer field {key:?}"))
 }
 
-fn req_usize(v: &Value, key: &str) -> Result<usize, String> {
+pub(crate) fn req_usize(v: &Value, key: &str) -> Result<usize, String> {
     req_i64(v, key)
         .and_then(|n| usize::try_from(n).map_err(|_| format!("field {key:?} is negative")))
 }
 
-fn req_str<'a>(v: &'a Value, key: &str) -> Result<&'a str, String> {
+/// An optional non-negative integer field: absent or `null` is `None`.
+fn opt_usize(v: &Value, key: &str) -> Result<Option<usize>, String> {
+    match v.get(key) {
+        None | Some(Value::Null) => Ok(None),
+        Some(n) => n
+            .as_i64()
+            .and_then(|n| usize::try_from(n).ok())
+            .map(Some)
+            .ok_or_else(|| format!("bad {key}")),
+    }
+}
+
+pub(crate) fn req_str<'a>(v: &'a Value, key: &str) -> Result<&'a str, String> {
     v.get(key)
         .and_then(Value::as_str)
         .ok_or_else(|| format!("missing string field {key:?}"))
 }
 
-fn req_array<'a>(v: &'a Value, key: &str) -> Result<&'a [Value], String> {
+pub(crate) fn req_array<'a>(v: &'a Value, key: &str) -> Result<&'a [Value], String> {
     v.get(key)
         .and_then(Value::as_array)
         .ok_or_else(|| format!("missing array field {key:?}"))
@@ -1809,14 +1818,7 @@ fn exec_record_to_value(r: &ExecRecord) -> Value {
 }
 
 fn exec_record_from_value(v: &Value) -> Result<ExecRecord, String> {
-    let parent = match v.get("parent") {
-        None | Some(Value::Null) => None,
-        Some(p) => Some(
-            p.as_i64()
-                .and_then(|n| usize::try_from(n).ok())
-                .ok_or_else(|| "bad parent".to_string())?,
-        ),
-    };
+    let parent = opt_usize(v, "parent")?;
     Ok(ExecRecord {
         index: req_usize(v, "index")?,
         input: crate::fuzz::FuzzInput::from_value(
@@ -1841,7 +1843,7 @@ fn exec_record_from_value(v: &Value) -> Result<ExecRecord, String> {
     })
 }
 
-fn corpus_entry_to_value(e: &CorpusEntry) -> Value {
+pub(crate) fn corpus_entry_to_value(e: &CorpusEntry) -> Value {
     Value::object([
         ("id", Value::Integer(e.id as i64)),
         (
@@ -1858,15 +1860,8 @@ fn corpus_entry_to_value(e: &CorpusEntry) -> Value {
     ])
 }
 
-fn corpus_entry_from_value(v: &Value) -> Result<CorpusEntry, String> {
-    let parent = match v.get("parent") {
-        None | Some(Value::Null) => None,
-        Some(p) => Some(
-            p.as_i64()
-                .and_then(|n| usize::try_from(n).ok())
-                .ok_or_else(|| "bad parent".to_string())?,
-        ),
-    };
+pub(crate) fn corpus_entry_from_value(v: &Value) -> Result<CorpusEntry, String> {
+    let parent = opt_usize(v, "parent")?;
     Ok(CorpusEntry {
         id: req_usize(v, "id")?,
         parent,

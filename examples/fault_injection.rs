@@ -19,7 +19,6 @@ fn config(bugs: BugToggles, faults: FaultPlan) -> CampaignConfig {
         max_ops: Some(0), // fault burst only; skip the operation plan
         differential: false,
         strategy: Strategy::Full,
-        window: None,
         custom_oracles: Vec::new(),
         faults,
         crash_sweep: false,

@@ -11,15 +11,14 @@
 use std::time::Duration;
 
 use acto_repro::acto::compose::{
-    run_composed_campaign, run_composed_fuzz, run_composed_with, run_composed_work_stealing,
-    run_composed_work_stealing_with, ComposedFuzzResult, ComposedOp, ComposedParallelResult,
-    ComposedResult,
+    run_composed_campaign, run_composed_fuzz, run_composed_work_stealing,
+    run_composed_work_stealing_with, ComposedFuzzResult, ComposedParallelResult, ComposedResult,
 };
 use acto_repro::acto::fuzz::{
     replay_corpus, run_fuzz, run_fuzz_resumed, run_random, Corpus, FuzzConfig, FuzzResult,
 };
 use acto_repro::acto::parallel::{
-    run_partitioned, run_work_stealing, run_work_stealing_with, ParallelResult, SnapshotDepot,
+    run_work_stealing, run_work_stealing_with, ParallelResult, SnapshotDepot,
 };
 use acto_repro::acto::persist::PersistError;
 use acto_repro::acto::{
@@ -45,7 +44,6 @@ fn legacy_entry_point_signatures_still_compile() {
     let _: fn(&CampaignConfig, usize) -> ParallelResult = run_work_stealing;
     let _: fn(&CampaignConfig, usize, usize, &SnapshotDepot) -> ParallelResult =
         run_work_stealing_with;
-    let _: fn(&CampaignConfig, usize) -> ParallelResult = run_partitioned;
 
     // Fuzz family.
     let _: fn(&FuzzConfig) -> Result<FuzzResult, String> = run_fuzz;
@@ -55,13 +53,6 @@ fn legacy_entry_point_signatures_still_compile() {
 
     // Composed family.
     let _: fn(&CampaignConfig) -> Result<ComposedResult, String> = run_composed_campaign;
-    let _: fn(
-        &CampaignConfig,
-        &[ComposedOp],
-        Duration,
-        Option<&CompositionCheckpoint>,
-        Option<&CompositionCheckpoint>,
-    ) -> Result<ComposedResult, String> = run_composed_with;
     let _: fn(&CampaignConfig, usize) -> Result<ComposedParallelResult, String> =
         run_composed_work_stealing;
     let _: fn(

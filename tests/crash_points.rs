@@ -24,7 +24,6 @@ fn sweep_config(operator: &str, max_ops: usize, bugs: BugToggles) -> CampaignCon
         max_ops: Some(max_ops),
         differential: false,
         strategy: Strategy::Full,
-        window: None,
         custom_oracles: Vec::new(),
         faults: Default::default(),
         crash_sweep: true,

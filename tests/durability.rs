@@ -36,7 +36,6 @@ fn config(max_ops: usize) -> CampaignConfig {
         max_ops: Some(max_ops),
         differential: false,
         strategy: Strategy::Full,
-        window: None,
         custom_oracles: Vec::new(),
         faults: Default::default(),
         crash_sweep: false,

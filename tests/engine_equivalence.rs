@@ -43,7 +43,6 @@ fn config(operator: &str, max_ops: usize, faults: FaultPlan) -> CampaignConfig {
         max_ops: Some(max_ops),
         differential: false,
         strategy: Strategy::Full,
-        window: None,
         custom_oracles: Vec::new(),
         faults,
         crash_sweep: false,

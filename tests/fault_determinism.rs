@@ -19,7 +19,6 @@ fn faulted_config(plan: FaultPlan) -> CampaignConfig {
         max_ops: Some(2),
         differential: false,
         strategy: Strategy::Full,
-        window: None,
         custom_oracles: Vec::new(),
         faults: plan,
         crash_sweep: false,

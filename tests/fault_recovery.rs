@@ -22,7 +22,6 @@ fn config(operator: &str, bugs: BugToggles, faults: FaultPlan) -> CampaignConfig
         max_ops: Some(0),
         differential: false,
         strategy: Strategy::Full,
-        window: None,
         custom_oracles: Vec::new(),
         faults,
         crash_sweep: false,

@@ -24,7 +24,6 @@ fn multi_worker_run_plans_exactly_once() {
         max_ops: Some(16),
         differential: false,
         strategy: Strategy::Full,
-        window: None,
         custom_oracles: Vec::new(),
         faults: Default::default(),
         crash_sweep: false,

@@ -15,7 +15,6 @@ fn smoke(operator: &str, mode: Mode) {
         max_ops: Some(8),
         differential: false,
         strategy: Strategy::Full,
-        window: None,
         custom_oracles: Vec::new(),
         faults: Default::default(),
         crash_sweep: false,

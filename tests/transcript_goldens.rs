@@ -53,7 +53,6 @@ fn strategy_config(strategy: Strategy) -> CampaignConfig {
         max_ops: Some(15),
         differential: true,
         strategy,
-        window: None,
         custom_oracles: Vec::new(),
         faults: Default::default(),
         crash_sweep: false,
@@ -142,7 +141,6 @@ fn failed_fault_burst_resets_and_continues() {
         max_ops: Some(6),
         differential: true,
         strategy: Strategy::Full,
-        window: None,
         custom_oracles: Vec::new(),
         faults,
         crash_sweep: false,
