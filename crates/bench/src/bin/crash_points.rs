@@ -2,25 +2,28 @@
 //! model saves over the naive alternative.
 //!
 //! The sweep replays every converged transition once per write boundary,
-//! each replay starting from an O(1) restore of the pre-submit
-//! checkpoint. The naive design (what a real-cluster harness pays) would
-//! re-deploy a fresh system and re-converge it for every boundary. This
-//! bench pins the per-replay setup cost of both models and derives the
-//! *reuse multiplier* — how many times cheaper a swept boundary's setup
-//! is thanks to checkpoint reuse — plus end-to-end campaign numbers with
-//! the sweep on versus off, so the total sweep overhead stays visible.
+//! each replay forking the live convergence wait: an O(1) restore of the
+//! checkpoint taken at the start of the tick that makes the boundary's
+//! write, then only that tick and the post-crash tail. The naive design
+//! (what a real-cluster harness pays) would re-deploy a fresh system and
+//! re-converge it for every boundary. This bench pins the per-replay
+//! setup cost of both models and derives the *reuse multiplier* — how
+//! many times cheaper a swept boundary's setup is thanks to checkpoint
+//! reuse — plus end-to-end campaign numbers with the sweep on versus off,
+//! so the total sweep overhead (`sweep_boundary_us`, the realized price of
+//! one boundary) stays visible.
 //!
 //! Usage: `crash_points [--quick]` (or `ACTO_QUICK=1`). Writes
-//! `BENCH_crash_points.json` into the working directory and exits
-//! nonzero if the reuse multiplier drops below [`MULTIPLIER_FLOOR`], the
-//! sweep replays zero boundaries, or a bugs-off sweep raises a
-//! crash-consistency alarm.
+//! `BENCH_crash_points.json`, stamped with the host's `nproc` and the git
+//! revision, into the working directory and exits nonzero if the reuse
+//! multiplier drops below [`MULTIPLIER_FLOOR`], the sweep replays zero
+//! boundaries, or a bugs-off sweep raises a crash-consistency alarm.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use acto::{run_campaign, AlarmKind, CampaignConfig, Mode};
-use acto_bench::{quick, render_table, BENCH_SCHEMA_VERSION};
+use acto_bench::{git_rev, nproc, quick, render_table, BENCH_SCHEMA_VERSION};
 use operators::bugs::BugToggles;
 use operators::Instance;
 use simkube::PlatformBugs;
@@ -59,9 +62,9 @@ fn main() {
     let mut rows: Vec<Vec<String>> = Vec::new();
 
     for operator in OPERATORS {
-        // Per-replay setup cost, both models. The sweep restores the
-        // pre-submit checkpoint; the naive model re-deploys from scratch
-        // (which includes converging the bring-up).
+        // Per-replay setup cost, both models. The sweep restores a
+        // checkpoint; the naive model re-deploys from scratch (which
+        // includes converging the bring-up).
         let reference = Instance::deploy(
             operators::registry::operator_by_name(operator),
             BugToggles::all_fixed(),
@@ -202,8 +205,10 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"crash_points\",\n  \"schema_version\": {},\n  \"quick\": {},\n  \"multiplier_floor\": {:.1},\n  \"runs\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"crash_points\",\n  \"schema_version\": {},\n  \"nproc\": {},\n  \"git_rev\": \"{}\",\n  \"quick\": {},\n  \"multiplier_floor\": {:.1},\n  \"runs\": [\n{}\n  ]\n}}\n",
         BENCH_SCHEMA_VERSION,
+        nproc(),
+        git_rev(),
         quick,
         MULTIPLIER_FLOOR,
         json_entries.join(",\n")

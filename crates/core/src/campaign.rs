@@ -17,7 +17,9 @@ use std::time::{Duration, Instant};
 use crdspec::{Path, Schema, SchemaKind, Value};
 use opdsl::IrModule;
 use operators::bugs::BugToggles;
-use operators::{operator_by_name, Instance, InstanceCheckpoint, CONVERGE_MAX, CONVERGE_RESET};
+use operators::{
+    operator_by_name, BoundaryLog, Instance, InstanceCheckpoint, CONVERGE_MAX, CONVERGE_RESET,
+};
 use simkube::PlatformBugs;
 
 use crate::deps::{infer_dependencies, satisfy};
@@ -612,14 +614,14 @@ pub(crate) fn run_window(
             continue;
         }
         covered.insert(planned.property.clone());
-        let sweep_cp = config.crash_sweep.then(|| instance.checkpoint());
+        let mut boundaries = config.crash_sweep.then(BoundaryLog::default);
         let Judged {
             outcome,
             mut alarms,
             pre_state,
             post_state,
             writes,
-        } = match step::submit_and_judge(&mut instance, &spec, &mut ledger) {
+        } = match step::submit_and_judge(&mut instance, &spec, &mut ledger, boundaries.as_mut()) {
             Ok(judged) => judged,
             Err(err) => {
                 let outcome = TrialOutcome::RejectedByApi(err.to_string());
@@ -722,23 +724,20 @@ pub(crate) fn run_window(
 
         // Crash-point sweep: the converged live run is the uninterrupted
         // reference — it fixes both the write count `W` and the expected
-        // masked end state. Each boundary replays from the pre-submit
-        // checkpoint and must reconverge to the reference.
+        // masked end state. Each boundary forks the live wait at the tick
+        // that makes its write and must reconverge to the reference.
         let mut crash_points_swept = 0u32;
-        if let (TrialOutcome::Converged, Some(cp)) = (&outcome, &sweep_cp) {
+        if let (TrialOutcome::Converged, Some(log)) = (&outcome, &boundaries) {
             for k in 1..=writes as u32 {
-                let Some(replay) =
-                    step::crash_replay(config.operator(), &config.bugs, cp, k, &spec)
-                else {
-                    continue;
-                };
+                let from = log.at_write(k.into());
+                let replay = step::crash_replay(config.operator(), &config.bugs, from, k);
                 ledger.convergence_waits += 1;
                 ledger.bank(replay.sim_seconds);
                 alarms.extend(collapse(oracles::crash_consistency_check(
                     k,
                     &post_state,
-                    &replay.state,
-                    replay.healthy,
+                    &masked_snapshot(&replay.instance),
+                    step::settled(&replay.instance),
                     replay.converged,
                 )));
                 crash_points_swept += 1;

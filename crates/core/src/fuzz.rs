@@ -968,7 +968,7 @@ fn execute_sequence(
             pre_state,
             post_state,
             ..
-        } = match step::submit_and_judge(&mut instance, &spec, &mut ledger) {
+        } = match step::submit_and_judge(&mut instance, &spec, &mut ledger, None) {
             Ok(judged) => judged,
             Err(err) => {
                 let outcome = TrialOutcome::RejectedByApi(err.to_string());

@@ -10,7 +10,7 @@
 
 use crdspec::Value;
 use operators::bugs::BugToggles;
-use operators::{operator_by_name, Instance, CONVERGE_MAX, CONVERGE_RESET};
+use operators::{operator_by_name, BoundaryLog, Instance, CONVERGE_MAX, CONVERGE_RESET};
 use simkube::PlatformBugs;
 
 use crate::oracles::AlarmKind;
@@ -48,12 +48,12 @@ pub fn replays_alarm(
     let cr_id = step::cr_id(&instance);
     let pre = crate::oracles::masked_snapshot(&instance);
     let prev_spec = instance.cr_spec();
-    let sweep_cp = (kind == AlarmKind::CrashConsistency).then(|| instance.checkpoint());
+    let mut boundaries = (kind == AlarmKind::CrashConsistency).then(BoundaryLog::default);
     let writes_before = instance.operator_writes();
     if instance.submit(last.clone()).is_err() {
         return false;
     }
-    let converged = instance.converge(CONVERGE_RESET, CONVERGE_MAX);
+    let converged = instance.converge_logged(CONVERGE_RESET, CONVERGE_MAX, boundaries.as_mut());
     let post = crate::oracles::masked_snapshot(&instance);
     match kind {
         AlarmKind::ErrorCheck => !converged || step::error_state(&instance),
@@ -64,18 +64,18 @@ pub fn replays_alarm(
         }
         AlarmKind::CrashConsistency => {
             // Reproduction signal: re-sweep the final transition's write
-            // boundaries; the alarm reproduces when any crashed replay
-            // fails to reconverge to the uninterrupted end state.
-            let Some(cp) = sweep_cp else { return false };
+            // boundaries, forking the recorded wait as the campaign sweep
+            // does; the alarm reproduces when any crashed replay fails to
+            // reconverge to the uninterrupted end state.
+            let Some(log) = &boundaries else { return false };
             if !converged {
                 return false;
             }
             let writes_after = instance.operator_writes();
             (1..=(writes_after - writes_before) as u32).any(|k| {
-                step::crash_replay(operator, bugs, &cp, k, last).is_some_and(|replay| {
-                    !replay.converged
-                        || crate::oracles::changed_outside(&replay.state, &post, &cr_id)
-                })
+                let replay = step::crash_replay(operator, bugs, log.at_write(k.into()), k);
+                let state = crate::oracles::masked_snapshot(&replay.instance);
+                !replay.converged || crate::oracles::changed_outside(&state, &post, &cr_id)
             })
         }
         // Composition alarms need the whole multi-operator harness to

@@ -12,7 +12,10 @@
 use crdspec::{Path, Value};
 use managed::Health;
 use operators::bugs::BugToggles;
-use operators::{operator_by_name, Instance, InstanceCheckpoint, CONVERGE_MAX, CONVERGE_RESET};
+use operators::{
+    operator_by_name, BoundaryLog, Instance, InstanceCheckpoint, WriteBoundary, CONVERGE_MAX,
+    CONVERGE_RESET,
+};
 use simkube::{ApiError, FaultPlan};
 
 use crate::campaign::{collapse, fresh_reference, value_path, CampaignConfig, FreshRefCache};
@@ -125,17 +128,20 @@ pub(crate) struct Judged {
 }
 
 /// Submits `spec`, waits for convergence and classifies the result. `Err`
-/// is the API server's rejection; nothing was submitted.
+/// is the API server's rejection; nothing was submitted. With
+/// `boundaries`, the wait records its write-boundary log there for a
+/// crash-point sweep to fork from ([`crash_replay`]).
 pub(crate) fn submit_and_judge(
     instance: &mut Instance,
     spec: &Value,
     ledger: &mut Ledger,
+    boundaries: Option<&mut BoundaryLog>,
 ) -> Result<Judged, ApiError> {
     let pre_state = masked_snapshot(instance);
     let writes_before = instance.operator_writes();
     let t_start = instance.cluster.now();
     instance.submit(spec.clone())?;
-    let converged = instance.converge(CONVERGE_RESET, CONVERGE_MAX);
+    let converged = instance.converge_logged(CONVERGE_RESET, CONVERGE_MAX, boundaries);
     ledger.convergence_waits += 1;
     let post_state = masked_snapshot(instance);
     let writes = instance.operator_writes() - writes_before;
@@ -261,40 +267,48 @@ pub(crate) fn oracle_pass(
 
 /// The end of one replayed crash boundary.
 pub(crate) struct CrashReplay {
-    /// Masked state after the restarted operator's convergence wait.
-    pub(crate) state: StateSnapshot,
-    /// Whether the replay [`settled`].
-    pub(crate) healthy: bool,
+    /// The replayed instance after the restarted operator's convergence
+    /// wait.
+    pub(crate) instance: Instance,
     pub(crate) converged: bool,
-    /// Simulated seconds the replay took.
+    /// Simulated seconds the replay took, counted from the wait's start.
     pub(crate) sim_seconds: u64,
 }
 
-/// Replays one crash boundary: restores `cp` (an O(1) copy-on-write
-/// restore), arms the operator to crash after its `k`-th state-changing
-/// write and stay down for [`CRASH_DOWN_FOR`], submits `declaration` and
-/// converges. `None` when the replay rejects the declaration.
+/// Replays crash boundary `k` of a recorded convergence wait by forking
+/// it: restores `from` (an O(1) copy-on-write restore), arms the operator
+/// to crash after the `k`-th state-changing write of the wait and stay
+/// down for [`CRASH_DOWN_FOR`], and resumes the wait's own converge loop
+/// at `from`'s tick. `from` is the wait's [`BoundaryLog::at_write`]`(k)`
+/// entry, so only the tick that makes write `k` and the post-crash tail
+/// run; the forked state already holds the submitted declaration.
+///
+/// The fork is exact, not an approximation of a replay from the wait's
+/// start ([`BoundaryLog::start`], which this function also accepts):
+/// operators and system models keep no state of their own, the memos a
+/// restore clears are derived state whose absence changes nothing, and an
+/// armed crash point changes the cluster fingerprint only on ticks that
+/// write — so up to write `k` the crashed run and the live one execute the
+/// same ticks, and the live wait already ran them.
 pub(crate) fn crash_replay(
     operator: &str,
     bugs: &BugToggles,
-    cp: &InstanceCheckpoint,
+    from: &WriteBoundary,
     k: u32,
-    declaration: &Value,
-) -> Option<CrashReplay> {
-    let mut replay = Instance::from_checkpoint(operator_by_name(operator), bugs.clone(), cp);
-    let t0 = replay.cluster.now();
+) -> CrashReplay {
+    let mut replay =
+        Instance::from_checkpoint(operator_by_name(operator), bugs.clone(), from.checkpoint());
+    let to_go = u64::from(k) - from.writes_before();
     replay
         .cluster
         .api_mut()
-        .arm_operator_crash(k, CRASH_DOWN_FOR);
-    replay.submit(declaration.clone()).ok()?;
-    let converged = replay.converge(CONVERGE_RESET, CONVERGE_MAX);
-    Some(CrashReplay {
-        healthy: settled(&replay),
-        state: masked_snapshot(&replay),
+        .arm_operator_crash(to_go as u32, CRASH_DOWN_FOR);
+    let converged = replay.resume_converge(from, CONVERGE_RESET, CONVERGE_MAX);
+    CrashReplay {
+        sim_seconds: replay.cluster.now() - from.wait_start(),
+        instance: replay,
         converged,
-        sim_seconds: replay.cluster.now() - t0,
-    })
+    }
 }
 
 /// Per-run accounting: a delta-based simulated-time meter across cluster
@@ -364,7 +378,122 @@ impl Ledger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{apply_op, normalized, plan_campaign};
+    use crate::model::Mode;
     use simkube::PlatformBugs;
+
+    /// Replays every boundary `1..=writes` of `log` twice, forked and from
+    /// the wait's start, and asserts both end alike: state, health,
+    /// convergence, sim seconds and crash transcript. Returns how many
+    /// boundaries forked past the start.
+    fn assert_forks_match(
+        operator: &str,
+        bugs: &BugToggles,
+        log: &BoundaryLog,
+        writes: u64,
+        at: &str,
+    ) -> usize {
+        let mut forked_past_start = 0;
+        for k in 1..=writes as u32 {
+            let from = log.at_write(k.into());
+            forked_past_start += usize::from(!std::ptr::eq(from, log.start()));
+            let forked = crash_replay(operator, bugs, from, k);
+            let whole = crash_replay(operator, bugs, log.start(), k);
+            let at = format!("{at}, write {k}");
+            assert_eq!(
+                forked.instance.state_snapshot(),
+                whole.instance.state_snapshot(),
+                "{at}: state"
+            );
+            assert_eq!(settled(&forked.instance), settled(&whole.instance), "{at}");
+            assert_eq!(forked.converged, whole.converged, "{at}: converged");
+            assert_eq!(forked.sim_seconds, whole.sim_seconds, "{at}: sim seconds");
+            assert_eq!(
+                forked.instance.crash_transcript(),
+                whole.instance.crash_transcript(),
+                "{at}: crash transcript"
+            );
+        }
+        forked_past_start
+    }
+
+    /// Forking a boundary at the tick that makes its write is exact: for
+    /// every operator, with bugs off and all injected, every boundary of
+    /// the first four converged transitions of a chained run ends exactly
+    /// where a replay from the wait's start (the one-entry log) ends —
+    /// state, health, convergence, sim seconds and crash transcript.
+    #[test]
+    fn forked_boundary_replays_match_replays_from_the_wait_start() {
+        let mut forked_ticks = 0;
+        for operator in operators::operator_names() {
+            let op = operator_by_name(operator);
+            let plan = plan_campaign(
+                &op.schema(),
+                Some(&op.ir()),
+                Mode::Whitebox,
+                &op.initial_cr(),
+                &op.images(),
+                operators::INSTANCE,
+            );
+            for bugs in [BugToggles::all_fixed(), BugToggles::all_injected()] {
+                let mut instance =
+                    Instance::deploy(operator_by_name(operator), bugs.clone(), PlatformBugs::none())
+                        .expect("deploy");
+                let mut ledger = Ledger::new(&instance, true);
+                let mut ops = 0;
+                for planned in &plan {
+                    let mut spec = instance.cr_spec();
+                    apply_op(&mut spec, planned);
+                    if normalized(&spec) == normalized(&instance.cr_spec()) {
+                        continue;
+                    }
+                    let mut log = BoundaryLog::default();
+                    let Ok(judged) =
+                        submit_and_judge(&mut instance, &spec, &mut ledger, Some(&mut log))
+                    else {
+                        continue;
+                    };
+                    if judged.outcome != TrialOutcome::Converged {
+                        continue;
+                    }
+                    let at = format!("{operator} {}", planned.property);
+                    forked_ticks += assert_forks_match(operator, &bugs, &log, judged.writes, &at);
+                    ops += 1;
+                    if ops == 4 {
+                        break;
+                    }
+                }
+            }
+        }
+        assert!(forked_ticks > 0, "no boundary forked past the wait's start");
+    }
+
+    /// A crash point already armed when the wait starts (a fault plan's,
+    /// with writes still to go) would be replaced by a replay's own, so
+    /// the live wait records nothing past its start and every boundary
+    /// replays from there.
+    #[test]
+    fn a_crash_point_armed_before_the_wait_keeps_every_replay_at_the_start() {
+        let bugs = BugToggles::all_fixed();
+        let mut instance =
+            Instance::deploy(operator_by_name("ZooKeeperOp"), bugs.clone(), PlatformBugs::none())
+                .expect("deploy");
+        let mut ledger = Ledger::new(&instance, true);
+        instance
+            .cluster
+            .api_mut()
+            .arm_operator_crash(2, CRASH_DOWN_FOR);
+        let mut spec = instance.cr_spec();
+        spec.set_path(&"replicas".parse().expect("path"), Value::from(5));
+        let mut log = BoundaryLog::default();
+        let judged = submit_and_judge(&mut instance, &spec, &mut ledger, Some(&mut log))
+            .expect("accepted");
+        assert_eq!(judged.outcome, TrialOutcome::Converged);
+        assert_eq!(instance.crash_transcript().len(), 1, "the armed crash fired");
+        assert!(judged.writes > 2, "writes after the crash: {}", judged.writes);
+        let forked = assert_forks_match("ZooKeeperOp", &bugs, &log, judged.writes, "armed");
+        assert_eq!(forked, 0);
+    }
 
     /// The crash detail is the classifier's own `error_checks` finding, so
     /// an alarm a caller raised before classifying (a composition alarm,
@@ -380,7 +509,8 @@ mod tests {
         let mut ledger = Ledger::new(&instance, true);
         let mut tagless = instance.cr_spec();
         tagless.set_path(&"image".parse().expect("path"), Value::from("cockroach"));
-        let judged = submit_and_judge(&mut instance, &tagless, &mut ledger).expect("accepted");
+        let judged =
+            submit_and_judge(&mut instance, &tagless, &mut ledger, None).expect("accepted");
         let TrialOutcome::OperatorCrash(detail) = &judged.outcome else {
             panic!(
                 "a tagless image crashes CockroachOp, got {:?}",

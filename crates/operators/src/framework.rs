@@ -137,6 +137,82 @@ impl InstanceCheckpoint {
     }
 }
 
+/// Where a convergence wait stands between two ticks: everything the loop
+/// of [`Instance::converge`] carries from one tick to the next.
+#[derive(Debug, Clone, Copy)]
+struct ConvergeCursor {
+    /// Simulated time the wait began.
+    start: u64,
+    /// Simulated time of the wait's last store event (the reset timer).
+    last_event_time: u64,
+    /// Store revision at that event.
+    last_revision: u64,
+    /// State-changing operator writes the wait has made so far (counted
+    /// only while it records a [`BoundaryLog`]).
+    writes: u64,
+}
+
+/// One entry of a [`BoundaryLog`]: a checkpoint of the instance at the
+/// start of a tick of a convergence wait, and where the wait stood then.
+#[derive(Debug, Clone)]
+pub struct WriteBoundary {
+    checkpoint: InstanceCheckpoint,
+    cursor: ConvergeCursor,
+}
+
+impl WriteBoundary {
+    /// The instance at the start of the tick.
+    pub fn checkpoint(&self) -> &InstanceCheckpoint {
+        &self.checkpoint
+    }
+
+    /// State-changing operator writes the wait made before this tick.
+    pub fn writes_before(&self) -> u64 {
+        self.cursor.writes
+    }
+
+    /// Simulated time the recorded wait began.
+    pub fn wait_start(&self) -> u64 {
+        self.cursor.start
+    }
+}
+
+/// The write-boundary log of one convergence wait, recorded by
+/// [`Instance::converge_logged`]: the state at the wait's start, then one
+/// [`WriteBoundary`] per executed tick whose operator pass wrote.
+///
+/// A crash-point replay of write `k` restores the entry of the tick that
+/// makes write `k` ([`BoundaryLog::at_write`]), arms the crash for the
+/// writes still to go in that tick, and resumes the same loop
+/// ([`Instance::resume_converge`]) — one tick re-executed instead of the
+/// whole prefix. The first entry alone is a replay from the wait's start.
+#[derive(Debug, Clone, Default)]
+pub struct BoundaryLog {
+    entries: Vec<WriteBoundary>,
+}
+
+impl BoundaryLog {
+    /// The state at the wait's start.
+    ///
+    /// # Panics
+    ///
+    /// When no wait has filled the log.
+    pub fn start(&self) -> &WriteBoundary {
+        &self.entries[0]
+    }
+
+    /// The entry to fork the wait's `k`-th operator write (`k >= 1`) from:
+    /// the last one recorded before fewer than `k` writes had landed.
+    ///
+    /// # Panics
+    ///
+    /// When no wait has filled the log.
+    pub fn at_write(&self, k: u64) -> &WriteBoundary {
+        let after = self.entries.partition_point(|e| e.cursor.writes < k);
+        &self.entries[after.max(1) - 1]
+    }
+}
+
 /// A deployed operator + managed system on a simulated cluster.
 pub struct Instance {
     /// The simulated cluster.
@@ -693,18 +769,78 @@ impl Instance {
     /// the convergence (or timeout) timestamp matches the ticked loop's
     /// exactly.
     pub fn converge(&mut self, reset_timeout: u64, max_seconds: u64) -> bool {
-        let start = self.cluster.now();
-        let mut last_event_time = start;
-        let mut last_revision = self.cluster.api().store().revision();
+        self.converge_logged(reset_timeout, max_seconds, None)
+    }
+
+    /// [`Instance::converge`], recording the wait's write boundaries into
+    /// `log` when one is given (see [`BoundaryLog`]). Recording costs one
+    /// O(1) copy-on-write checkpoint per executed tick and changes nothing
+    /// the wait does.
+    pub fn converge_logged(
+        &mut self,
+        reset_timeout: u64,
+        max_seconds: u64,
+        log: Option<&mut BoundaryLog>,
+    ) -> bool {
+        let now = self.cluster.now();
+        let cursor = ConvergeCursor {
+            start: now,
+            last_event_time: now,
+            last_revision: self.cluster.api().store().revision(),
+            writes: 0,
+        };
+        self.converge_from(cursor, reset_timeout, max_seconds, log)
+    }
+
+    /// Continues the convergence wait `boundary` was recorded in, on an
+    /// instance restored from [`WriteBoundary::checkpoint`]: the loop picks
+    /// up at the boundary's tick with the wait's start time, reset timer
+    /// and write count, exactly where the recorded wait stood.
+    pub fn resume_converge(
+        &mut self,
+        boundary: &WriteBoundary,
+        reset_timeout: u64,
+        max_seconds: u64,
+    ) -> bool {
+        self.converge_from(boundary.cursor, reset_timeout, max_seconds, None)
+    }
+
+    /// The convergence loop, from `cursor` on. With `log`, the log is
+    /// refilled: its first entry is the state at `cursor`, and every
+    /// executed tick whose operator pass wrote adds the checkpoint taken
+    /// at its start. Recording stops for good at the first tick that
+    /// starts with a crash point armed (a fault plan's): a replay arms its
+    /// own crash point, which would replace that one, so only the ticks
+    /// before it fork exactly.
+    fn converge_from(
+        &mut self,
+        mut cursor: ConvergeCursor,
+        reset_timeout: u64,
+        max_seconds: u64,
+        mut log: Option<&mut BoundaryLog>,
+    ) -> bool {
+        if let Some(log) = log.as_deref_mut() {
+            log.entries.clear();
+            log.entries.push(WriteBoundary {
+                checkpoint: self.checkpoint(),
+                cursor,
+            });
+        }
         let ticked = simkube::ticked_engine();
         let mut fingerprint = self.fingerprint();
-        while self.cluster.now() - start < max_seconds {
-            self.tick();
+        while self.cluster.now() - cursor.start < max_seconds {
+            if log.is_some() && self.cluster.api().armed_operator_crash().is_some() {
+                log = None;
+            }
+            match log.as_deref_mut() {
+                Some(log) => self.tick_recorded(log, &mut cursor),
+                None => self.tick(),
+            }
             let revision = self.cluster.api().store().revision();
-            if revision != last_revision {
-                last_revision = revision;
-                last_event_time = self.cluster.now();
-            } else if self.cluster.now() - last_event_time >= reset_timeout
+            if revision != cursor.last_revision {
+                cursor.last_revision = revision;
+                cursor.last_event_time = self.cluster.now();
+            } else if self.cluster.now() - cursor.last_event_time >= reset_timeout
                 && self.operator_down_until.is_none()
             {
                 // A dead operator process is not a converged system, even if
@@ -714,7 +850,8 @@ impl Instance {
             if !ticked {
                 let after = self.fingerprint();
                 if after == fingerprint {
-                    let mut target = (last_event_time + reset_timeout).min(start + max_seconds);
+                    let mut target =
+                        (cursor.last_event_time + reset_timeout).min(cursor.start + max_seconds);
                     if let Some(wake) = self.cluster.next_wakeup() {
                         target = target.min(wake);
                     }
@@ -731,6 +868,22 @@ impl Instance {
             }
         }
         false
+    }
+
+    /// One tick of a recorded wait: logs the checkpoint taken at its start
+    /// when its operator pass wrote, and counts the writes.
+    fn tick_recorded(&mut self, log: &mut BoundaryLog, cursor: &mut ConvergeCursor) {
+        let checkpoint = self.checkpoint();
+        let writes_before = self.operator_writes();
+        self.tick();
+        let wrote = self.operator_writes() - writes_before;
+        if wrote > 0 {
+            log.entries.push(WriteBoundary {
+                checkpoint,
+                cursor: *cursor,
+            });
+            cursor.writes += wrote;
+        }
     }
 
     /// Advances exactly `seconds` simulated seconds (e.g. a fault-plan

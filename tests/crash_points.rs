@@ -1,12 +1,20 @@
 //! Crash-point sweep: determinism, the seeded non-idempotent-create bug,
 //! and sweep cleanliness for every registered operator.
 //!
-//! The sweep replays each converged transition from an O(1) restored
-//! checkpoint, crashing the operator at every write boundary `k ∈ 1..=W`
-//! and requiring reconvergence to the uninterrupted end state. The crash
-//! schedule is derived from the engine-invariant write counter, so the
-//! whole sweep is deterministic: transcripts are byte-identical across
-//! repeat runs and across any worker count.
+//! The sweep replays each converged transition once per write boundary
+//! `k ∈ 1..=W`, crashing the operator at write `k` and requiring
+//! reconvergence to the uninterrupted end state. A replay forks the live
+//! trial's convergence wait: it restores, in O(1), the checkpoint taken
+//! at the start of the tick that makes write `k`, arms the crash for the
+//! writes still to go in that tick, and continues the same converge loop
+//! from there. That is exact, not an approximation of a replay from the
+//! pre-submit state: operators and system models keep no state of their
+//! own, the memos a restore clears are derived state, and an armed crash
+//! point changes the cluster fingerprint only on ticks that write — so up
+//! to write `k` the two runs execute the same ticks. The crash schedule is
+//! derived from the engine-invariant write counter, so the whole sweep is
+//! deterministic: transcripts are byte-identical across repeat runs and
+//! across any worker count.
 
 use acto_repro::acto::parallel::run_work_stealing;
 use acto_repro::acto::{run_campaign, AlarmKind, CampaignConfig, Mode, Strategy};

@@ -4,6 +4,7 @@
 use acto_repro::acto::minimize::{emit_test_code, minimize, replays_alarm};
 use acto_repro::acto::AlarmKind;
 use acto_repro::crdspec::Value;
+use acto_repro::operators::bugs::SEEDED_NONIDEMPOTENT_CREATE;
 use acto_repro::operators::{operator_by_name, BugToggles};
 use acto_repro::simkube::PlatformBugs;
 
@@ -33,6 +34,47 @@ fn crash_sequences_minimize_to_the_crashing_declaration() {
         AlarmKind::ErrorCheck,
     );
     assert_eq!(minimized, vec![crash]);
+}
+
+#[test]
+fn crash_consistency_alarms_minimize_through_the_resweep() {
+    // SEED-CRASH-1 wedges ZooKeeperOp when a crash lands between the init
+    // marker's create and its completion stamp, which every new
+    // declaration writes. The final declaration's re-sweep alone
+    // reproduces the alarm, so the padding before it must all go.
+    let base = operator_by_name("ZooKeeperOp").initial_cr();
+    let mut noise1 = base.clone();
+    noise1.set_path(&"replicas".parse().unwrap(), Value::from(5));
+    let mut noise2 = noise1.clone();
+    noise2.set_path(
+        &"pod.labels".parse().unwrap(),
+        Value::object([("team", Value::from("infra"))]),
+    );
+    let mut trigger = base.clone();
+    trigger.set_path(&"replicas".parse().unwrap(), Value::from(4));
+    let seq = vec![noise1, noise2, trigger.clone()];
+    let mut bugs = BugToggles::all_fixed();
+    bugs.seed(SEEDED_NONIDEMPOTENT_CREATE);
+    let kind = AlarmKind::CrashConsistency;
+    assert!(replays_alarm(
+        "ZooKeeperOp",
+        &bugs,
+        PlatformBugs::none(),
+        &seq,
+        kind
+    ));
+    assert!(
+        !replays_alarm(
+            "ZooKeeperOp",
+            &BugToggles::all_fixed(),
+            PlatformBugs::none(),
+            &seq,
+            kind
+        ),
+        "without the seeded bug every crashed replay reconverges"
+    );
+    let minimized = minimize("ZooKeeperOp", &bugs, PlatformBugs::none(), &seq, kind);
+    assert_eq!(minimized, vec![trigger]);
 }
 
 #[test]
