@@ -28,7 +28,7 @@ use crate::model::{Expectation, Mode, PlannedOp, Trial, TrialOutcome};
 use crate::oracles::{
     self, differential_rollback, masked_snapshot, transition_occurred, AlarmKind, OracleContext,
 };
-use crate::report::{summarize, Alarm, CampaignSummary};
+use crate::report::{render_detected, summarize, Alarm, CampaignSummary};
 use crate::step::{self, Judged, Ledger};
 
 /// Campaign configuration.
@@ -262,10 +262,7 @@ impl CampaignResult {
                 let _ = writeln!(out, "  alarm {}: {}", alarm.kind.name(), alarm.detail);
             }
         }
-        for (bug, kinds) in &self.summary.detected_bugs {
-            let names: Vec<&str> = kinds.iter().map(|k| k.name()).collect();
-            let _ = writeln!(out, "detected: {bug} via {}", names.join(","));
-        }
+        render_detected(&mut out, &self.summary);
         out
     }
 

@@ -13,13 +13,16 @@
 //! [`crate::oracles::composition_check`] oracle inspects the interference
 //! log and every bystander member.
 //!
-//! The composed runners mirror the single-operator family:
-//! [`run_composed_campaign`] is the sequential executor,
-//! [`run_composed_work_stealing`] cuts the interleaved plan into fixed
-//! segments claimed through [`crate::exec::run_segmented`] with
-//! whole-composition checkpoints in a [`SnapshotDepot`], and
-//! [`run_composed_fuzz`] explores op-sequence interleavings
-//! coverage-guided over snapshot forking. Each runner resolves its member
+//! [`run_composed_campaign`] is the sequential executor. The other two
+//! runners ride the single-operator plumbing and supply only what is
+//! composed: [`run_composed_work_stealing`] is a [`Driver`] whose segments
+//! are windows of the interleaved plan started from whole-composition
+//! checkpoints in a [`SnapshotDepot`], and [`run_composed_fuzz`] is an
+//! executor for the one fuzz loop ([`crate::fuzz`]) that explores
+//! op-sequence interleavings over snapshot forking. Results, reports,
+//! segment quarantine and coverage features are the single-operator ones
+//! over [`ComposedTrial`] ([`ComposedParallelResult`] and
+//! [`ComposedFuzzResult`] are aliases). Each runner resolves its member
 //! operators once, at run start; past that point building a composition
 //! cannot fail.
 //! Every composed trial — campaign or fuzz — is judged by the composition
@@ -38,21 +41,23 @@ use std::time::{Duration, Instant};
 
 use crdspec::Value;
 use operators::{
-    operator_by_name, try_operator_by_name, Composition, CompositionCheckpoint, InterferenceEvent,
-    Operator, CONVERGE_MAX, CONVERGE_RESET,
+    operator_by_name, try_operator_by_name, Composition, CompositionCheckpoint, Instance,
+    InterferenceEvent, Operator, CONVERGE_MAX, CONVERGE_RESET,
 };
-use simkube::{ApiError, FaultPlan};
+use simkube::{ApiError, FaultPlan, ObjKey};
 
 use crate::campaign::{apply_op, collapse, normalized, plan_campaign, CampaignConfig};
-use crate::exec::{drive, fold_batch_stats, run_segmented, Driver, Segment, TrialSource};
+use crate::exec::{run_segmented, Driver, Segment, TrialRecord};
 use crate::fuzz::{
-    Candidate, Corpus, CorpusEntry, CoverageFeature, CoverageMap, FuzzConfig, FuzzInput, Guidance,
-    GuidedGen,
+    observable_hash, Candidate, ExecRecord, FeatureRecorder, FuzzConfig, FuzzExec, FuzzInput,
+    FuzzResult, FuzzSource, Guidance,
 };
 use crate::model::{Mode, PlannedOp, Trial, TrialOutcome};
 use crate::oracles;
-use crate::parallel::{SnapshotDepot, WorkerStats, DEFAULT_SEGMENT_OPS};
-use crate::report::{merge_summaries, summarize, Alarm, CampaignSummary};
+use crate::parallel::{
+    declaration_after_prefix, ParallelResult, SnapshotDepot, WorkerStats, DEFAULT_SEGMENT_OPS,
+};
+use crate::report::{merge_summaries, render_detected, summarize, Alarm, CampaignSummary};
 use crate::step;
 
 /// One entry of an interleaved composed plan: a planned operation plus the
@@ -234,40 +239,59 @@ pub struct ComposedResult {
     pub gen_duration: Duration,
 }
 
-fn render_composed_trials(out: &mut String, trials: &[ComposedTrial]) {
-    use std::fmt::Write;
-    for trial in trials {
+impl TrialRecord for ComposedTrial {
+    const TARGET_KEY: &'static str = "operators";
+
+    fn target(config: &CampaignConfig) -> String {
+        config.operators_label()
+    }
+
+    fn summarize(config: &CampaignConfig, trials: &[ComposedTrial]) -> CampaignSummary {
+        summarize_composed(&config.operators, trials)
+    }
+
+    fn render(&self, out: &mut String) {
+        use std::fmt::Write;
         let _ = writeln!(
             out,
             "trial #{} member={} operator={} property={} scenario={} outcome={:?} rollback={:?} sim={}",
-            trial.index,
-            trial.member,
-            trial.operator,
-            trial.op.property,
-            trial.op.scenario,
-            trial.outcome,
-            trial.rollback_recovered,
-            trial.sim_seconds
+            self.index,
+            self.member,
+            self.operator,
+            self.op.property,
+            self.op.scenario,
+            self.outcome,
+            self.rollback_recovered,
+            self.sim_seconds
         );
         let _ = writeln!(
             out,
             "  declaration: {}",
-            crdspec::json::to_string(&trial.declaration)
+            crdspec::json::to_string(&self.declaration)
         );
-        for line in &trial.interference {
+        for line in &self.interference {
             let _ = writeln!(out, "  interference {line}");
         }
-        for alarm in &trial.alarms {
+        for alarm in &self.alarms {
             let _ = writeln!(out, "  alarm {}: {}", alarm.kind.name(), alarm.detail);
         }
     }
-}
 
-fn render_detected(out: &mut String, summary: &CampaignSummary) {
-    use std::fmt::Write;
-    for (bug, kinds) in &summary.detected_bugs {
-        let names: Vec<&str> = kinds.iter().map(|k| k.name()).collect();
-        let _ = writeln!(out, "detected: {bug} via {}", names.join(","));
+    /// The single-operator placeholder, charged to the first member.
+    fn worker_panic(config: &CampaignConfig, seg: Segment, panic: &str) -> ComposedTrial {
+        let trial = Trial::worker_panic(config, seg, panic);
+        ComposedTrial {
+            index: trial.op.index,
+            member: 0,
+            operator: config.operator().to_string(),
+            op: trial.op,
+            declaration: trial.declaration,
+            outcome: trial.outcome,
+            alarms: trial.alarms,
+            rollback_recovered: None,
+            sim_seconds: 0,
+            interference: Vec::new(),
+        }
     }
 }
 
@@ -279,7 +303,9 @@ impl ComposedResult {
         let mut out = String::new();
         let _ = writeln!(out, "operators: {}", self.operators.join("+"));
         let _ = writeln!(out, "mode: {}", self.mode.name());
-        render_composed_trials(&mut out, &self.trials);
+        for trial in &self.trials {
+            trial.render(&mut out);
+        }
         render_detected(&mut out, &self.summary);
         out
     }
@@ -500,62 +526,9 @@ fn run_composed_window(
     }
 }
 
-/// The result of a parallel composed campaign.
-#[derive(Debug)]
-pub struct ComposedParallelResult {
-    /// Operators under test, in deployment order.
-    pub operators: Vec<String>,
-    /// Mode used.
-    pub mode: Mode,
-    /// Worker count used (clamped to the segment count).
-    pub workers: usize,
-    /// Planned operations per segment.
-    pub segment_ops: usize,
-    /// Number of segments the interleaved plan was cut into.
-    pub segments: usize,
-    /// Trials from all segments, in interleaved plan order — identical for
-    /// any worker count.
-    pub trials: Vec<ComposedTrial>,
-    /// Total simulated seconds (base deployment + all segments).
-    pub total_sim_seconds: u64,
-    /// Simulated seconds spent deploying the shared base composition.
-    pub base_sim_seconds: u64,
-    /// Wall-clock time spent planning (done once).
-    pub gen_duration: Duration,
-    /// Real time the run took.
-    pub wall: Duration,
-    /// Per-worker scheduling statistics.
-    pub worker_stats: Vec<WorkerStats>,
-    /// Prefix snapshots resident in the depot when the run finished.
-    pub depot_snapshots: usize,
-    /// Objects across resident depot snapshots shared with other snapshots.
-    pub depot_shared_objects: usize,
-    /// Objects across resident depot snapshots uniquely owned.
-    pub depot_owned_objects: usize,
-    /// Total cross-member interference events observed.
-    pub interference_events: usize,
-    /// Attributed findings over all trials.
-    pub summary: CampaignSummary,
-}
-
-impl ComposedParallelResult {
-    /// Renders everything the run observed, excluding scheduling-dependent
-    /// quantities; byte-identical for any worker count.
-    pub fn transcript(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let _ = writeln!(out, "operators: {}", self.operators.join("+"));
-        let _ = writeln!(out, "mode: {}", self.mode.name());
-        let _ = writeln!(
-            out,
-            "segments: {} x {} ops",
-            self.segments, self.segment_ops
-        );
-        render_composed_trials(&mut out, &self.trials);
-        render_detected(&mut out, &self.summary);
-        out
-    }
-}
+/// The result of a parallel composed campaign: the single-operator
+/// [`ParallelResult`] carrying composed trials.
+pub type ComposedParallelResult = ParallelResult<ComposedTrial>;
 
 /// Runs a composed campaign across `workers` threads with work stealing
 /// and [`DEFAULT_SEGMENT_OPS`]-operation segments.
@@ -590,7 +563,6 @@ pub fn run_composed_work_stealing_with(
     let initial_crs: Vec<Value> = members(&names).iter().map(|op| op.initial_cr()).collect();
 
     let plan_len = config.max_ops.map_or(plan.len(), |max| plan.len().min(max));
-    let segment_ops = segment_ops.max(1);
 
     // Deploy the shared base composition once; every segment start and
     // depot miss restores this snapshot instead of redeploying N systems.
@@ -609,40 +581,12 @@ pub fn run_composed_work_stealing_with(
         base_sim_seconds,
     };
     let run = run_segmented(&driver, workers, segment_ops, depot, BTreeMap::new(), None);
-
-    let mut trials: Vec<ComposedTrial> = Vec::new();
-    let mut interference_events = 0usize;
-    for seg in run.outputs {
-        interference_events += seg.interference_events;
-        trials.extend(seg.trials);
-    }
-    let summary = summarize_composed(&config.operators, &trials);
-    let total_sim_seconds =
-        base_sim_seconds + run.worker_stats.iter().map(|s| s.sim_seconds).sum::<u64>();
-    Ok(ComposedParallelResult {
-        operators: config.operators.clone(),
-        mode: config.mode,
-        workers: run.workers,
-        segment_ops,
-        segments: run.segments,
-        trials,
-        total_sim_seconds,
-        base_sim_seconds,
-        gen_duration,
-        wall: start.elapsed(),
-        worker_stats: run.worker_stats,
-        depot_snapshots: run.depot_snapshots,
-        depot_shared_objects: run.depot_shared_objects,
-        depot_owned_objects: run.depot_owned_objects,
-        interference_events,
-        summary,
-    })
+    Ok(ParallelResult::from_run(config, run, gen_duration, start))
 }
 
 /// The composed [`Driver`]: whole-composition checkpoints, segments
 /// executed as windows of the interleaved plan from canonical prefix
-/// states. A panicking composed segment aborts the run instead of being
-/// quarantined.
+/// states.
 struct ComposedDriver<'a> {
     config: &'a CampaignConfig,
     plan: &'a [ComposedOp],
@@ -655,7 +599,7 @@ struct ComposedDriver<'a> {
 
 impl Driver for ComposedDriver<'_> {
     type Checkpoint = CompositionCheckpoint;
-    type SegmentOut = ComposedResult;
+    type SegmentOut = Vec<ComposedTrial>;
 
     fn plan_len(&self) -> usize {
         self.plan_len
@@ -679,10 +623,8 @@ impl Driver for ComposedDriver<'_> {
         let t0 = comp.now();
         let mut changed = false;
         for (member, initial) in self.initial_crs.iter().enumerate() {
-            let mut jump = initial.clone();
-            for c in self.plan.iter().take(skip).filter(|c| c.member == member) {
-                apply_op(&mut jump, &c.op);
-            }
+            let ops = self.plan[..skip].iter().filter(|c| c.member == member);
+            let jump = declaration_after_prefix(initial, ops.map(|c| &c.op));
             let current = comp.with_member(member, |m| m.cr_spec());
             if normalized(&jump) != normalized(&current) && comp.submit(member, jump).is_ok() {
                 changed = true;
@@ -705,20 +647,16 @@ impl Driver for ComposedDriver<'_> {
         _base: &CompositionCheckpoint,
         start: &CompositionCheckpoint,
         my: &mut WorkerStats,
-    ) -> ComposedResult {
+    ) -> Vec<ComposedTrial> {
         let comp = Composition::from_checkpoint(members(&self.names), &self.config.bugs, start);
         let result = run_composed_window(self.config, self.plan, comp, (seg.skip, seg.take), None);
         my.sim_seconds += result.sim_seconds;
         my.convergence_waits += result.convergence_waits;
-        result
+        result.trials
     }
 
-    fn quarantined(&self, _seg: Segment, _panic: &str) -> ComposedResult {
-        unreachable!("composed segments are never quarantined")
-    }
-
-    fn quarantines(&self) -> bool {
-        false
+    fn quarantined(&self, seg: Segment, panic: &str) -> Vec<ComposedTrial> {
+        vec![ComposedTrial::worker_panic(self.config, seg, panic)]
     }
 }
 
@@ -726,135 +664,12 @@ impl Driver for ComposedDriver<'_> {
 // Composed fuzzing
 // ---------------------------------------------------------------------------
 
-/// Hash of the whole composition's structural observable state: every
-/// object in the shared store except the members' own CR objects, status
-/// sections only, XOR-mixed with the shared cluster's quiescence
-/// fingerprint — the composed analogue of the single-instance observable
-/// hash, on the same memoized per-object digests
-/// ([`crate::fuzz::entry_digest`]), so recomputing it costs O(changed).
-fn composed_observable_hash(comp: &mut Composition, cr_ids: &[String]) -> u64 {
-    let store_digest = comp.with_member(0, |m| {
-        let store = m.cluster.api().store();
-        let mut h = store.digest_sum(&crate::fuzz::entry_digest);
-        // Each member's CR entry subtracts back out of the commutative sum.
-        for cr_id in cr_ids {
-            let mut parts = cr_id.splitn(3, '/');
-            let (Some(kind), Some(ns), Some(name)) = (parts.next(), parts.next(), parts.next())
-            else {
-                continue;
-            };
-            let key = simkube::ObjKey::new(simkube::Kind::Custom(kind.to_string()), ns, name);
-            if let Some(obj) = store.get_shared(&key) {
-                h = h.wrapping_sub(crate::fuzz::entry_digest(&key, obj));
-            }
-        }
-        h
-    });
-    store_digest ^ comp.cluster().quiescence_fingerprint().coverage_hash()
-}
-
-fn composition_cr_ids(comp: &Composition) -> Vec<String> {
-    comp.members().iter().map(step::cr_id).collect()
-}
-
 /// One executed composed fuzz input.
-#[derive(Debug, Clone)]
-pub struct ComposedExecRecord {
-    /// Global execution index.
-    pub index: usize,
-    /// The input that ran (faults and crash always empty — composed fuzz
-    /// explores interleavings only).
-    pub input: FuzzInput,
-    /// How the input was produced.
-    pub mutation: String,
-    /// Corpus id of the parent, if mutated.
-    pub parent: Option<usize>,
-    /// Trials the execution produced, in order.
-    pub trials: Vec<ComposedTrial>,
-    /// Features this execution observed first.
-    pub novel: Vec<CoverageFeature>,
-    /// Simulated seconds the execution consumed.
-    pub sim_seconds: u64,
-}
+pub type ComposedExecRecord = ExecRecord<ComposedTrial>;
 
-/// The result of a composed fuzzing campaign.
-#[derive(Debug)]
-pub struct ComposedFuzzResult {
-    /// Operators under test, in deployment order.
-    pub operators: Vec<String>,
-    /// Mode used.
-    pub mode: Mode,
-    /// Master seed of the run.
-    pub seed: u64,
-    /// Executions performed.
-    pub execs: usize,
-    /// Merge rounds performed.
-    pub rounds: usize,
-    /// Final coverage map.
-    pub coverage: CoverageMap,
-    /// Final corpus.
-    pub corpus: Corpus,
-    /// Every execution, in order.
-    pub records: Vec<ComposedExecRecord>,
-    /// Attributed findings over all trials.
-    pub summary: CampaignSummary,
-    /// Total simulated seconds (base deployment + all executions).
-    pub total_sim_seconds: u64,
-    /// Simulated seconds spent deploying the shared base composition.
-    pub base_sim_seconds: u64,
-    /// Per-worker scheduling statistics.
-    pub worker_stats: Vec<WorkerStats>,
-    /// Real time the run took.
-    pub wall: Duration,
-}
-
-impl ComposedFuzzResult {
-    /// Renders everything the run observed, excluding scheduling-dependent
-    /// quantities; byte-identical for any worker count.
-    pub fn transcript(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let _ = writeln!(out, "operators: {}", self.operators.join("+"));
-        let _ = writeln!(out, "mode: {}", self.mode.name());
-        let _ = writeln!(out, "seed: {:#x}", self.seed);
-        let _ = writeln!(out, "execs: {} in {} rounds", self.execs, self.rounds);
-        for record in &self.records {
-            let _ = writeln!(
-                out,
-                "exec #{} via {} (parent {:?}) input={}",
-                record.index,
-                record.mutation,
-                record.parent,
-                record.input.key()
-            );
-            render_composed_trials(&mut out, &record.trials);
-            for f in &record.novel {
-                let _ = writeln!(out, "  novel {}", f.render());
-            }
-        }
-        for entry in &self.corpus.entries {
-            let _ = writeln!(
-                out,
-                "corpus #{} parent={:?} via {} at exec {}: {}",
-                entry.id,
-                entry.parent,
-                entry.mutation,
-                entry.exec,
-                entry.input.key()
-            );
-        }
-        let _ = writeln!(out, "coverage ({} features):", self.coverage.len());
-        out.push_str(&self.coverage.digest());
-        render_detected(&mut out, &self.summary);
-        out
-    }
-}
-
-struct ComposedExec {
-    trials: Vec<ComposedTrial>,
-    features: Vec<CoverageFeature>,
-    sim_seconds: u64,
-}
+/// The result of a composed fuzzing campaign: the single-operator
+/// [`FuzzResult`] carrying composed trials.
+pub type ComposedFuzzResult = FuzzResult<ComposedTrial>;
 
 /// Executes one composed op-index sequence from the shared base
 /// checkpoint. A pure function of its arguments.
@@ -865,7 +680,7 @@ fn execute_composed_sequence(
     base: &CompositionCheckpoint,
     ops: &[usize],
     my: &mut WorkerStats,
-) -> ComposedExec {
+) -> FuzzExec<ComposedTrial> {
     let mut comp = Composition::from_checkpoint(members(names), &config.bugs, base);
     my.depot_hits += 1;
     let (shared, owned) = base.sharing_stats();
@@ -876,19 +691,16 @@ fn execute_composed_sequence(
     // every execution: drain it so per-op scoping starts clean.
     let _ = comp.drain_interference();
     let n = comp.member_count();
-    let cr_ids = composition_cr_ids(&comp);
+    let crs: Vec<ObjKey> = comp.members().iter().map(Instance::cr_key).collect();
     let mut current: Vec<Value> = (0..n)
         .map(|i| comp.with_member(i, |m| m.cr_spec()))
         .collect();
     let mut trials: Vec<ComposedTrial> = Vec::new();
-    let mut features: Vec<CoverageFeature> = Vec::new();
-    let mut prev_hash = composed_observable_hash(&mut comp, &cr_ids);
+    let mut features = FeatureRecorder::new(observable_hash(comp.cluster(), &crs));
     let mut span_start = t0;
 
+    // `plan` is never empty: the run refuses an empty interleaved plan.
     for &op_index in ops {
-        if plan.is_empty() {
-            break;
-        }
         let planned = &plan[op_index % plan.len()];
         let m = planned.member;
         let mut spec = current[m].clone();
@@ -900,19 +712,13 @@ fn execute_composed_sequence(
             match composed_step(&mut comp, m, &spec, &mut my.convergence_waits) {
                 Err(err) => {
                     let outcome = TrialOutcome::RejectedByApi(err.to_string());
-                    features.push(CoverageFeature::Outcome(outcome.class_name()));
+                    features.rejected(&outcome);
                     (outcome, Vec::new(), Vec::new())
                 }
                 Ok(judged) => {
                     current[m] = spec.clone();
-                    features.push(CoverageFeature::Outcome(judged.outcome.class_name()));
-                    for alarm in &judged.alarms {
-                        features.push(CoverageFeature::Alarm(alarm.kind.name()));
-                    }
-                    let h = composed_observable_hash(&mut comp, &cr_ids);
-                    features.push(CoverageFeature::State(h));
-                    features.push(CoverageFeature::Edge(prev_hash, h));
-                    prev_hash = h;
+                    let h = observable_hash(comp.cluster(), &crs);
+                    features.trial(&judged.outcome, &judged.alarms, h);
                     let rendered = judged.drained.iter().map(|e| e.render()).collect();
                     (judged.outcome, judged.alarms, rendered)
                 }
@@ -939,16 +745,12 @@ fn execute_composed_sequence(
     // Final settle: quiesce once more so the end state is taken at rest.
     let _ = comp.converge(CONVERGE_RESET, CONVERGE_MAX);
     my.convergence_waits += 1;
-    let h = composed_observable_hash(&mut comp, &cr_ids);
-    if h != prev_hash {
-        features.push(CoverageFeature::State(h));
-        features.push(CoverageFeature::Edge(prev_hash, h));
-    }
+    features.settle(observable_hash(comp.cluster(), &crs));
     let sim_seconds = comp.now() - t0;
     my.sim_seconds += sim_seconds;
-    ComposedExec {
+    FuzzExec {
         trials,
-        features,
+        features: features.features,
         sim_seconds,
     }
 }
@@ -974,120 +776,22 @@ pub fn run_composed_fuzz(cfg: &FuzzConfig) -> Result<ComposedFuzzResult, String>
     let base = base_comp.checkpoint();
     drop(base_comp);
 
-    let mut source = ComposedFuzzSource {
-        cfg,
-        gen: GuidedGen::new(cfg.seed, plan.len()),
-        coverage: CoverageMap::new(),
-        corpus: Corpus {
-            operator: config.operators_label(),
-            entries: Vec::new(),
+    let source = FuzzSource::new(cfg, Guidance::Coverage, plan.len(), interleaving_only);
+    Ok(source.run(
+        |_, cand: &Candidate, my| {
+            execute_composed_sequence(config, &names, &plan, &base, &cand.input.ops, my)
         },
-        records: Vec::new(),
-        worker_stats: (0..cfg.workers.max(1)).map(WorkerStats::new).collect(),
-        executed: 0,
-        rounds: 0,
-    };
-    drive(&mut source, cfg.workers.max(1), |_, cand: &Candidate, my| {
-        execute_composed_sequence(config, &names, &plan, &base, &cand.input.ops, my)
-    });
-
-    let all_trials: Vec<ComposedTrial> = source
-        .records
-        .iter()
-        .flat_map(|r| r.trials.iter().cloned())
-        .collect();
-    let summary = summarize_composed(&config.operators, &all_trials);
-    let total_sim_seconds =
-        base_sim_seconds + source.worker_stats.iter().map(|s| s.sim_seconds).sum::<u64>();
-    Ok(ComposedFuzzResult {
-        operators: config.operators.clone(),
-        mode: config.mode,
-        seed: cfg.seed,
-        execs: source.executed,
-        rounds: source.rounds,
-        coverage: source.coverage,
-        corpus: source.corpus,
-        records: source.records,
-        summary,
-        total_sim_seconds,
         base_sim_seconds,
-        worker_stats: source.worker_stats,
-        wall: start.elapsed(),
-    })
+        start,
+    ))
 }
 
-/// The composed fuzz loop as a [`TrialSource`]: always coverage-guided,
-/// with fault plans and crash arming stripped from every generated input
-/// (both are single-instance machinery — the territory being explored is
-/// the interleaving itself).
-struct ComposedFuzzSource<'a> {
-    cfg: &'a FuzzConfig,
-    gen: GuidedGen,
-    coverage: CoverageMap,
-    corpus: Corpus,
-    records: Vec<ComposedExecRecord>,
-    worker_stats: Vec<WorkerStats>,
-    executed: usize,
-    rounds: usize,
-}
-
-impl TrialSource for ComposedFuzzSource<'_> {
-    type Input = Candidate;
-    type Output = ComposedExec;
-
-    fn next_batch(&mut self) -> Vec<Candidate> {
-        if self.executed >= self.cfg.execs {
-            return Vec::new();
-        }
-        let batch_n = self.cfg.batch.max(1).min(self.cfg.execs - self.executed);
-        self.gen.draw_batch(
-            self.cfg,
-            Guidance::Coverage,
-            &self.corpus,
-            batch_n,
-            &|input: &mut FuzzInput| {
-                // Interleaving-only input space: strip single-instance
-                // machinery the generators may have attached.
-                input.faults = FaultPlan::default();
-                input.crash = None;
-            },
-        )
-    }
-
-    fn absorb(
-        &mut self,
-        batch: Vec<Candidate>,
-        outputs: Vec<ComposedExec>,
-        stats: Vec<WorkerStats>,
-    ) {
-        fold_batch_stats(&mut self.worker_stats, stats);
-        let n = batch.len();
-        for (cand, exec) in batch.into_iter().zip(outputs) {
-            let index = self.records.len();
-            let novel = self.coverage.observe_all(&exec.features);
-            if !novel.is_empty() {
-                self.corpus.entries.push(CorpusEntry {
-                    id: self.corpus.entries.len(),
-                    parent: cand.parent,
-                    mutation: cand.mutation.to_string(),
-                    exec: index,
-                    input: cand.input.clone(),
-                    new_features: novel.iter().map(CoverageFeature::render).collect(),
-                });
-            }
-            self.records.push(ComposedExecRecord {
-                index,
-                input: cand.input,
-                mutation: cand.mutation.to_string(),
-                parent: cand.parent,
-                trials: exec.trials,
-                novel,
-                sim_seconds: exec.sim_seconds,
-            });
-        }
-        self.executed += n;
-        self.rounds += 1;
-    }
+/// The composed fuzzer's input sanitizer: fault plans and crash arming
+/// are single-instance machinery, so they are stripped from every drawn
+/// input — the territory being explored is the interleaving itself.
+fn interleaving_only(input: &mut FuzzInput) {
+    input.faults = FaultPlan::default();
+    input.crash = None;
 }
 
 #[cfg(test)]

@@ -14,8 +14,13 @@
 //!   multi-operator [`operators::Composition`] — how the shared base is
 //!   deployed, how the canonical prefix state of a segment is built, how
 //!   the segment executes from it, and what a quarantined segment leaves
-//!   behind. The segmentation, depot lookup and deposit, claim loop, and
-//!   in-order assembly in [`run_segmented`] are shared.
+//!   behind. The segmentation, depot lookup and deposit, claim loop,
+//!   retry-then-quarantine of a panicking segment, and in-order assembly
+//!   in [`run_segmented`] are shared by every driver.
+//! - [`TrialRecord`]: what the run-shape types need from the trial record
+//!   they carry (transcript lines, summary, the worker-panic placeholder),
+//!   so one `ParallelResult`, `FuzzResult` and fuzz loop serve both the
+//!   single-operator and the composed trial.
 //! - [`TrialSource`]: where work comes from — planned segments are a
 //!   single batch, fuzz runs draw batch after batch from a corpus, crash
 //!   sweeps enumerate write boundaries. [`drive`] runs any source to
@@ -34,6 +39,9 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use operators::InstanceCheckpoint;
+
+use crate::campaign::CampaignConfig;
+use crate::report::CampaignSummary;
 
 /// Per-worker execution statistics.
 #[derive(Debug, Clone)]
@@ -673,14 +681,37 @@ pub trait Driver: Sync {
     ) -> Self::SegmentOut;
 
     /// The output recorded for a segment quarantined after two panics.
-    /// Never called when [`Driver::quarantines`] is `false`.
     fn quarantined(&self, seg: Segment, panic: &str) -> Self::SegmentOut;
+}
 
-    /// Whether segment panics are captured and quarantined. The composed
-    /// runner lets a panic abort the run instead.
-    fn quarantines(&self) -> bool {
-        true
+/// What the run-shape types ([`crate::parallel::ParallelResult`],
+/// [`crate::fuzz::FuzzResult`], [`crate::fuzz::ExecRecord`]) and the fuzz
+/// loop need from the trial record they carry. Implemented by the
+/// single-operator [`crate::model::Trial`] and the composed
+/// [`crate::compose::ComposedTrial`]; everything else about a run is
+/// written once.
+pub trait TrialRecord: Clone + Send {
+    /// Transcript key naming the target: `operator` or `operators`.
+    const TARGET_KEY: &'static str;
+
+    /// The target label a result and its corpus record: the operator's
+    /// registry name, or the members joined with `+`.
+    fn target(config: &CampaignConfig) -> String;
+
+    /// Attributed findings over a run's trials.
+    fn summarize(config: &CampaignConfig, trials: &[Self]) -> CampaignSummary;
+
+    /// Appends the trial's lines to a campaign transcript.
+    fn render(&self, out: &mut String);
+
+    /// Appends the trial's lines to a fuzz transcript.
+    fn render_fuzz(&self, out: &mut String) {
+        self.render(out);
     }
+
+    /// The failed trial standing in for segment `seg` after it was
+    /// quarantined, so the loss stays visible in the trial stream.
+    fn worker_panic(config: &CampaignConfig, seg: Segment, panic: &str) -> Self;
 }
 
 /// What one segmented run produced, before the runner-specific report
@@ -688,6 +719,8 @@ pub trait Driver: Sync {
 pub struct SegmentedRun<O> {
     /// Worker count actually used (clamped to the segment count).
     pub workers: usize,
+    /// Planned operations per segment.
+    pub segment_ops: usize,
     /// Number of segments the plan was cut into.
     pub segments: usize,
     /// Per-segment outputs, in plan order (journaled splices included).
@@ -752,6 +785,7 @@ pub fn run_segmented<D: Driver>(
     mut completed: BTreeMap<usize, D::SegmentOut>,
     sink: Option<SegmentSink<'_, D::SegmentOut>>,
 ) -> SegmentedRun<D::SegmentOut> {
+    let segment_ops = segment_ops.max(1);
     let segments = segment_plan(driver.plan_len(), segment_ops);
     let pending: Vec<Segment> = segments
         .iter()
@@ -789,29 +823,25 @@ pub fn run_segmented<D: Driver>(
         }
         out
     };
-    let scheduler = Scheduler::new(workers)
+    let placeholder = |_i: usize, seg: &Segment, panic: &str| {
+        let out = driver.quarantined(*seg, panic);
+        if let Some(sink) = sink {
+            sink(*seg, &out);
+        }
+        out
+    };
+    let window = |_i: usize, seg: &Segment| (seg.skip, seg.take);
+    let run = Scheduler::new(workers)
         .preassigned()
-        .supervised(SEGMENT_DEADLINE);
-    let run = if driver.quarantines() {
-        let placeholder = |_i: usize, seg: &Segment, panic: &str| {
-            let out = driver.quarantined(*seg, panic);
-            if let Some(sink) = sink {
-                sink(*seg, &out);
-            }
-            out
-        };
-        let window = |_i: usize, seg: &Segment| (seg.skip, seg.take);
-        scheduler.run_quarantined(
+        .supervised(SEGMENT_DEADLINE)
+        .run_quarantined(
             &pending,
             work,
             &Quarantine {
                 window: &window,
                 placeholder: &placeholder,
             },
-        )
-    } else {
-        scheduler.run_plain(&pending, work)
-    };
+        );
 
     // Failure records carry pending-list indices; map them back to plan
     // segment indices (join errors keep their usize::MAX marker).
@@ -836,6 +866,7 @@ pub fn run_segmented<D: Driver>(
     let (depot_shared_objects, depot_owned_objects) = depot.sharing_stats();
     SegmentedRun {
         workers: run.workers,
+        segment_ops,
         segments: segments.len(),
         outputs,
         worker_stats: run.worker_stats,
@@ -975,6 +1006,78 @@ mod tests {
             vec![(0, 4), (4, 4), (8, 2)]
         );
         assert!(segment_plan(0, 4).is_empty());
+    }
+
+    #[test]
+    fn resumed_run_quarantines_a_panicking_segment_by_plan_index() {
+        struct NoCheckpoint;
+        impl CheckpointSharing for NoCheckpoint {
+            fn sharing_stats(&self) -> (usize, usize) {
+                (0, 0)
+            }
+        }
+        /// Four two-op segments; segment 2 panics on every attempt.
+        struct Stub;
+        impl Driver for Stub {
+            type Checkpoint = NoCheckpoint;
+            type SegmentOut = String;
+            fn plan_len(&self) -> usize {
+                8
+            }
+            fn deploy_base(&self) -> (Arc<NoCheckpoint>, u64) {
+                (Arc::new(NoCheckpoint), 0)
+            }
+            fn build_prefix(
+                &self,
+                _: &NoCheckpoint,
+                _: usize,
+                _: &mut WorkerStats,
+            ) -> NoCheckpoint {
+                NoCheckpoint
+            }
+            fn run_segment(
+                &self,
+                seg: Segment,
+                _: &NoCheckpoint,
+                _: &NoCheckpoint,
+                _: &mut WorkerStats,
+            ) -> String {
+                if seg.index == 2 {
+                    panic!("segment 2 exploded");
+                }
+                format!("ran {}", seg.index)
+            }
+            fn quarantined(&self, seg: Segment, panic: &str) -> String {
+                format!("quarantined {}: {panic}", seg.index)
+            }
+        }
+        let completed = BTreeMap::from([
+            (0, "journaled 0".to_string()),
+            (1, "journaled 1".to_string()),
+        ]);
+        let sunk: Mutex<Vec<(usize, String)>> = Mutex::new(Vec::new());
+        let sink = |seg: Segment, out: &String| sunk.lock().unwrap().push((seg.index, out.clone()));
+        let run = run_segmented(&Stub, 2, 2, &SnapshotDepot::new(), completed, Some(&sink));
+
+        assert_eq!(run.segments, 4);
+        let placeholder = "quarantined 2: segment 2 exploded";
+        assert_eq!(
+            run.outputs,
+            ["journaled 0", "journaled 1", placeholder, "ran 3"]
+        );
+        // The failure carries the plan index 2, not its pending-list index 0.
+        assert_eq!(run.failed_segments.len(), 1);
+        let failed = &run.failed_segments[0];
+        assert_eq!((failed.segment, failed.skip, failed.take), (2, 4, 2));
+        assert!(failed.quarantined);
+        assert_eq!(failed.panic, "segment 2 exploded");
+        // The sink saw the placeholder once and never the spliced segments.
+        let mut sunk = sunk.into_inner().unwrap();
+        sunk.sort();
+        assert_eq!(
+            sunk,
+            [(2, placeholder.to_string()), (3, "ran 3".to_string())]
+        );
     }
 
     #[test]

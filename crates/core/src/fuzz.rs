@@ -38,17 +38,17 @@ use std::time::{Duration, Instant};
 
 use crdspec::Value;
 use operators::{operator_by_name, Instance, InstanceCheckpoint, CONVERGE_MAX, CONVERGE_RESET};
-use simkube::{FaultPlan, FaultProfile, SplitMix64};
+use simkube::{FaultPlan, FaultProfile, ObjKey, SimCluster, SplitMix64};
 
 use crate::campaign::{
     apply_op, collapse, normalized, plan_campaign, CampaignConfig, FreshRefCache,
 };
-use crate::exec::{drive, fold_batch_stats, TrialSource};
+use crate::exec::{drive, fold_batch_stats, TrialRecord, TrialSource};
 use crate::model::{Expectation, Mode, PlannedOp, Trial, TrialOutcome};
 use crate::oracles::{self, masked_snapshot, transition_occurred, OracleContext, StateSnapshot};
 use crate::parallel::{steal_map, SnapshotDepot, WorkerStats};
 use crate::persist;
-use crate::report::{summarize, CampaignSummary};
+use crate::report::{render_detected, Alarm, CampaignSummary};
 use crate::step::{self, Judged, Ledger, CRASH_DOWN_FOR};
 
 /// One fuzz input: everything that determines an execution.
@@ -400,9 +400,10 @@ impl FuzzConfig {
     }
 }
 
-/// One executed input, as recorded in the result.
+/// One executed input, as recorded in the result; generic over the trial
+/// record like [`FuzzResult`].
 #[derive(Debug, Clone)]
-pub struct ExecRecord {
+pub struct ExecRecord<T = Trial> {
     /// Global execution index.
     pub index: usize,
     /// The input that ran.
@@ -413,7 +414,7 @@ pub struct ExecRecord {
     /// Corpus id of the parent, if mutated.
     pub parent: Option<usize>,
     /// Trials the execution produced, in order.
-    pub trials: Vec<Trial>,
+    pub trials: Vec<T>,
     /// Features this execution observed first (in observation order).
     pub novel: Vec<CoverageFeature>,
     /// Simulated seconds the execution consumed (including any reference
@@ -421,10 +422,14 @@ pub struct ExecRecord {
     pub sim_seconds: u64,
 }
 
-/// The result of a fuzzing campaign.
+/// The result of a fuzzing campaign, generic over the trial record it
+/// carries: [`Trial`] for a single operator, or
+/// [`crate::compose::ComposedTrial`] for a composition
+/// ([`crate::compose::ComposedFuzzResult`]).
 #[derive(Debug)]
-pub struct FuzzResult {
-    /// Operator under test.
+pub struct FuzzResult<T = Trial> {
+    /// Target under test: the operator name, or the composed members
+    /// joined with `+`.
     pub operator: String,
     /// Mode used.
     pub mode: Mode,
@@ -439,7 +444,7 @@ pub struct FuzzResult {
     /// Final corpus.
     pub corpus: Corpus,
     /// Every execution, in order.
-    pub records: Vec<ExecRecord>,
+    pub records: Vec<ExecRecord<T>>,
     /// Attributed findings over all trials.
     pub summary: CampaignSummary,
     /// Total simulated seconds (base deployment + all executions).
@@ -453,7 +458,7 @@ pub struct FuzzResult {
     pub wall: Duration,
 }
 
-impl FuzzResult {
+impl<T: TrialRecord> FuzzResult<T> {
     /// Renders everything the run observed — inputs, trials, alarms,
     /// corpus, coverage — excluding scheduling-dependent quantities
     /// (worker stats, wall clock). Two runs over the same configuration
@@ -461,7 +466,7 @@ impl FuzzResult {
     pub fn transcript(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
-        let _ = writeln!(out, "operator: {}", self.operator);
+        let _ = writeln!(out, "{}: {}", T::TARGET_KEY, self.operator);
         let _ = writeln!(out, "mode: {}", self.mode.name());
         let _ = writeln!(out, "seed: {:#x}", self.seed);
         let _ = writeln!(out, "execs: {} in {} rounds", self.execs, self.rounds);
@@ -475,23 +480,7 @@ impl FuzzResult {
                 record.input.key()
             );
             for trial in &record.trials {
-                let _ = writeln!(
-                    out,
-                    "  trial #{} property={} scenario={} outcome={:?} sim={}",
-                    trial.op.index,
-                    trial.op.property,
-                    trial.op.scenario,
-                    trial.outcome,
-                    trial.sim_seconds
-                );
-                let _ = writeln!(
-                    out,
-                    "    declaration: {}",
-                    crdspec::json::to_string(&trial.declaration)
-                );
-                for alarm in &trial.alarms {
-                    let _ = writeln!(out, "    alarm {}: {}", alarm.kind.name(), alarm.detail);
-                }
+                trial.render_fuzz(&mut out);
             }
             for f in &record.novel {
                 let _ = writeln!(out, "  novel {}", f.render());
@@ -510,10 +499,7 @@ impl FuzzResult {
         }
         let _ = writeln!(out, "coverage ({} features):", self.coverage.len());
         out.push_str(&self.coverage.digest());
-        for (bug, kinds) in &self.summary.detected_bugs {
-            let names: Vec<&str> = kinds.iter().map(|k| k.name()).collect();
-            let _ = writeln!(out, "detected: {bug} via {}", names.join(","));
-        }
+        render_detected(&mut out, &self.summary);
         out
     }
 }
@@ -789,10 +775,10 @@ struct SeqRun {
 }
 
 /// One executed fuzz input.
-struct FuzzExec {
-    trials: Vec<Trial>,
-    features: Vec<CoverageFeature>,
-    sim_seconds: u64,
+pub(crate) struct FuzzExec<T = Trial> {
+    pub(crate) trials: Vec<T>,
+    pub(crate) features: Vec<CoverageFeature>,
+    pub(crate) sim_seconds: u64,
 }
 
 /// Shared immutable context for executions.
@@ -807,7 +793,8 @@ struct ExecCtx<'a> {
 
 /// Hash of the system's *structural* observable state: which objects
 /// exist, their status sections (replica readiness, pod phases, health
-/// conditions), and the cluster fingerprint's repeatable components.
+/// conditions), and the cluster fingerprint's repeatable components. The
+/// CR objects in `crs` (one per operator under test) are left out.
 ///
 /// Spec sections are deliberately excluded: operators mirror the submitted
 /// declaration into child specs (ConfigMap data, StatefulSet templates),
@@ -818,25 +805,16 @@ struct ExecCtx<'a> {
 /// and it is what lets undirected sampling saturate while genuinely new
 /// behaviour (scale transitions, degradations, wedged retry loops, crash
 /// epochs) keeps minting buckets.
-fn observable_hash(instance: &Instance, cr_id: &str) -> u64 {
-    let store = instance.cluster.api().store();
+pub(crate) fn observable_hash(cluster: &SimCluster, crs: &[ObjKey]) -> u64 {
+    let store = cluster.api().store();
     let mut h = store.digest_sum(&entry_digest);
-    // The CR's own entry subtracts straight back out of the commutative
-    // sum, mirroring the old snapshot loop's `key == cr_id` skip.
-    let cr_key = instance.cr_key();
-    debug_assert_eq!(
-        cr_id,
-        format!(
-            "{}/{}/{}",
-            cr_key.kind.name(),
-            cr_key.namespace,
-            cr_key.name
-        )
-    );
-    if let Some(obj) = store.get_shared(&cr_key) {
-        h = h.wrapping_sub(entry_digest(&cr_key, obj));
+    // The CR entries subtract straight back out of the commutative sum.
+    for key in crs {
+        if let Some(obj) = store.get_shared(key) {
+            h = h.wrapping_sub(entry_digest(key, obj));
+        }
     }
-    h ^ instance.cluster.quiescence_fingerprint().coverage_hash()
+    h ^ cluster.quiescence_fingerprint().coverage_hash()
 }
 
 /// Per-object digest backing [`observable_hash`]: FNV-1a over the
@@ -850,10 +828,7 @@ fn observable_hash(instance: &Instance, cr_id: &str) -> u64 {
 /// Spec sections are deliberately excluded, exactly as before: status is
 /// what the *system* did; hashing specs would make every distinct
 /// declaration trivially "novel" (see the doc comment above).
-pub(crate) fn entry_digest(
-    key: &simkube::ObjKey,
-    obj: &std::sync::Arc<simkube::StoredObject>,
-) -> u64 {
+fn entry_digest(key: &ObjKey, obj: &Arc<simkube::StoredObject>) -> u64 {
     let fnv = |mut h: u64, bytes: &[u8]| -> u64 {
         for b in bytes {
             h ^= u64::from(*b);
@@ -890,6 +865,54 @@ pub(crate) fn normalize_key(key: &str) -> String {
     }
 }
 
+/// One execution's coverage features, in observation order: the single
+/// definition of what a fuzz trial contributes, shared by the
+/// single-operator and composed executors.
+pub(crate) struct FeatureRecorder {
+    pub(crate) features: Vec<CoverageFeature>,
+    prev: u64,
+}
+
+impl FeatureRecorder {
+    /// A recorder whose first edge starts at state hash `start`.
+    pub(crate) fn new(start: u64) -> FeatureRecorder {
+        FeatureRecorder {
+            features: Vec::new(),
+            prev: start,
+        }
+    }
+
+    /// A trial the API server rejected: its outcome class only, since
+    /// nothing was submitted and the state did not move.
+    pub(crate) fn rejected(&mut self, outcome: &TrialOutcome) {
+        self.features
+            .push(CoverageFeature::Outcome(outcome.class_name()));
+    }
+
+    /// A trial that ran: its outcome class, its alarm kinds, the state it
+    /// reached and the edge into that state.
+    pub(crate) fn trial(&mut self, outcome: &TrialOutcome, alarms: &[Alarm], state: u64) {
+        self.rejected(outcome);
+        let kinds = alarms.iter().map(|a| CoverageFeature::Alarm(a.kind.name()));
+        self.features.extend(kinds);
+        self.state(state);
+    }
+
+    /// The final settle: a state and an edge only if settling moved the
+    /// system.
+    pub(crate) fn settle(&mut self, state: u64) {
+        if state != self.prev {
+            self.state(state);
+        }
+    }
+
+    fn state(&mut self, h: u64) {
+        self.features.push(CoverageFeature::State(h));
+        self.features.push(CoverageFeature::Edge(self.prev, h));
+        self.prev = h;
+    }
+}
+
 /// Runs one op sequence (with optional fault burst and armed crash) from
 /// the shared base checkpoint. A pure function of its arguments: every
 /// trial, feature, and sim-second is reproducible bit-for-bit.
@@ -915,27 +938,18 @@ fn execute_sequence(
     // including banked reference runs.
     let mut ledger = Ledger::new(&instance, false);
     let mut trials: Vec<Trial> = Vec::new();
-    let mut features: Vec<CoverageFeature> = Vec::new();
     let cr_id = step::cr_id(&instance);
-    let mut prev_hash = observable_hash(&instance, &cr_id);
+    let crs = [instance.cr_key()];
+    let mut features = FeatureRecorder::new(observable_hash(&instance.cluster, &crs));
     let mut last_good = instance.cr_spec();
-    let mut observe = |features: &mut Vec<CoverageFeature>, instance: &Instance, trial: &Trial| {
-        features.push(CoverageFeature::Outcome(trial.outcome.class_name()));
-        for alarm in &trial.alarms {
-            features.push(CoverageFeature::Alarm(alarm.kind.name()));
-        }
-        let h = observable_hash(instance, &cr_id);
-        features.push(CoverageFeature::State(h));
-        features.push(CoverageFeature::Edge(prev_hash, h));
-        prev_hash = h;
-    };
 
     // Fault burst before the ops, mirroring the campaign's error-state
     // start — but without resetting on a failed recovery: a damaged
     // cluster is territory, not contamination, when the goal is coverage.
     if !faults.is_empty() {
         let mut burst = step::fault_burst(&mut instance, faults, &mut ledger);
-        observe(&mut features, &instance, &burst);
+        let h = observable_hash(&instance.cluster, &crs);
+        features.trial(&burst.outcome, &burst.alarms, h);
         burst.sim_seconds = ledger.take_span(&instance);
         trials.push(burst);
     }
@@ -972,7 +986,7 @@ fn execute_sequence(
             Ok(judged) => judged,
             Err(err) => {
                 let outcome = TrialOutcome::RejectedByApi(err.to_string());
-                features.push(CoverageFeature::Outcome(outcome.class_name()));
+                features.rejected(&outcome);
                 let sim = ledger.take_span(&instance);
                 trials.push(step::trial(op, spec, outcome, Vec::new(), sim));
                 continue;
@@ -1008,7 +1022,8 @@ fn execute_sequence(
             last_good = spec.clone();
         }
         let mut trial = step::trial(op, spec, outcome, alarms, 0);
-        observe(&mut features, &instance, &trial);
+        let h = observable_hash(&instance.cluster, &crs);
+        features.trial(&trial.outcome, &trial.alarms, h);
         trial.sim_seconds = ledger.take_span(&instance);
         trials.push(trial);
     }
@@ -1018,18 +1033,14 @@ fn execute_sequence(
     // wedged run fails this converge — that *is* the signal.
     let final_converged = instance.converge(CONVERGE_RESET, CONVERGE_MAX);
     ledger.convergence_waits += 1;
-    let h = observable_hash(&instance, &cr_id);
-    if h != prev_hash {
-        features.push(CoverageFeature::State(h));
-        features.push(CoverageFeature::Edge(prev_hash, h));
-    }
+    features.settle(observable_hash(&instance.cluster, &crs));
     // Reference runs of a crash-consistency comparison fold their stats
     // into a scratch record, so only the executing run's cache hits count.
     my.ref_cache_hits += ledger.ref_cache_hits;
     my.ref_cache_misses += ledger.ref_cache_misses;
     SeqRun {
         trials,
-        features,
+        features: features.features,
         final_state: masked_snapshot(&instance),
         healthy: step::settled(&instance),
         converged: final_converged,
@@ -1174,20 +1185,20 @@ pub(crate) struct Candidate {
     pub(crate) parent: Option<usize>,
 }
 
-/// The guided input generator shared by the single-operator and composed
-/// fuzz loops: one seeded random stream on the coordinating thread, a
+/// The input generator behind [`FuzzSource`], for single-operator and
+/// composed runs alike: one seeded random stream on the coordinating thread, a
 /// seen-set so the guided loop never wastes budget re-executing an input
 /// (bounded redraws keep generation total), parent selection biased toward
 /// the newest half of the corpus (fresh territory compounds), and a donor
 /// drawn uniformly for splices.
-pub(crate) struct GuidedGen {
-    pub(crate) rng: SplitMix64,
-    pub(crate) seen: BTreeSet<String>,
-    pub(crate) pool_len: usize,
+struct GuidedGen {
+    rng: SplitMix64,
+    seen: BTreeSet<String>,
+    pool_len: usize,
 }
 
 impl GuidedGen {
-    pub(crate) fn new(seed: u64, pool_len: usize) -> GuidedGen {
+    fn new(seed: u64, pool_len: usize) -> GuidedGen {
         GuidedGen {
             rng: SplitMix64::new(seed),
             seen: BTreeSet::new(),
@@ -1199,13 +1210,13 @@ impl GuidedGen {
     /// before the dedup key is taken (the composed loop strips
     /// single-instance machinery here); the random baseline takes
     /// whatever it draws.
-    pub(crate) fn draw_batch(
+    fn draw_batch(
         &mut self,
         cfg: &FuzzConfig,
         guidance: Guidance,
         corpus: &Corpus,
         batch_n: usize,
-        sanitize: &dyn Fn(&mut FuzzInput),
+        sanitize: fn(&mut FuzzInput),
     ) -> Vec<Candidate> {
         let mut batch: Vec<Candidate> = Vec::new();
         let mut redraws = 0usize;
@@ -1392,19 +1403,19 @@ impl ExecState {
 /// The mutable half of a fuzz run: everything that grows as batches
 /// complete, merged in input order at each batch barrier — the
 /// deterministic fold.
-pub(crate) struct Progress {
+pub(crate) struct Progress<T = Trial> {
     pub(crate) coverage: CoverageMap,
     pub(crate) corpus: Corpus,
-    pub(crate) records: Vec<ExecRecord>,
+    pub(crate) records: Vec<ExecRecord<T>>,
     pub(crate) worker_stats: Vec<WorkerStats>,
 }
 
-impl Progress {
-    fn new(cfg: &FuzzConfig) -> Progress {
+impl<T: TrialRecord> Progress<T> {
+    fn new(cfg: &FuzzConfig) -> Progress<T> {
         Progress {
             coverage: CoverageMap::new(),
             corpus: Corpus {
-                operator: cfg.campaign.operator().to_string(),
+                operator: T::target(&cfg.campaign),
                 entries: Vec::new(),
             },
             records: Vec::new(),
@@ -1413,7 +1424,7 @@ impl Progress {
     }
 
     /// Merges one executed batch, in input order.
-    fn absorb(&mut self, batch: Vec<Candidate>, execs: Vec<FuzzExec>, grow_corpus: bool) {
+    fn absorb(&mut self, batch: Vec<Candidate>, execs: Vec<FuzzExec<T>>, grow_corpus: bool) {
         for (cand, exec) in batch.into_iter().zip(execs) {
             let index = self.records.len();
             let novel = self.coverage.observe_all(&exec.features);
@@ -1442,21 +1453,19 @@ impl Progress {
     fn finish(
         self,
         cfg: &FuzzConfig,
-        state: &ExecState,
-        execs: usize,
-        rounds: usize,
+        base_sim_seconds: u64,
+        (execs, rounds): (usize, usize),
         start: Instant,
-    ) -> FuzzResult {
-        let all_trials: Vec<Trial> = self
+    ) -> FuzzResult<T> {
+        let all_trials: Vec<T> = self
             .records
             .iter()
             .flat_map(|r| r.trials.iter().cloned())
             .collect();
-        let summary = summarize(cfg.campaign.operator(), &all_trials);
         let total_sim_seconds =
-            state.base_sim_seconds + self.worker_stats.iter().map(|s| s.sim_seconds).sum::<u64>();
+            base_sim_seconds + self.worker_stats.iter().map(|s| s.sim_seconds).sum::<u64>();
         FuzzResult {
-            operator: cfg.campaign.operator().to_string(),
+            operator: T::target(&cfg.campaign),
             mode: cfg.campaign.mode,
             seed: cfg.seed,
             execs,
@@ -1464,9 +1473,9 @@ impl Progress {
             coverage: self.coverage,
             corpus: self.corpus,
             records: self.records,
-            summary,
+            summary: T::summarize(&cfg.campaign, &all_trials),
             total_sim_seconds,
-            base_sim_seconds: state.base_sim_seconds,
+            base_sim_seconds,
             worker_stats: self.worker_stats,
             wall: start.elapsed(),
         }
@@ -1490,42 +1499,85 @@ pub(crate) struct RestoredFuzz {
 /// What one completed batch appended, handed to the journal hook right
 /// after the batch barrier: enough to replay the round's effect on
 /// coverage/corpus/records and to continue generation from `rng_state`.
-pub(crate) struct RoundDelta<'a> {
+pub(crate) struct RoundDelta<'a, T = Trial> {
     pub(crate) round: usize,
     pub(crate) executed: usize,
     pub(crate) rng_state: u64,
     pub(crate) replay: bool,
-    pub(crate) records: &'a [ExecRecord],
+    pub(crate) records: &'a [ExecRecord<T>],
     pub(crate) corpus_added: &'a [CorpusEntry],
 }
+
+/// The journal hook observing each batch barrier.
+pub(crate) type RoundHook<'h, T = Trial> = &'h mut dyn FnMut(&RoundDelta<T>);
 
 /// Persistence hooks for [`run_fuzz_hooked`]: `restore` fast-forwards the
 /// run, `on_round` observes each batch barrier (the journal append point).
 #[derive(Default)]
 pub(crate) struct FuzzHooks<'h> {
     pub(crate) restore: Option<RestoredFuzz>,
-    pub(crate) on_round: Option<&'h mut dyn FnMut(&RoundDelta)>,
+    pub(crate) on_round: Option<RoundHook<'h>>,
 }
 
-/// The fuzz loop as a [`TrialSource`]: the first batch replays a saved
-/// corpus (uncharged to the exec budget), then guided batches are drawn
-/// until the budget is spent. Absorption happens at each batch barrier in
-/// input order, which is what keeps any worker count byte-identical.
-struct FuzzSource<'a, 'h> {
+/// The fuzz loop as a [`TrialSource`], for a single operator and for a
+/// composition alike: the first batch replays a saved corpus (uncharged
+/// to the exec budget), then batches are drawn until the budget is spent.
+/// Absorption happens at each batch barrier in input order, which is what
+/// keeps any worker count byte-identical.
+pub(crate) struct FuzzSource<'a, 'h, T = Trial> {
     cfg: &'a FuzzConfig,
     guidance: Guidance,
     gen: GuidedGen,
-    progress: Progress,
+    /// Normalizes every drawn input before its dedup key is taken; the
+    /// composed fuzzer strips single-instance machinery here.
+    sanitize: fn(&mut FuzzInput),
+    progress: Progress<T>,
     executed: usize,
     rounds: usize,
     replay: Option<Vec<Candidate>>,
     current_replay: bool,
-    on_round: Option<&'h mut dyn FnMut(&RoundDelta)>,
+    on_round: Option<RoundHook<'h, T>>,
 }
 
-impl TrialSource for FuzzSource<'_, '_> {
+impl<'a, 'h, T: TrialRecord> FuzzSource<'a, 'h, T> {
+    /// A fresh loop over a pool of `pool_len` planned operations.
+    pub(crate) fn new(
+        cfg: &'a FuzzConfig,
+        guidance: Guidance,
+        pool_len: usize,
+        sanitize: fn(&mut FuzzInput),
+    ) -> FuzzSource<'a, 'h, T> {
+        FuzzSource {
+            cfg,
+            guidance,
+            gen: GuidedGen::new(cfg.seed, pool_len),
+            sanitize,
+            progress: Progress::new(cfg),
+            executed: 0,
+            rounds: 0,
+            replay: None,
+            current_replay: false,
+            on_round: None,
+        }
+    }
+
+    /// Drives the loop to exhaustion through the shared scheduler, running
+    /// each candidate with `exec`, and assembles the result.
+    pub(crate) fn run<E>(mut self, exec: E, base_sim_seconds: u64, start: Instant) -> FuzzResult<T>
+    where
+        E: Fn(usize, &Candidate, &mut WorkerStats) -> FuzzExec<T> + Sync,
+    {
+        let workers = self.cfg.workers.max(1);
+        drive(&mut self, workers, exec);
+        let counts = (self.executed, self.rounds);
+        self.progress
+            .finish(self.cfg, base_sim_seconds, counts, start)
+    }
+}
+
+impl<T: TrialRecord> TrialSource for FuzzSource<'_, '_, T> {
     type Input = Candidate;
-    type Output = FuzzExec;
+    type Output = FuzzExec<T>;
 
     fn next_batch(&mut self) -> Vec<Candidate> {
         if let Some(replays) = self.replay.take() {
@@ -1544,14 +1596,14 @@ impl TrialSource for FuzzSource<'_, '_> {
             self.guidance,
             &self.progress.corpus,
             batch_n,
-            &|_| {},
+            self.sanitize,
         )
     }
 
     fn absorb(
         &mut self,
         batch: Vec<Candidate>,
-        outputs: Vec<FuzzExec>,
+        outputs: Vec<FuzzExec<T>>,
         stats: Vec<WorkerStats>,
     ) {
         let replay = self.current_replay;
@@ -1580,9 +1632,9 @@ impl TrialSource for FuzzSource<'_, '_> {
     }
 }
 
-/// The one fuzz core every public entry point delegates to: plan + deploy,
-/// optionally fast-forward from a journal or seed a corpus replay, then
-/// drive the [`FuzzSource`] through the shared scheduler.
+/// The one single-operator fuzz core every public entry point delegates
+/// to: plan + deploy, optionally fast-forward from a journal or seed a
+/// corpus replay, then run the [`FuzzSource`].
 pub(crate) fn run_fuzz_hooked(
     cfg: &FuzzConfig,
     guidance: Guidance,
@@ -1591,50 +1643,36 @@ pub(crate) fn run_fuzz_hooked(
 ) -> Result<FuzzResult, String> {
     let start = Instant::now();
     let state = ExecState::new(cfg)?;
-    let pool_len = state.pool.len().max(1);
-    let mut gen = GuidedGen::new(cfg.seed, pool_len);
-    let mut progress = Progress::new(cfg);
-    let mut executed = 0usize;
-    let mut rounds = 0usize;
-    let mut replay: Option<Vec<Candidate>> = None;
+    let mut source = FuzzSource::new(cfg, guidance, state.pool.len().max(1), |_| {});
+    source.on_round = hooks.on_round;
 
     if let Some(restored) = hooks.restore {
         // Fast-forward: the journal already covers every executed round,
         // including any corpus replay, so nothing re-executes; the
         // generator continues mid-stream.
-        progress.coverage = restored.coverage;
-        progress.corpus = restored.corpus;
-        progress.records = restored.records;
-        gen.seen = restored.seen;
-        gen.rng = SplitMix64::from_state(restored.rng_state);
-        executed = restored.executed;
-        rounds = restored.rounds;
+        source.progress.coverage = restored.coverage;
+        source.progress.corpus = restored.corpus;
+        source.progress.records = restored.records;
+        source.gen.seen = restored.seen;
+        source.gen.rng = SplitMix64::from_state(restored.rng_state);
+        source.executed = restored.executed;
+        source.rounds = restored.rounds;
     } else if let Some(saved) = resume {
         // Resume-from-corpus: replay every saved entry first (rebuilding
         // the coverage map and seeding the population; replays are not
         // charged to `cfg.execs`).
         let replays = replay_candidates(saved);
-        gen.seen.extend(replays.iter().map(|c| c.input.key()));
-        replay = Some(replays);
+        let keys = replays.iter().map(|c| c.input.key());
+        source.gen.seen.extend(keys);
+        source.replay = Some(replays);
     }
 
-    let mut source = FuzzSource {
-        cfg,
-        guidance,
-        gen,
-        progress,
-        executed,
-        rounds,
-        replay,
-        current_replay: false,
-        on_round: hooks.on_round,
-    };
     let ctx = state.ctx(cfg);
-    drive(&mut source, cfg.workers.max(1), |_, cand: &Candidate, my| {
-        execute_input(&ctx, &cand.input, my)
-    });
-    let (executed, rounds) = (source.executed, source.rounds);
-    Ok(source.progress.finish(cfg, &state, executed, rounds, start))
+    Ok(source.run(
+        |_, cand: &Candidate, my| execute_input(&ctx, &cand.input, my),
+        state.base_sim_seconds,
+        start,
+    ))
 }
 
 /// One replay candidate per saved corpus entry, in corpus order.
@@ -1664,7 +1702,7 @@ fn run_replay(cfg: &FuzzConfig, saved: &Corpus) -> Result<FuzzResult, String> {
         fold_batch_stats(&mut progress.worker_stats, stats);
         progress.absorb(replays, execs, true);
     }
-    Ok(progress.finish(cfg, &state, n, 1, start))
+    Ok(progress.finish(cfg, state.base_sim_seconds, (n, 1), start))
 }
 
 #[cfg(test)]

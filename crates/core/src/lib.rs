@@ -38,8 +38,10 @@
 //!   1-worker special case), [`exec::run_segmented`] with the snapshot
 //!   depot plumbing, the [`exec::Driver`] abstraction over
 //!   single-operator and composed targets (a driver supplies only its
-//!   prefix build and segment body), and the batch-shaped
-//!   [`exec::TrialSource`] loop the fuzzers drive.
+//!   prefix build and segment body), the batch-shaped
+//!   [`exec::TrialSource`] loop the fuzzers drive, and the
+//!   [`exec::TrialRecord`] trait that lets one result type, one report
+//!   and one fuzz loop carry either kind of trial.
 //! - [`parallel`]: work-stealing test partitioning across workers with a
 //!   shared plan and checkpoint-based jump-state reuse (§5.5).
 //! - [`persist`]: the versioned, crash-hardened on-disk run store
@@ -52,8 +54,10 @@
 //!   prove the transcript unchanged, with one sweep routine for both run
 //!   kinds.
 //! - [`compose`]: multi-operator composition campaigns — 2+ operators on
-//!   one shared cluster with an interleaved plan, cross-operator oracles,
-//!   and composed work-stealing/fuzzing runners.
+//!   one shared cluster with an interleaved plan and cross-operator
+//!   oracles. Its work-stealing and fuzzing runners supply a driver and an
+//!   executor; results, reports, quarantine and the fuzz loop are the
+//!   single-operator ones over [`ComposedTrial`].
 //! - [`fuzz`]: coverage-guided greybox exploration of the campaign input
 //!   space `(op-sequence, fault plan, crash point)` over snapshot forking,
 //!   with a deterministic, resumable corpus.
@@ -87,7 +91,8 @@ pub use compose::{
 };
 pub use deps::{infer_dependencies, Dependency};
 pub use exec::{
-    drive, run_segmented, steal_map, Driver, Scheduler, Segment, SupervisionEvent, TrialSource,
+    drive, run_segmented, steal_map, Driver, Scheduler, Segment, SupervisionEvent, TrialRecord,
+    TrialSource,
 };
 pub use fuzz::{
     replay_corpus, run_fuzz, run_fuzz_resumed, run_random, Corpus, CorpusEntry, CoverageFeature,

@@ -29,14 +29,14 @@ use operators::{operator_by_name, InstanceCheckpoint, CONVERGE_MAX, CONVERGE_RES
 pub use crate::exec::{
     steal_map, CheckpointSharing, FailedSegment, SnapshotDepot, SupervisionEvent, WorkerStats,
 };
-use crate::exec::{run_segmented, Driver, Segment};
+use crate::exec::{run_segmented, Driver, Segment, SegmentSink, SegmentedRun, TrialRecord};
 
 use crate::campaign::{
     acquire_instance, apply_op, plan_campaign, run_window, CampaignConfig, FreshRefCache,
 };
 use crate::model::{Mode, PlannedOp, Trial, TrialOutcome};
 use crate::oracles::AlarmKind;
-use crate::report::{summarize, Alarm, CampaignSummary};
+use crate::report::{render_detected, summarize, Alarm, CampaignSummary};
 use crate::step;
 
 /// Planned operations per work-stealing segment. Small enough to balance
@@ -44,10 +44,14 @@ use crate::step;
 /// amortized over real trials.
 pub const DEFAULT_SEGMENT_OPS: usize = 8;
 
-/// The result of a parallel campaign.
+/// The result of a parallel campaign, generic over the trial record it
+/// carries: [`Trial`] for a single operator, or
+/// [`crate::compose::ComposedTrial`] for a composition
+/// ([`crate::compose::ComposedParallelResult`]).
 #[derive(Debug)]
-pub struct ParallelResult {
-    /// Operator name.
+pub struct ParallelResult<T = Trial> {
+    /// Target under test: the operator name, or the composed members
+    /// joined with `+`.
     pub operator: String,
     /// Mode used.
     pub mode: Mode,
@@ -59,7 +63,7 @@ pub struct ParallelResult {
     pub segments: usize,
     /// Trials from all segments, in plan order — identical for any worker
     /// count.
-    pub trials: Vec<Trial>,
+    pub trials: Vec<T>,
     /// Total simulated machine-seconds across base deployment, jump
     /// building, and all segments (compute cost).
     pub total_sim_seconds: u64,
@@ -89,7 +93,41 @@ pub struct ParallelResult {
     pub summary: CampaignSummary,
 }
 
-impl ParallelResult {
+impl<T: TrialRecord> ParallelResult<T> {
+    /// Assembles the result of a segmented run, in plan order — the one
+    /// assembly both work-stealing runners share.
+    pub(crate) fn from_run(
+        config: &CampaignConfig,
+        run: SegmentedRun<Vec<T>>,
+        gen_duration: Duration,
+        start: Instant,
+    ) -> ParallelResult<T> {
+        let trials: Vec<T> = run.outputs.into_iter().flatten().collect();
+        let worker_sim = run.worker_stats.iter().map(|s| s.sim_seconds);
+        let total_sim_seconds = run.base_sim_seconds + worker_sim.clone().sum::<u64>();
+        let makespan_sim_seconds = worker_sim.max().unwrap_or(0);
+        ParallelResult {
+            operator: T::target(config),
+            mode: config.mode,
+            workers: run.workers,
+            segment_ops: run.segment_ops,
+            segments: run.segments,
+            summary: T::summarize(config, &trials),
+            trials,
+            total_sim_seconds,
+            makespan_sim_seconds,
+            base_sim_seconds: run.base_sim_seconds,
+            gen_duration,
+            wall: start.elapsed(),
+            worker_stats: run.worker_stats,
+            failed_segments: run.failed_segments,
+            supervision_events: run.supervision_events,
+            depot_snapshots: run.depot_snapshots,
+            depot_shared_objects: run.depot_shared_objects,
+            depot_owned_objects: run.depot_owned_objects,
+        }
+    }
+
     /// Renders everything the run observed — trials, outcomes, alarms,
     /// detected bugs — excluding scheduling-dependent quantities (worker
     /// stats, wall clock, sim totals). Two runs over the same
@@ -98,7 +136,7 @@ impl ParallelResult {
     pub fn transcript(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
-        let _ = writeln!(out, "operator: {}", self.operator);
+        let _ = writeln!(out, "{}: {}", T::TARGET_KEY, self.operator);
         let _ = writeln!(out, "mode: {}", self.mode.name());
         let _ = writeln!(
             out,
@@ -106,39 +144,85 @@ impl ParallelResult {
             self.segments, self.segment_ops
         );
         for trial in &self.trials {
-            let _ = writeln!(
-                out,
-                "trial #{} property={} scenario={} outcome={:?} rollback={:?} sim={}",
-                trial.op.index,
-                trial.op.property,
-                trial.op.scenario,
-                trial.outcome,
-                trial.rollback_recovered,
-                trial.sim_seconds
-            );
-            let _ = writeln!(
-                out,
-                "  declaration: {}",
-                crdspec::json::to_string(&trial.declaration)
-            );
-            for alarm in &trial.alarms {
-                let _ = writeln!(out, "  alarm {}: {}", alarm.kind.name(), alarm.detail);
-            }
+            trial.render(&mut out);
         }
-        for (bug, kinds) in &self.summary.detected_bugs {
-            let names: Vec<&str> = kinds.iter().map(|k| k.name()).collect();
-            let _ = writeln!(out, "detected: {bug} via {}", names.join(","));
-        }
+        render_detected(&mut out, &self.summary);
         out
     }
 }
 
-/// Computes the declaration reached after applying a plan prefix — the
-/// jump operation for a partition. A pure fold over the shared plan: it
-/// cannot re-plan, so callers are forced to plan exactly once.
-pub fn declaration_after_prefix(initial: &Value, plan: &[PlannedOp], prefix_len: usize) -> Value {
+impl TrialRecord for Trial {
+    const TARGET_KEY: &'static str = "operator";
+
+    fn target(config: &CampaignConfig) -> String {
+        config.operator().to_string()
+    }
+
+    fn summarize(config: &CampaignConfig, trials: &[Trial]) -> CampaignSummary {
+        summarize(config.operator(), trials)
+    }
+
+    fn render(&self, out: &mut String) {
+        use std::fmt::Write;
+        let _ = writeln!(
+            out,
+            "trial #{} property={} scenario={} outcome={:?} rollback={:?} sim={}",
+            self.op.index,
+            self.op.property,
+            self.op.scenario,
+            self.outcome,
+            self.rollback_recovered,
+            self.sim_seconds
+        );
+        let _ = writeln!(
+            out,
+            "  declaration: {}",
+            crdspec::json::to_string(&self.declaration)
+        );
+        for alarm in &self.alarms {
+            let _ = writeln!(out, "  alarm {}: {}", alarm.kind.name(), alarm.detail);
+        }
+    }
+
+    fn render_fuzz(&self, out: &mut String) {
+        use std::fmt::Write;
+        let _ = writeln!(
+            out,
+            "  trial #{} property={} scenario={} outcome={:?} sim={}",
+            self.op.index, self.op.property, self.op.scenario, self.outcome, self.sim_seconds
+        );
+        let _ = writeln!(
+            out,
+            "    declaration: {}",
+            crdspec::json::to_string(&self.declaration)
+        );
+        for alarm in &self.alarms {
+            let _ = writeln!(out, "    alarm {}: {}", alarm.kind.name(), alarm.detail);
+        }
+    }
+
+    fn worker_panic(_config: &CampaignConfig, seg: Segment, panic: &str) -> Trial {
+        let op = step::synthetic_op(seg.skip, "worker-panic", Value::Null);
+        let outcome = TrialOutcome::ErrorState(format!("segment {} worker panicked", seg.index));
+        let alarm = Alarm::new(
+            AlarmKind::ErrorCheck,
+            format!("worker panic in segment {}: {panic}", seg.index),
+        );
+        step::trial(op, Value::Null, outcome, vec![alarm], 0)
+    }
+}
+
+/// Computes the declaration reached by folding `ops` over `initial` — the
+/// jump operation for a partition, given the plan prefix it skips. Both
+/// drivers build their jumps here (the composed driver once per member,
+/// over that member's ops). A pure fold over the shared plan: it cannot
+/// re-plan, so callers are forced to plan exactly once.
+pub fn declaration_after_prefix<'a>(
+    initial: &Value,
+    ops: impl IntoIterator<Item = &'a PlannedOp>,
+) -> Value {
     let mut working = initial.clone();
-    for op in plan.iter().take(prefix_len) {
+    for op in ops {
         apply_op(&mut working, op);
     }
     working
@@ -211,7 +295,7 @@ impl Driver for CampaignDriver<'_> {
         skip: usize,
         my: &mut WorkerStats,
     ) -> InstanceCheckpoint {
-        let jump = declaration_after_prefix(&self.initial_cr, self.plan, skip);
+        let jump = declaration_after_prefix(&self.initial_cr, &self.plan[..skip]);
         let (mut instance, _) = acquire_instance(self.config, Some(base));
         let t0 = instance.cluster.now();
         if instance.submit(jump).is_ok() {
@@ -247,7 +331,7 @@ impl Driver for CampaignDriver<'_> {
     }
 
     fn quarantined(&self, seg: Segment, panic: &str) -> Vec<Trial> {
-        vec![panicked_segment_trial(seg.index, seg.skip, panic)]
+        vec![Trial::worker_panic(self.config, seg, panic)]
     }
 }
 
@@ -260,7 +344,7 @@ pub(crate) fn run_work_stealing_core(
     segment_ops: usize,
     depot: &SnapshotDepot,
     completed: BTreeMap<usize, Vec<Trial>>,
-    sink: Option<crate::exec::SegmentSink<'_, Vec<Trial>>>,
+    sink: Option<SegmentSink<'_, Vec<Trial>>>,
 ) -> ParallelResult {
     let start = Instant::now();
     let operator = operator_by_name(config.operator());
@@ -275,52 +359,9 @@ pub(crate) fn run_work_stealing_core(
     );
     let gen_duration = gen_start.elapsed();
 
-    let segment_ops = segment_ops.max(1);
     let driver = CampaignDriver::new(config, &plan);
     let run = run_segmented(&driver, workers, segment_ops, depot, completed, sink);
-
-    let trials: Vec<Trial> = run.outputs.into_iter().flatten().collect();
-    let total_sim_seconds = run.base_sim_seconds
-        + run.worker_stats.iter().map(|s| s.sim_seconds).sum::<u64>();
-    let makespan_sim_seconds = run
-        .worker_stats
-        .iter()
-        .map(|s| s.sim_seconds)
-        .max()
-        .unwrap_or(0);
-    let summary = summarize(config.operator(), &trials);
-    ParallelResult {
-        operator: config.operator().to_string(),
-        mode: config.mode,
-        workers: run.workers,
-        segment_ops,
-        segments: run.segments,
-        trials,
-        total_sim_seconds,
-        makespan_sim_seconds,
-        base_sim_seconds: run.base_sim_seconds,
-        gen_duration,
-        wall: start.elapsed(),
-        worker_stats: run.worker_stats,
-        failed_segments: run.failed_segments,
-        supervision_events: run.supervision_events,
-        depot_snapshots: run.depot_snapshots,
-        depot_shared_objects: run.depot_shared_objects,
-        depot_owned_objects: run.depot_owned_objects,
-        summary,
-    }
-}
-
-/// Synthesizes a failed trial for a panicked segment, so the loss is
-/// visible in the trial stream instead of silently shrinking coverage.
-fn panicked_segment_trial(segment: usize, skip: usize, panic: &str) -> Trial {
-    let op = step::synthetic_op(skip, "worker-panic", Value::Null);
-    let outcome = TrialOutcome::ErrorState(format!("segment {segment} worker panicked"));
-    let alarm = Alarm::new(
-        AlarmKind::ErrorCheck,
-        format!("worker panic in segment {segment}: {panic}"),
-    );
-    step::trial(op, Value::Null, outcome, vec![alarm], 0)
+    ParallelResult::from_run(config, run, gen_duration, start)
 }
 
 #[cfg(test)]
@@ -359,9 +400,9 @@ mod tests {
             &op.images(),
             operators::INSTANCE,
         );
-        let d0 = declaration_after_prefix(&op.initial_cr(), &plan, 0);
+        let d0 = declaration_after_prefix(&op.initial_cr(), &plan[..0]);
         assert_eq!(d0, op.initial_cr());
-        let d3 = declaration_after_prefix(&op.initial_cr(), &plan, 3);
+        let d3 = declaration_after_prefix(&op.initial_cr(), &plan[..3]);
         assert_ne!(d3, d0);
     }
 

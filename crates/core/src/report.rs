@@ -12,8 +12,11 @@ use std::collections::{BTreeMap, BTreeSet};
 use crdspec::Path;
 use operators::bugs::{self, BugCategory, BugSpec};
 
+use crate::exec::TrialRecord;
+use crate::fuzz::FuzzResult;
 use crate::model::{Expectation, Trial};
 use crate::oracles::AlarmKind;
+use crate::parallel::ParallelResult;
 
 /// One oracle alarm.
 #[derive(Debug, Clone, PartialEq)]
@@ -286,10 +289,14 @@ pub fn detectable_bugs(operator: &str, blackbox: bool) -> Vec<&'static BugSpec> 
         .collect()
 }
 
-/// Counts trials whose outcome is an explicit error (used by the test-
-/// efficiency reporting).
-pub fn error_trials(trials: &[Trial]) -> usize {
-    trials.iter().filter(|t| t.outcome.is_error()).count()
+/// Appends one `detected:` transcript line per attributed bug, with the
+/// oracle kinds that caught it.
+pub(crate) fn render_detected(out: &mut String, summary: &CampaignSummary) {
+    use std::fmt::Write;
+    for (bug, kinds) in &summary.detected_bugs {
+        let names: Vec<&str> = kinds.iter().map(|k| k.name()).collect();
+        let _ = writeln!(out, "detected: {bug} via {}", names.join(","));
+    }
 }
 
 /// Renders a summary as human-readable lines.
@@ -359,9 +366,9 @@ pub fn render_worker_stats(stats: &[crate::parallel::WorkerStats]) -> String {
 
 /// Renders the shared scheduler-counter block: the depot sharing line
 /// (when the run owns result-level depot statistics) followed by the
-/// per-worker table. The parallel, fuzz, and composed-parallel reports
-/// all embed this one block instead of formatting their own copies of the
-/// depot and ref-cache counter lines.
+/// per-worker table. The parallel and fuzz reports, single-operator or
+/// composed, all embed this one block instead of formatting their own
+/// copies of the depot and ref-cache counter lines.
 pub fn render_counter_block(
     depot: Option<(usize, usize, usize)>,
     stats: &[crate::parallel::WorkerStats],
@@ -381,7 +388,7 @@ pub fn render_counter_block(
 /// per-worker scheduling table as [`render_parallel`] — with the fuzzer's
 /// checkpoint-fork and reference-cache counters threaded through, so cache
 /// activity under fuzz never prints as zeros.
-pub fn render_fuzz(result: &crate::fuzz::FuzzResult) -> String {
+pub fn render_fuzz<T: TrialRecord>(result: &FuzzResult<T>) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "== {} ({}; fuzz seed {:#x}) ==\n",
@@ -410,7 +417,7 @@ pub fn render_fuzz(result: &crate::fuzz::FuzzResult) -> String {
 
 /// Renders a parallel run: headline speedup numbers plus one line per
 /// worker with its scheduling statistics.
-pub fn render_parallel(result: &crate::parallel::ParallelResult) -> String {
+pub fn render_parallel<T: TrialRecord>(result: &ParallelResult<T>) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "== {} ({}; {} workers, {} segments x {} ops) ==\n",
@@ -458,94 +465,6 @@ pub fn render_parallel(result: &crate::parallel::ParallelResult) -> String {
             e.segment, e.stuck_worker, e.reclaimed_by, e.overdue
         ));
     }
-    out
-}
-
-/// Renders a sequential composed campaign: the operator set headline,
-/// interference and convergence accounting, and the merged findings.
-pub fn render_composed(result: &crate::compose::ComposedResult) -> String {
-    let label = result.operators.join("+");
-    let mut out = String::new();
-    out.push_str(&format!(
-        "== {} ({}; composed) ==\n",
-        label,
-        result.mode.name()
-    ));
-    out.push_str(&format!(
-        "trials: {}; interference events: {}; convergence waits: {}\n",
-        result.trials.len(),
-        result.interference_events,
-        result.convergence_waits
-    ));
-    out.push_str(&format!(
-        "sim-seconds: {}; planning: {:.2?}\n",
-        result.sim_seconds, result.gen_duration
-    ));
-    out.push_str(&render_summary(&label, &result.summary));
-    out
-}
-
-/// Renders a parallel composed run: headline scheduling numbers, the depot
-/// sharing statistics, the per-worker table, and the merged findings.
-pub fn render_composed_parallel(result: &crate::compose::ComposedParallelResult) -> String {
-    let label = result.operators.join("+");
-    let mut out = String::new();
-    out.push_str(&format!(
-        "== {} ({}; composed, {} workers, {} segments x {} ops) ==\n",
-        label,
-        result.mode.name(),
-        result.workers,
-        result.segments,
-        result.segment_ops
-    ));
-    out.push_str(&format!(
-        "sim-seconds: total {} (base {}); wall: {:.2?} (planning {:.2?})\n",
-        result.total_sim_seconds, result.base_sim_seconds, result.wall, result.gen_duration
-    ));
-    out.push_str(&format!(
-        "trials: {}; interference events: {}\n",
-        result.trials.len(),
-        result.interference_events
-    ));
-    out.push_str(&render_summary(&label, &result.summary));
-    out.push_str(&render_counter_block(
-        Some((
-            result.depot_snapshots,
-            result.depot_shared_objects,
-            result.depot_owned_objects,
-        )),
-        &result.worker_stats,
-    ));
-    out
-}
-
-/// Renders a composed fuzzing campaign: budget and corpus headline,
-/// coverage breakdown, merged findings, and the worker table.
-pub fn render_composed_fuzz(result: &crate::compose::ComposedFuzzResult) -> String {
-    let label = result.operators.join("+");
-    let mut out = String::new();
-    out.push_str(&format!(
-        "== {} ({}; composed fuzz seed {:#x}) ==\n",
-        label,
-        result.mode.name(),
-        result.seed
-    ));
-    out.push_str(&format!(
-        "execs: {} in {} rounds; corpus: {} entries; coverage: {} features\n",
-        result.execs,
-        result.rounds,
-        result.corpus.entries.len(),
-        result.coverage.len()
-    ));
-    let counts = result.coverage.counts();
-    let breakdown: Vec<String> = counts.iter().map(|(k, v)| format!("{k} {v}")).collect();
-    out.push_str(&format!("coverage by class: {}\n", breakdown.join(", ")));
-    out.push_str(&format!(
-        "sim-seconds: total {} (base {}); wall: {:.2?}\n",
-        result.total_sim_seconds, result.base_sim_seconds, result.wall
-    ));
-    out.push_str(&render_summary(&label, &result.summary));
-    out.push_str(&render_counter_block(None, &result.worker_stats));
     out
 }
 

@@ -236,11 +236,6 @@ impl Composition {
         &self.cluster
     }
 
-    /// The shared cluster, mutably (fault installation, crash arming).
-    pub fn cluster_mut(&mut self) -> &mut SimCluster {
-        &mut self.cluster
-    }
-
     /// Current simulated time.
     pub fn now(&self) -> u64 {
         self.cluster.now()

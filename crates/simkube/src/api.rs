@@ -244,11 +244,6 @@ impl ApiServer {
         Arc::make_mut(&mut self.crds).insert(kind.to_string(), schema);
     }
 
-    /// Returns the registered schema for a CRD kind.
-    pub fn crd_schema(&self, kind: &str) -> Option<&Schema> {
-        self.crds.get(kind)
-    }
-
     /// Registers an admission webhook for a CRD kind.
     pub fn register_admission(&mut self, kind: &str, hook: AdmissionHook) {
         Arc::make_mut(&mut self.admission)

@@ -85,14 +85,6 @@ const BINARY_SUFFIXES: &[(&str, i128)] = &[
 ];
 
 impl Quantity {
-    /// Creates a quantity from a whole number of base units.
-    pub fn from_units(units: i64) -> Quantity {
-        Quantity {
-            millis: i128::from(units) * 1000,
-            family: SuffixFamily::Decimal,
-        }
-    }
-
     /// Creates a quantity from milli-units (e.g. milli-CPU).
     pub fn from_millis(millis: i64) -> Quantity {
         Quantity {

@@ -363,11 +363,6 @@ impl SchedIndex {
         self.synced = store.revision();
     }
 
-    /// Revision the index currently reflects.
-    pub fn synced_revision(&self) -> u64 {
-        self.synced
-    }
-
     fn rebuild(&mut self, store: &ObjectStore) {
         *self = SchedIndex::default();
         for obj in store.list_all(&Kind::Node) {
