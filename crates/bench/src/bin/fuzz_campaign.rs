@@ -1,9 +1,9 @@
 //! Coverage-guided fuzzing study: guidance versus pure-random sampling at
 //! an equal execution budget, on the snapshot-forking executor.
 //!
-//! Every execution forks the deploy-converged base checkpoint from the
-//! [`acto::parallel::SnapshotDepot`] (an O(1) CoW restore) instead of
-//! re-deploying — the bench proves the fork is on the hot path by reading
+//! Every execution forks the run's deploy-converged base checkpoint (an
+//! O(1) CoW restore) instead of re-deploying — the bench proves the fork
+//! is on the hot path by reading
 //! the process-global [`simkube::checkpoint_forks`] counter around the
 //! run. The headline number is the coverage ratio: distinct coverage
 //! features the guided fuzzer reaches divided by what equal-budget

@@ -9,9 +9,9 @@
 //! recovery-failure bug) or the operator crashes, the campaign resets onto
 //! a fresh cluster at the last good declaration and continues.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crdspec::{Path, Schema, SchemaKind, Value};
@@ -23,6 +23,7 @@ use operators::{
 use simkube::PlatformBugs;
 
 use crate::deps::{infer_dependencies, satisfy};
+use crate::exec::Memo;
 use crate::gen::{mutate, scenarios_for, GenContext};
 use crate::model::{Expectation, Mode, PlannedOp, Trial, TrialOutcome};
 use crate::oracles::{
@@ -44,7 +45,15 @@ pub struct CampaignConfig {
     pub bugs: BugToggles,
     /// Platform-bug configuration.
     pub platform: PlatformBugs,
-    /// Stop after this many executed operations (`None` = full coverage).
+    /// Caps the run's operations (`None` = full coverage). The runners
+    /// read it two ways. The sequential runners ([`run_campaign_with`],
+    /// [`crate::run_composed_campaign`]) stop after this many *executed
+    /// trials*: a planned op that changes nothing is skipped uncounted,
+    /// and a trial recorded before the plan (the fault burst, a composed
+    /// run's deploy-interference trial) counts. The work-stealing runners
+    /// cap the *planned ops* before segmenting the plan, so skipped no-ops
+    /// count and the pre-plan trial does not. Changing either meaning
+    /// would move the goldens; ROADMAP item 6 reconciles them.
     pub max_ops: Option<usize>,
     /// Run the (expensive) differential oracle for normal transitions.
     pub differential: bool,
@@ -292,6 +301,19 @@ impl CampaignResult {
 /// `tests/plan_once.rs` pins that contract.
 pub static PLAN_COMPUTATIONS: AtomicUsize = AtomicUsize::new(0);
 
+/// Plans a registered operator's campaign in `mode` against its own
+/// schema, reconcile IR, initial CR and images.
+pub(crate) fn plan_operator(operator: &dyn operators::Operator, mode: Mode) -> Vec<PlannedOp> {
+    plan_campaign(
+        &operator.schema(),
+        Some(&operator.ir()),
+        mode,
+        &operator.initial_cr(),
+        &operator.images(),
+        operators::INSTANCE,
+    )
+}
+
 /// Plans a campaign: one scenario list per property, in deterministic
 /// order, with dependency assignments resolved against an evolving working
 /// declaration.
@@ -472,6 +494,17 @@ pub(crate) fn value_path(schema_path: &Path) -> Path {
     Path::from_steps(steps)
 }
 
+/// Looks an operator up in the registry: the one unknown-operator error of
+/// every run entry point, listing the valid names.
+pub(crate) fn resolve_operator(name: &str) -> Result<Box<dyn operators::Operator>, String> {
+    operators::try_operator_by_name(name).ok_or_else(|| {
+        format!(
+            "unknown operator {name:?}; valid operators: {:?}",
+            operators::operator_names()
+        )
+    })
+}
+
 fn deploy_instance(config: &CampaignConfig) -> Instance {
     Instance::deploy_on(
         operator_by_name(config.operator()),
@@ -501,16 +534,8 @@ pub(crate) fn acquire_instance(
 
 /// Runs a full campaign for one operator: plans once, then executes.
 pub fn run_campaign(config: &CampaignConfig) -> CampaignResult {
-    let operator = operator_by_name(config.operator());
     let gen_start = Instant::now();
-    let plan = plan_campaign(
-        &operator.schema(),
-        Some(&operator.ir()),
-        config.mode,
-        &operator.initial_cr(),
-        &operator.images(),
-        operators::INSTANCE,
-    );
+    let plan = plan_operator(&*operator_by_name(config.operator()), config.mode);
     let gen_duration = gen_start.elapsed();
     let ref_cache = FreshRefCache::new();
     run_campaign_with(config, &plan, gen_duration, None, None, Some(&ref_cache))
@@ -859,7 +884,7 @@ pub(crate) fn collapse(alarms: Vec<Alarm>) -> Vec<Alarm> {
 /// (`None` when the reference run rejects the declaration) plus the exact
 /// sim-seconds/convergence-waits accounting of the run that produced it.
 #[derive(Debug)]
-pub(crate) struct CachedReference {
+pub struct CachedReference {
     pub(crate) state: Option<oracles::StateSnapshot>,
     pub(crate) sim_seconds: u64,
     pub(crate) convergence_waits: usize,
@@ -874,43 +899,7 @@ pub(crate) struct CachedReference {
 ///
 /// A hit replays the stored accounting verbatim, so results — transcripts
 /// included — are invariant to cache state, sharing, and worker count.
-#[derive(Debug, Default)]
-pub struct FreshRefCache {
-    entries: Mutex<BTreeMap<String, Arc<CachedReference>>>,
-}
-
-impl FreshRefCache {
-    /// Creates an empty cache.
-    pub fn new() -> FreshRefCache {
-        FreshRefCache::default()
-    }
-
-    /// Number of distinct declarations cached.
-    pub fn len(&self) -> usize {
-        self.entries.lock().expect("ref cache lock").len()
-    }
-
-    /// Returns `true` when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn get(&self, key: &str) -> Option<Arc<CachedReference>> {
-        self.entries
-            .lock()
-            .expect("ref cache lock")
-            .get(key)
-            .cloned()
-    }
-
-    fn insert(&self, key: String, entry: Arc<CachedReference>) {
-        self.entries
-            .lock()
-            .expect("ref cache lock")
-            .entry(key)
-            .or_insert(entry);
-    }
-}
+pub type FreshRefCache = Memo<String, CachedReference>;
 
 /// Builds the fresh-deployment reference state for the differential oracle
 /// (`S_0 --D--> S'_i`), restoring the deploy-converged base checkpoint
@@ -925,7 +914,7 @@ pub(crate) fn fresh_reference(
 ) -> (Arc<CachedReference>, bool) {
     let key = cache.map(|_| crdspec::json::to_string(declaration));
     if let (Some(cache), Some(key)) = (cache, &key) {
-        if let Some(hit) = cache.get(key) {
+        if let Some(hit) = cache.get(key.as_str()) {
             return (hit, true);
         }
     }
@@ -947,7 +936,7 @@ pub(crate) fn fresh_reference(
     };
     let entry = Arc::new(entry);
     if let (Some(cache), Some(key)) = (cache, key) {
-        cache.insert(key, Arc::clone(&entry));
+        cache.put(key, Arc::clone(&entry));
     }
     (entry, false)
 }

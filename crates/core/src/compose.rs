@@ -41,12 +41,14 @@ use std::time::{Duration, Instant};
 
 use crdspec::Value;
 use operators::{
-    operator_by_name, try_operator_by_name, Composition, CompositionCheckpoint, Instance,
-    InterferenceEvent, Operator, CONVERGE_MAX, CONVERGE_RESET,
+    operator_by_name, Composition, CompositionCheckpoint, Instance, InterferenceEvent, Operator,
+    CONVERGE_MAX, CONVERGE_RESET,
 };
 use simkube::{ApiError, FaultPlan, ObjKey};
 
-use crate::campaign::{apply_op, collapse, normalized, plan_campaign, CampaignConfig};
+use crate::campaign::{
+    apply_op, collapse, normalized, plan_operator, resolve_operator, CampaignConfig,
+};
 use crate::exec::{run_segmented, Driver, Segment, TrialRecord};
 use crate::fuzz::{
     observable_hash, Candidate, ExecRecord, FeatureRecorder, FuzzConfig, FuzzExec, FuzzInput,
@@ -91,17 +93,7 @@ pub fn plan_composed(config: &CampaignConfig) -> Result<Vec<ComposedOp>, String>
     let mut per_member: Vec<std::vec::IntoIter<PlannedOp>> = Vec::new();
     for name in &config.operators {
         let op = resolve_operator(name)?;
-        per_member.push(
-            plan_campaign(
-                &op.schema(),
-                Some(&op.ir()),
-                config.mode,
-                &op.initial_cr(),
-                &op.images(),
-                operators::INSTANCE,
-            )
-            .into_iter(),
-        );
+        per_member.push(plan_operator(&*op, config.mode).into_iter());
     }
     let mut plan: Vec<ComposedOp> = Vec::new();
     let mut exhausted = false;
@@ -120,15 +112,6 @@ pub fn plan_composed(config: &CampaignConfig) -> Result<Vec<ComposedOp>, String>
         }
     }
     Ok(plan)
-}
-
-fn resolve_operator(name: &str) -> Result<Box<dyn Operator>, String> {
-    try_operator_by_name(name).ok_or_else(|| {
-        format!(
-            "unknown operator {name:?}; valid operators: {:?}",
-            operators::operator_names()
-        )
-    })
 }
 
 /// Resolves every member against the registry, once per run: a

@@ -3,13 +3,16 @@
 //! Before this module existed the runner logic lived in six near-copies —
 //! sequential, work-stealing, and fuzz runners, each with a composed twin —
 //! so every new capability (crash sweeps, depot counters, quarantine) had
-//! to be hand-ported six ways. `exec` collapses them onto three pieces:
+//! to be hand-ported six ways. `exec` collapses them onto these pieces:
 //!
-//! - [`Scheduler`]: one claim-by-cursor work-stealing loop. The sequential
-//!   runner is the 1-worker special case; pre-assignment (worker `w`
-//!   claims item `w` first) and the `catch_unwind`/retry-once/quarantine
-//!   path are options of the same loop, not separate runners. There is
-//!   exactly one [`WorkerStats`] fold.
+//! - [`Scheduler`]: one claim-by-cursor work-stealing loop behind the
+//!   work-stealing and fuzz runners; pre-assignment (worker `w` claims
+//!   item `w` first) and the `catch_unwind`/retry-once/quarantine path are
+//!   options of the same loop, not separate runners. There is exactly one
+//!   [`WorkerStats`] fold. The sequential runners
+//!   ([`crate::run_campaign`], [`crate::run_composed_campaign`]) do not
+//!   schedule: they call their window bodies directly, because their
+//!   transcripts still differ from a one-segment run (ROADMAP item 6).
 //! - [`Driver`]: what differs between a single-operator campaign and a
 //!   multi-operator [`operators::Composition`] — how the shared base is
 //!   deployed, how the canonical prefix state of a segment is built, how
@@ -21,10 +24,10 @@
 //!   they carry (transcript lines, summary, the worker-panic placeholder),
 //!   so one `ParallelResult`, `FuzzResult` and fuzz loop serve both the
 //!   single-operator and the composed trial.
-//! - [`TrialSource`]: where work comes from — planned segments are a
-//!   single batch, fuzz runs draw batch after batch from a corpus, crash
-//!   sweeps enumerate write boundaries. [`drive`] runs any source to
-//!   exhaustion through the scheduler.
+//! - [`Memo`]: the one content-addressed, first-insert-wins cache shared
+//!   across workers: the [`SnapshotDepot`] of prefix checkpoints, the
+//!   differential oracle's [`crate::FreshRefCache`] and the fuzzer's
+//!   crash-consistency references.
 //!
 //! Determinism is the core's contract: results are always assembled in
 //! item order (never completion order), so transcripts are byte-identical
@@ -32,10 +35,11 @@
 //! the per-segment sink to journal completed work and replays it through
 //! `completed`, which is why interrupted runs resume byte-identically.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use operators::InstanceCheckpoint;
@@ -154,7 +158,7 @@ pub struct SupervisionEvent {
 
 /// The per-item supervision deadline: generous enough that reclaims fire
 /// only for genuinely stuck workers, never for slow-but-progressing ones.
-const SEGMENT_DEADLINE: Duration = Duration::from_secs(300);
+pub(crate) const SEGMENT_DEADLINE: Duration = Duration::from_secs(300);
 
 /// Copy-on-write checkpoints that can report their structural-sharing
 /// accounting. Implemented by the single-operator [`InstanceCheckpoint`]
@@ -178,6 +182,62 @@ impl CheckpointSharing for operators::CompositionCheckpoint {
     }
 }
 
+/// A content-addressed memo shared across workers: a mutex-guarded map
+/// from key to a shared value, where the first insert of a key wins.
+///
+/// Every value stored under a key is the same canonical result (a prefix
+/// state, a reference run), so which worker's insert wins cannot change
+/// anything a run reports. A panic while the lock is held cannot leave a
+/// half-written entry behind (entries go in whole), so a poisoned lock is
+/// simply taken over.
+#[derive(Debug)]
+pub struct Memo<K, V> {
+    slots: Mutex<BTreeMap<K, Arc<V>>>,
+}
+
+impl<K, V> Default for Memo<K, V> {
+    fn default() -> Memo<K, V> {
+        Memo {
+            slots: Mutex::new(BTreeMap::new()),
+        }
+    }
+}
+
+impl<K: Ord, V> Memo<K, V> {
+    /// An empty memo.
+    pub fn new() -> Memo<K, V> {
+        Memo::default()
+    }
+
+    fn slots(&self) -> MutexGuard<'_, BTreeMap<K, Arc<V>>> {
+        self.slots.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The value memoized under `key`, if any.
+    pub fn get<Q: Ord + ?Sized>(&self, key: &Q) -> Option<Arc<V>>
+    where
+        K: Borrow<Q>,
+    {
+        self.slots().get(key).cloned()
+    }
+
+    /// Memoizes `value` under `key`; an existing entry wins (the first
+    /// insert is already canonical).
+    pub fn put(&self, key: K, value: Arc<V>) {
+        self.slots().entry(key).or_insert(value);
+    }
+
+    /// Number of memoized entries.
+    pub fn len(&self) -> usize {
+        self.slots().len()
+    }
+
+    /// Whether the memo holds no entries.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
 /// Memoized canonical prefix checkpoints, keyed by plan prefix length.
 ///
 /// Entries are *canonical*: always the state produced by restoring the
@@ -189,65 +249,17 @@ impl CheckpointSharing for operators::CompositionCheckpoint {
 /// Generic over the checkpoint type: single-operator runs store
 /// [`InstanceCheckpoint`]s (the default), composed runs store whole
 /// [`operators::CompositionCheckpoint`]s.
-#[derive(Debug)]
-pub struct SnapshotDepot<T = InstanceCheckpoint> {
-    slots: Mutex<BTreeMap<usize, Arc<T>>>,
-}
+pub type SnapshotDepot<T = InstanceCheckpoint> = Memo<usize, T>;
 
-impl<T> Default for SnapshotDepot<T> {
-    fn default() -> SnapshotDepot<T> {
-        SnapshotDepot {
-            slots: Mutex::new(BTreeMap::new()),
-        }
-    }
-}
-
-impl<T> SnapshotDepot<T> {
-    /// An empty depot.
-    pub fn new() -> SnapshotDepot<T> {
-        SnapshotDepot::default()
-    }
-
-    /// The memoized checkpoint for a prefix length, if deposited.
-    pub fn get(&self, skip: usize) -> Option<Arc<T>> {
-        self.slots
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&skip)
-            .cloned()
-    }
-
-    /// Deposits a canonical prefix checkpoint; an existing entry wins (the
-    /// first deposit is already canonical).
-    pub fn put(&self, skip: usize, cp: Arc<T>) {
-        self.slots
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .entry(skip)
-            .or_insert(cp);
-    }
-
-    /// Number of memoized prefix states.
-    pub fn len(&self) -> usize {
-        self.slots.lock().unwrap_or_else(|e| e.into_inner()).len()
-    }
-
-    /// Whether the depot holds no states.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl<T: CheckpointSharing> SnapshotDepot<T> {
+impl<T: CheckpointSharing> Memo<usize, T> {
     /// Sharing accounting over every resident snapshot: objects shared
     /// with at least one other snapshot versus uniquely owned, summed
     /// across slots. With the CoW store, resident snapshots that differ
     /// only in a few objects keep almost everything in the shared column.
     pub fn sharing_stats(&self) -> (usize, usize) {
-        let slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
         let mut shared = 0;
         let mut owned = 0;
-        for cp in slots.values() {
+        for cp in self.slots().values() {
             let (s, o) = cp.sharing_stats();
             shared += s;
             owned += o;
@@ -267,12 +279,11 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The one claim-by-cursor work-stealing loop every runner schedules
-/// through. `workers` threads claim items from a shared atomic cursor and
-/// run the work closure on each; results come back in *item order*
-/// regardless of which worker ran what, so callers that fold over them
-/// stay deterministic for any worker count. The sequential runner is the
-/// `workers == 1` special case of the same loop.
+/// The one claim-by-cursor work-stealing loop the work-stealing and fuzz
+/// runners schedule through. `workers` threads claim items from a shared
+/// atomic cursor and run the work closure on each; results come back in
+/// *item order* regardless of which worker ran what, so callers that fold
+/// over them stay deterministic for any worker count.
 #[derive(Debug, Clone, Copy)]
 pub struct Scheduler {
     workers: usize,
@@ -328,9 +339,9 @@ impl Scheduler {
     }
 
     /// Runs `f` over every item with no panic capture: a panic propagates
-    /// out of the scope and aborts the run. This is the [`steal_map`]
-    /// discipline used for fuzz batches, where execution is a pure
-    /// function of the input and a panic is a harness bug.
+    /// out of the scope and aborts the run. Fuzz batches run this way:
+    /// execution is a pure function of the input, so a panic is a harness
+    /// bug.
     pub fn run_plain<T, R, F>(&self, items: &[T], f: F) -> ScheduleRun<R>
     where
         T: Sync,
@@ -585,23 +596,6 @@ pub struct Quarantine<'a, T, R> {
     pub placeholder: &'a (dyn Fn(usize, &T, &str) -> R + Sync),
 }
 
-/// Generic work-stealing executor: `workers` threads claim items from a
-/// shared atomic cursor and run `f(index, item, stats)` on each. Results
-/// come back in *item order* regardless of which worker ran what, so
-/// callers that fold over them stay deterministic for any worker count.
-///
-/// `f` must not panic: unlike segment execution (which quarantines), a
-/// panic here propagates out of the scope and aborts the run.
-pub fn steal_map<T, R, F>(items: &[T], workers: usize, f: F) -> (Vec<R>, Vec<WorkerStats>)
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T, &mut WorkerStats) -> R + Sync,
-{
-    let run = Scheduler::new(workers).run_plain(items, f);
-    (run.results, run.worker_stats)
-}
-
 /// Folds a batch's per-worker statistics into the run's accumulated
 /// per-worker table (`acc[s.worker % acc.len()]`) — the single fold shared
 /// by the fuzz runners, which re-run the scheduler once per batch and keep
@@ -803,7 +797,7 @@ pub fn run_segmented<D: Driver>(
     let work = |_i: usize, seg: &Segment, my: &mut WorkerStats| {
         // Segment `k` starts from the canonical prefix state, served from
         // the depot or built once and deposited for every later claim.
-        let start = match depot.get(seg.skip) {
+        let start = match depot.get(&seg.skip) {
             Some(cp) => {
                 my.depot_hits += 1;
                 cp
@@ -876,46 +870,6 @@ pub fn run_segmented<D: Driver>(
         depot_snapshots,
         depot_shared_objects,
         depot_owned_objects,
-    }
-}
-
-/// Where trials come from: planned segments are a single batch, fuzz runs
-/// draw batch after batch guided by their corpus, crash sweeps enumerate
-/// write boundaries. The source owns all mutable campaign state (corpus,
-/// coverage, RNG, records); execution itself is a pure function of the
-/// input, which is what lets [`drive`] fan a batch across workers and
-/// still merge deterministically in input order.
-pub trait TrialSource {
-    /// One unit of schedulable work.
-    type Input: Send + Sync;
-    /// What executing one input produces.
-    type Output: Send;
-
-    /// Draws the next batch of inputs; an empty batch ends the run.
-    fn next_batch(&mut self) -> Vec<Self::Input>;
-
-    /// Folds one finished batch back into the source's state, in input
-    /// order, together with the batch's per-worker statistics.
-    fn absorb(&mut self, batch: Vec<Self::Input>, outputs: Vec<Self::Output>, stats: Vec<WorkerStats>);
-}
-
-/// Runs a [`TrialSource`] to exhaustion: draw a batch, execute it across
-/// `workers` through the scheduler, fold the results back, repeat until
-/// the source stops producing.
-pub fn drive<S, E>(source: &mut S, workers: usize, exec: E)
-where
-    S: TrialSource,
-    E: Fn(usize, &S::Input, &mut WorkerStats) -> S::Output + Sync,
-{
-    loop {
-        let batch = source.next_batch();
-        if batch.is_empty() {
-            return;
-        }
-        let run = Scheduler::new(workers)
-            .supervised(SEGMENT_DEADLINE)
-            .run_plain(&batch, &exec);
-        source.absorb(batch, run.results, run.worker_stats);
     }
 }
 
@@ -1078,34 +1032,5 @@ mod tests {
             sunk,
             [(2, placeholder.to_string()), (3, "ran 3".to_string())]
         );
-    }
-
-    #[test]
-    fn drive_runs_source_to_exhaustion_in_order() {
-        struct Doubler {
-            rounds: usize,
-            seen: Vec<usize>,
-        }
-        impl TrialSource for Doubler {
-            type Input = usize;
-            type Output = usize;
-            fn next_batch(&mut self) -> Vec<usize> {
-                if self.rounds == 0 {
-                    return Vec::new();
-                }
-                self.rounds -= 1;
-                let start = self.seen.len();
-                (start..start + 5).collect()
-            }
-            fn absorb(&mut self, _batch: Vec<usize>, outputs: Vec<usize>, _stats: Vec<WorkerStats>) {
-                self.seen.extend(outputs);
-            }
-        }
-        let mut source = Doubler {
-            rounds: 3,
-            seen: Vec::new(),
-        };
-        drive(&mut source, 3, |_, &x, _| x);
-        assert_eq!(source.seen, (0..15).collect::<Vec<_>>());
     }
 }

@@ -4,16 +4,16 @@
 //! much observable territory a campaign reaches per CPU-hour. This module
 //! *searches* that space instead: a fuzz input is a `(seed, op-sequence,
 //! fault plan, crash point)` tuple, executed by forking the simulated
-//! cluster from the deploy-converged [`SnapshotDepot`] checkpoint (an O(1)
-//! CoW restore — never a redeployment), and observed through a
+//! cluster from the deploy-converged base checkpoint (an O(1) CoW
+//! restore — never a redeployment), and observed through a
 //! [`CoverageMap`] keyed on masked-state buckets, state-transition edges,
 //! trial-outcome classes, alarm kinds, and crash-boundary verdicts. Inputs
 //! that reached novel territory enter a deterministic [`Corpus`]; a
 //! seeded-RNG mutator (splice, insert/delete/replace ops, fault-timing
 //! perturbation, crash-write re-arming, havoc) breeds children from corpus
 //! parents. Batches run through the work-stealing
-//! [`crate::parallel::steal_map`] executor and merge in input order at
-//! batch boundaries, so the whole campaign — transcript, corpus, and
+//! [`crate::exec::Scheduler`] and merge in input order at batch
+//! boundaries, so the whole campaign — transcript, corpus, and
 //! coverage map — is byte-identical across repeat runs and for *any*
 //! worker count.
 //!
@@ -33,7 +33,7 @@
 //! workers, and any saved corpus entry replays bit-for-bit.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crdspec::Value;
@@ -41,12 +41,12 @@ use operators::{operator_by_name, Instance, InstanceCheckpoint, CONVERGE_MAX, CO
 use simkube::{FaultPlan, FaultProfile, ObjKey, SimCluster, SplitMix64};
 
 use crate::campaign::{
-    apply_op, collapse, normalized, plan_campaign, CampaignConfig, FreshRefCache,
+    apply_op, collapse, normalized, plan_operator, resolve_operator, CampaignConfig, FreshRefCache,
 };
-use crate::exec::{drive, fold_batch_stats, TrialRecord, TrialSource};
+use crate::exec::{fold_batch_stats, Memo, Scheduler, TrialRecord, SEGMENT_DEADLINE};
 use crate::model::{Expectation, Mode, PlannedOp, Trial, TrialOutcome};
 use crate::oracles::{self, masked_snapshot, transition_occurred, OracleContext, StateSnapshot};
-use crate::parallel::{steal_map, SnapshotDepot, WorkerStats};
+use crate::parallel::WorkerStats;
 use crate::persist;
 use crate::report::{render_detected, Alarm, CampaignSummary};
 use crate::step::{self, Judged, Ledger, CRASH_DOWN_FOR};
@@ -734,33 +734,8 @@ struct SeqReference {
     convergence_waits: usize,
 }
 
-/// Cross-worker cache of `SeqReference`s.
-#[derive(Debug, Default)]
-pub struct SeqRefCache {
-    entries: Mutex<BTreeMap<String, Arc<SeqReference>>>,
-}
-
-impl SeqRefCache {
-    fn new() -> SeqRefCache {
-        SeqRefCache::default()
-    }
-
-    fn get(&self, key: &str) -> Option<Arc<SeqReference>> {
-        self.entries
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(key)
-            .cloned()
-    }
-
-    fn insert(&self, key: String, entry: Arc<SeqReference>) {
-        self.entries
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .entry(key)
-            .or_insert(entry);
-    }
-}
+/// Cross-worker cache of `SeqReference`s, keyed by the op sequence.
+type SeqRefCache = Memo<String, SeqReference>;
 
 /// Everything one sequence execution observed.
 struct SeqRun {
@@ -779,16 +754,6 @@ pub(crate) struct FuzzExec<T = Trial> {
     pub(crate) trials: Vec<T>,
     pub(crate) features: Vec<CoverageFeature>,
     pub(crate) sim_seconds: u64,
-}
-
-/// Shared immutable context for executions.
-struct ExecCtx<'a> {
-    config: &'a CampaignConfig,
-    pool: &'a [PlannedOp],
-    base: &'a Arc<InstanceCheckpoint>,
-    depot: &'a SnapshotDepot,
-    seq_refs: &'a SeqRefCache,
-    ref_cache: &'a FreshRefCache,
 }
 
 /// Hash of the system's *structural* observable state: which objects
@@ -917,22 +882,22 @@ impl FeatureRecorder {
 /// the shared base checkpoint. A pure function of its arguments: every
 /// trial, feature, and sim-second is reproducible bit-for-bit.
 fn execute_sequence(
-    ctx: &ExecCtx<'_>,
+    ctx: &ExecState<'_>,
     ops: &[usize],
     faults: &FaultPlan,
     crash: Option<(usize, u32)>,
     my: &mut WorkerStats,
 ) -> SeqRun {
     let config = ctx.config;
-    let cp = ctx.depot.get(0).unwrap_or_else(|| Arc::clone(ctx.base));
+    // Every execution forks the deploy-converged base: one depot hit.
     my.depot_hits += 1;
-    let (shared, owned) = cp.sharing_stats();
+    let (shared, owned) = ctx.base.sharing_stats();
     my.restored_objects_shared += shared;
     my.restored_objects_owned += owned;
     let mut instance = Instance::from_checkpoint(
         operator_by_name(config.operator()),
         config.bugs.clone(),
-        &cp,
+        &ctx.base,
     );
     // Each trial is billed everything it caused since the previous trial,
     // including banked reference runs.
@@ -1014,8 +979,8 @@ fn execute_sequence(
                     &oracle_ctx,
                     &last_good,
                     &instance,
-                    Some(ctx.base),
-                    Some(ctx.ref_cache),
+                    Some(&ctx.base),
+                    Some(&ctx.ref_cache),
                     &mut ledger,
                 ));
             }
@@ -1052,7 +1017,7 @@ fn execute_sequence(
 /// Executes one fuzz input: the sequence itself, plus — when a crash point
 /// is armed and no faults interfere — the crash-consistency comparison
 /// against the uninterrupted reference run of the same sequence.
-fn execute_input(ctx: &ExecCtx<'_>, input: &FuzzInput, my: &mut WorkerStats) -> FuzzExec {
+fn execute_input(ctx: &ExecState<'_>, input: &FuzzInput, my: &mut WorkerStats) -> FuzzExec {
     let mut run = execute_sequence(ctx, &input.ops, &input.faults, input.crash, my);
     my.convergence_waits += run.convergence_waits;
     let mut trials = std::mem::take(&mut run.trials);
@@ -1068,7 +1033,7 @@ fn execute_input(ctx: &ExecCtx<'_>, input: &FuzzInput, my: &mut WorkerStats) -> 
             let key = crdspec::json::to_string(&Value::array(
                 input.ops.iter().map(|&i| Value::Integer(i as i64)),
             ));
-            let (reference, hit) = match ctx.seq_refs.get(&key) {
+            let (reference, hit) = match ctx.seq_refs.get(key.as_str()) {
                 Some(r) => (r, true),
                 None => {
                     let mut scratch = WorkerStats::new(usize::MAX);
@@ -1086,8 +1051,8 @@ fn execute_input(ctx: &ExecCtx<'_>, input: &FuzzInput, my: &mut WorkerStats) -> 
                         sim_seconds: r.sim_seconds,
                         convergence_waits: r.convergence_waits,
                     });
-                    ctx.seq_refs.insert(key.clone(), Arc::clone(&entry));
-                    // Reference forks also restore from the depot; fold the
+                    ctx.seq_refs.put(key, Arc::clone(&entry));
+                    // Reference forks also restore the base; fold the
                     // scratch stats into the executing worker's.
                     my.depot_hits += scratch.depot_hits;
                     my.restored_objects_shared += scratch.restored_objects_shared;
@@ -1305,7 +1270,16 @@ pub fn run_fuzz_resumed(config: &FuzzConfig, saved: &Corpus) -> Result<FuzzResul
 /// [`run_fuzz_resumed`].
 pub fn replay_corpus(config: &FuzzConfig, saved: &Corpus) -> Result<FuzzResult, String> {
     ensure_same_operator(config, saved)?;
-    run_replay(config, saved)
+    // The corpus is the loop's replay batch and there is no exec budget, so
+    // the replay is the whole run; its executions are the replayed entries.
+    let replay_only = FuzzConfig {
+        execs: 0,
+        ..config.clone()
+    };
+    let hooks = FuzzHooks::default();
+    let mut result = run_fuzz_hooked(&replay_only, Guidance::Coverage, Some(saved), hooks)?;
+    result.execs = result.records.len();
+    Ok(result)
 }
 
 /// Refuses a corpus grown against another operator: its op indices point
@@ -1336,36 +1310,24 @@ fn ensure_pool(pool: &[PlannedOp]) -> Result<(), String> {
     Ok(())
 }
 
-/// The immutable half of a fuzz run: the planned pool, the deployed base
-/// checkpoint, and the shared caches. Splitting this from [`Progress`]
-/// lets worker threads borrow the execution context while the
-/// coordinating thread mutates coverage/corpus/records between batches.
-pub(crate) struct ExecState {
+/// The immutable half of a fuzz run: the campaign configuration, the
+/// planned pool, the deployed base checkpoint, and the shared caches.
+/// Splitting this from [`Progress`] lets worker threads borrow the
+/// execution context while the coordinating thread mutates
+/// coverage/corpus/records between batches.
+pub(crate) struct ExecState<'a> {
+    config: &'a CampaignConfig,
     pool: Vec<PlannedOp>,
     base: Arc<InstanceCheckpoint>,
-    depot: SnapshotDepot,
     seq_refs: SeqRefCache,
     ref_cache: FreshRefCache,
     base_sim_seconds: u64,
 }
 
-impl ExecState {
-    fn new(cfg: &FuzzConfig) -> Result<ExecState, String> {
-        let name = cfg.campaign.operator();
-        let operator = operators::try_operator_by_name(name).ok_or_else(|| {
-            format!(
-                "unknown operator {name:?}; valid operators: {:?}",
-                operators::operator_names()
-            )
-        })?;
-        let pool = plan_campaign(
-            &operator.schema(),
-            Some(&operator.ir()),
-            cfg.campaign.mode,
-            &operator.initial_cr(),
-            &operator.images(),
-            operators::INSTANCE,
-        );
+impl ExecState<'_> {
+    fn new(cfg: &FuzzConfig) -> Result<ExecState<'_>, String> {
+        let operator = resolve_operator(cfg.campaign.operator())?;
+        let pool = plan_operator(&*operator, cfg.campaign.mode);
         ensure_pool(&pool)?;
         let base_instance = Instance::deploy_on(
             operator,
@@ -1375,28 +1337,14 @@ impl ExecState {
         )
         .map_err(|e| format!("initial deployment failed: {e:?}"))?;
         let base_sim_seconds = base_instance.cluster.now();
-        let base = Arc::new(base_instance.checkpoint());
-        let depot = SnapshotDepot::new();
-        depot.put(0, Arc::clone(&base));
         Ok(ExecState {
+            config: &cfg.campaign,
             pool,
-            base,
-            depot,
+            base: Arc::new(base_instance.checkpoint()),
             seq_refs: SeqRefCache::new(),
             ref_cache: FreshRefCache::new(),
             base_sim_seconds,
         })
-    }
-
-    fn ctx<'a>(&'a self, cfg: &'a FuzzConfig) -> ExecCtx<'a> {
-        ExecCtx {
-            config: &cfg.campaign,
-            pool: &self.pool,
-            base: &self.base,
-            depot: &self.depot,
-            seq_refs: &self.seq_refs,
-            ref_cache: &self.ref_cache,
-        }
     }
 }
 
@@ -1519,11 +1467,11 @@ pub(crate) struct FuzzHooks<'h> {
     pub(crate) on_round: Option<RoundHook<'h>>,
 }
 
-/// The fuzz loop as a [`TrialSource`], for a single operator and for a
-/// composition alike: the first batch replays a saved corpus (uncharged
-/// to the exec budget), then batches are drawn until the budget is spent.
-/// Absorption happens at each batch barrier in input order, which is what
-/// keeps any worker count byte-identical.
+/// The fuzz loop, for a single operator and for a composition alike: the
+/// first batch replays a saved corpus (uncharged to the exec budget), then
+/// batches are drawn until the budget is spent. Absorption happens at each
+/// batch barrier in input order, which is what keeps any worker count
+/// byte-identical.
 pub(crate) struct FuzzSource<'a, 'h, T = Trial> {
     cfg: &'a FuzzConfig,
     guidance: Guidance,
@@ -1535,7 +1483,6 @@ pub(crate) struct FuzzSource<'a, 'h, T = Trial> {
     executed: usize,
     rounds: usize,
     replay: Option<Vec<Candidate>>,
-    current_replay: bool,
     on_round: Option<RoundHook<'h, T>>,
 }
 
@@ -1556,57 +1503,50 @@ impl<'a, 'h, T: TrialRecord> FuzzSource<'a, 'h, T> {
             executed: 0,
             rounds: 0,
             replay: None,
-            current_replay: false,
             on_round: None,
         }
     }
 
-    /// Drives the loop to exhaustion through the shared scheduler, running
-    /// each candidate with `exec`, and assembles the result.
+    /// Runs the loop to exhaustion and assembles the result: the pending
+    /// corpus replay first (uncharged to the exec budget), then guided (or
+    /// random) batches until the budget is spent. Each batch executes
+    /// across the configured workers through the shared scheduler with
+    /// `exec` and is folded back in input order.
     pub(crate) fn run<E>(mut self, exec: E, base_sim_seconds: u64, start: Instant) -> FuzzResult<T>
     where
         E: Fn(usize, &Candidate, &mut WorkerStats) -> FuzzExec<T> + Sync,
     {
-        let workers = self.cfg.workers.max(1);
-        drive(&mut self, workers, exec);
+        let scheduler = Scheduler::new(self.cfg.workers.max(1)).supervised(SEGMENT_DEADLINE);
+        loop {
+            let replay = self.replay.take().filter(|r| !r.is_empty());
+            let is_replay = replay.is_some();
+            let batch = match replay {
+                Some(replays) => replays,
+                None if self.executed < self.cfg.execs => {
+                    let batch_n = self.cfg.batch.max(1).min(self.cfg.execs - self.executed);
+                    let corpus = &self.progress.corpus;
+                    let gen = &mut self.gen;
+                    gen.draw_batch(self.cfg, self.guidance, corpus, batch_n, self.sanitize)
+                }
+                None => break,
+            };
+            let run = scheduler.run_plain(&batch, &exec);
+            self.absorb(batch, run.results, run.worker_stats, is_replay);
+        }
         let counts = (self.executed, self.rounds);
         self.progress
             .finish(self.cfg, base_sim_seconds, counts, start)
     }
-}
 
-impl<T: TrialRecord> TrialSource for FuzzSource<'_, '_, T> {
-    type Input = Candidate;
-    type Output = FuzzExec<T>;
-
-    fn next_batch(&mut self) -> Vec<Candidate> {
-        if let Some(replays) = self.replay.take() {
-            if !replays.is_empty() {
-                self.current_replay = true;
-                return replays;
-            }
-        }
-        self.current_replay = false;
-        if self.executed >= self.cfg.execs {
-            return Vec::new();
-        }
-        let batch_n = self.cfg.batch.max(1).min(self.cfg.execs - self.executed);
-        self.gen.draw_batch(
-            self.cfg,
-            self.guidance,
-            &self.progress.corpus,
-            batch_n,
-            self.sanitize,
-        )
-    }
-
+    /// Folds one executed batch back in at the batch barrier, in input
+    /// order, and hands the round to the journal hook.
     fn absorb(
         &mut self,
         batch: Vec<Candidate>,
         outputs: Vec<FuzzExec<T>>,
         stats: Vec<WorkerStats>,
+        replay: bool,
     ) {
-        let replay = self.current_replay;
         // Replays always seed the corpus; guided batches grow it only under
         // coverage guidance (the random baseline keeps no population).
         let grow = replay || self.guidance == Guidance::Coverage;
@@ -1667,9 +1607,8 @@ pub(crate) fn run_fuzz_hooked(
         source.replay = Some(replays);
     }
 
-    let ctx = state.ctx(cfg);
     Ok(source.run(
-        |_, cand: &Candidate, my| execute_input(&ctx, &cand.input, my),
+        |_, cand: &Candidate, my| execute_input(&state, &cand.input, my),
         state.base_sim_seconds,
         start,
     ))
@@ -1686,23 +1625,6 @@ fn replay_candidates(saved: &Corpus) -> Vec<Candidate> {
             parent: e.parent,
         })
         .collect()
-}
-
-fn run_replay(cfg: &FuzzConfig, saved: &Corpus) -> Result<FuzzResult, String> {
-    let start = Instant::now();
-    let state = ExecState::new(cfg)?;
-    let mut progress = Progress::new(cfg);
-    let replays = replay_candidates(saved);
-    let n = replays.len();
-    if !replays.is_empty() {
-        let ctx = state.ctx(cfg);
-        let (execs, stats) = steal_map(&replays, cfg.workers.max(1), |_, cand, my| {
-            execute_input(&ctx, &cand.input, my)
-        });
-        fold_batch_stats(&mut progress.worker_stats, stats);
-        progress.absorb(replays, execs, true);
-    }
-    Ok(progress.finish(cfg, state.base_sim_seconds, (n, 1), start))
 }
 
 #[cfg(test)]
@@ -1734,14 +1656,7 @@ mod tests {
         );
         // A real operator always plans a non-empty pool; the guard passes.
         let op = operator_by_name("ZooKeeperOp");
-        let pool = plan_campaign(
-            &op.schema(),
-            Some(&op.ir()),
-            Mode::Blackbox,
-            &op.initial_cr(),
-            &op.images(),
-            operators::INSTANCE,
-        );
+        let pool = plan_operator(&*op, Mode::Blackbox);
         assert!(ensure_pool(&pool).is_ok());
     }
 
@@ -1906,14 +1821,7 @@ mod tests {
     fn mutated_inputs_stay_schema_valid() {
         let cfg = FuzzConfig::new("ZooKeeperOp");
         let operator = operator_by_name("ZooKeeperOp");
-        let pool = plan_campaign(
-            &operator.schema(),
-            Some(&operator.ir()),
-            Mode::Whitebox,
-            &operator.initial_cr(),
-            &operator.images(),
-            operators::INSTANCE,
-        );
+        let pool = plan_operator(&*operator, Mode::Whitebox);
         let initial = operator.initial_cr();
         let mut rng = SplitMix64::new(7);
         let mut current = random_input(&mut rng, pool.len(), &cfg);

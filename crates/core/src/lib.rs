@@ -33,13 +33,13 @@
 //!   the regular error checks (§5.3).
 //! - [`minimize`]: alarm reproduction — delta-debugging a failing campaign
 //!   prefix into a minimal e2e test and emitting its code (§5.4).
-//! - [`exec`]: the generic execution core every runner sits on — the
-//!   work-stealing [`exec::Scheduler`] (the sequential runner is its
-//!   1-worker special case), [`exec::run_segmented`] with the snapshot
-//!   depot plumbing, the [`exec::Driver`] abstraction over
-//!   single-operator and composed targets (a driver supplies only its
-//!   prefix build and segment body), the batch-shaped
-//!   [`exec::TrialSource`] loop the fuzzers drive, and the
+//! - [`exec`]: the generic execution core the work-stealing and fuzz
+//!   runners sit on — the work-stealing [`exec::Scheduler`] (the
+//!   sequential runners call their window bodies directly, not through
+//!   it), [`exec::run_segmented`] with the snapshot depot plumbing, the
+//!   [`exec::Driver`] abstraction over single-operator and composed
+//!   targets (a driver supplies only its prefix build and segment body),
+//!   the [`exec::Memo`] behind every cross-worker cache, and the
 //!   [`exec::TrialRecord`] trait that lets one result type, one report
 //!   and one fuzz loop carry either kind of trial.
 //! - [`parallel`]: work-stealing test partitioning across workers with a
@@ -90,10 +90,7 @@ pub use compose::{
     ComposedParallelResult, ComposedResult, ComposedTrial,
 };
 pub use deps::{infer_dependencies, Dependency};
-pub use exec::{
-    drive, run_segmented, steal_map, Driver, Scheduler, Segment, SupervisionEvent, TrialRecord,
-    TrialSource,
-};
+pub use exec::{run_segmented, Driver, Scheduler, Segment, SupervisionEvent, TrialRecord};
 pub use fuzz::{
     replay_corpus, run_fuzz, run_fuzz_resumed, run_random, Corpus, CorpusEntry, CoverageFeature,
     CoverageMap, ExecRecord, FuzzConfig, FuzzInput, FuzzResult,

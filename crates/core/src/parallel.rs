@@ -27,12 +27,12 @@ use crdspec::Value;
 use operators::{operator_by_name, InstanceCheckpoint, CONVERGE_MAX, CONVERGE_RESET};
 
 pub use crate::exec::{
-    steal_map, CheckpointSharing, FailedSegment, SnapshotDepot, SupervisionEvent, WorkerStats,
+    CheckpointSharing, FailedSegment, SnapshotDepot, SupervisionEvent, WorkerStats,
 };
 use crate::exec::{run_segmented, Driver, Segment, SegmentSink, SegmentedRun, TrialRecord};
 
 use crate::campaign::{
-    acquire_instance, apply_op, plan_campaign, run_window, CampaignConfig, FreshRefCache,
+    acquire_instance, apply_op, plan_operator, run_window, CampaignConfig, FreshRefCache,
 };
 use crate::model::{Mode, PlannedOp, Trial, TrialOutcome};
 use crate::oracles::AlarmKind;
@@ -347,16 +347,8 @@ pub(crate) fn run_work_stealing_core(
     sink: Option<SegmentSink<'_, Vec<Trial>>>,
 ) -> ParallelResult {
     let start = Instant::now();
-    let operator = operator_by_name(config.operator());
     let gen_start = Instant::now();
-    let plan = plan_campaign(
-        &operator.schema(),
-        Some(&operator.ir()),
-        config.mode,
-        &operator.initial_cr(),
-        &operator.images(),
-        operators::INSTANCE,
-    );
+    let plan = plan_operator(&*operator_by_name(config.operator()), config.mode);
     let gen_duration = gen_start.elapsed();
 
     let driver = CampaignDriver::new(config, &plan);
@@ -392,14 +384,7 @@ mod tests {
     #[test]
     fn prefix_declaration_reflects_plan() {
         let op = operator_by_name("RabbitMQOp");
-        let plan = plan_campaign(
-            &op.schema(),
-            Some(&op.ir()),
-            Mode::Whitebox,
-            &op.initial_cr(),
-            &op.images(),
-            operators::INSTANCE,
-        );
+        let plan = plan_operator(&*op, Mode::Whitebox);
         let d0 = declaration_after_prefix(&op.initial_cr(), &plan[..0]);
         assert_eq!(d0, op.initial_cr());
         let d3 = declaration_after_prefix(&op.initial_cr(), &plan[..3]);

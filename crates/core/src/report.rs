@@ -338,7 +338,7 @@ pub fn render_summary(operator: &str, summary: &CampaignSummary) -> String {
 /// Renders the per-worker scheduling table shared by the parallel and
 /// fuzzing reports: one line per worker with its segment, steal, cache,
 /// and time accounting.
-pub fn render_worker_stats(stats: &[crate::parallel::WorkerStats]) -> String {
+fn render_worker_stats(stats: &[crate::parallel::WorkerStats]) -> String {
     let mut out = String::new();
     out.push_str(
         "worker  segments  steals  depot-hits  ref-hits  ref-misses  sim-seconds  conv-waits  objs-shared  objs-owned  crash-swept  reclaims  wall\n",
@@ -361,25 +361,6 @@ pub fn render_worker_stats(stats: &[crate::parallel::WorkerStats]) -> String {
             s.wall
         ));
     }
-    out
-}
-
-/// Renders the shared scheduler-counter block: the depot sharing line
-/// (when the run owns result-level depot statistics) followed by the
-/// per-worker table. The parallel and fuzz reports, single-operator or
-/// composed, all embed this one block instead of formatting their own
-/// copies of the depot and ref-cache counter lines.
-pub fn render_counter_block(
-    depot: Option<(usize, usize, usize)>,
-    stats: &[crate::parallel::WorkerStats],
-) -> String {
-    let mut out = String::new();
-    if let Some((snapshots, shared, owned)) = depot {
-        out.push_str(&format!(
-            "depot: {snapshots} resident snapshots; objects shared {shared} / uniquely owned {owned}\n"
-        ));
-    }
-    out.push_str(&render_worker_stats(stats));
     out
 }
 
@@ -411,7 +392,7 @@ pub fn render_fuzz<T: TrialRecord>(result: &FuzzResult<T>) -> String {
         result.total_sim_seconds, result.base_sim_seconds, result.wall
     ));
     out.push_str(&render_summary(&result.operator, &result.summary));
-    out.push_str(&render_counter_block(None, &result.worker_stats));
+    out.push_str(&render_worker_stats(&result.worker_stats));
     out
 }
 
@@ -438,14 +419,11 @@ pub fn render_parallel<T: TrialRecord>(result: &ParallelResult<T>) -> String {
         result.wall,
         result.gen_duration
     ));
-    out.push_str(&render_counter_block(
-        Some((
-            result.depot_snapshots,
-            result.depot_shared_objects,
-            result.depot_owned_objects,
-        )),
-        &result.worker_stats,
+    out.push_str(&format!(
+        "depot: {} resident snapshots; objects shared {} / uniquely owned {}\n",
+        result.depot_snapshots, result.depot_shared_objects, result.depot_owned_objects
     ));
+    out.push_str(&render_worker_stats(&result.worker_stats));
     for f in &result.failed_segments {
         if f.quarantined {
             out.push_str(&format!(

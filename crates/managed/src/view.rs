@@ -167,17 +167,6 @@ impl<'a> SystemView<'a> {
         f(self.cluster.api().store())
     }
 
-    /// Generation of a secret object, if present (used by TLS-rotation
-    /// models).
-    pub fn secret_generation(&self, key: &ObjKey) -> Option<u64> {
-        self.with_store(|store| {
-            store.get(key).and_then(|obj| match &obj.data {
-                ObjectData::Secret(_) => Some(obj.meta.generation),
-                _ => None,
-            })
-        })
-    }
-
     /// Number of ready pods among `pods`.
     pub fn ready_count(pods: &[PodView]) -> usize {
         pods.iter()

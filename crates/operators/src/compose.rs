@@ -17,11 +17,12 @@ use std::mem;
 
 use crdspec::Value;
 use simkube::store::WatchEventKind;
-use simkube::{ApiError, ClusterConfig, PlatformBugs, SimCluster};
+use simkube::{ApiError, ClusterConfig, Converge, PlatformBugs, SimCluster, WaitCursor};
 
 use crate::bugs::BugToggles;
 use crate::framework::{
-    Instance, InstanceCheckpoint, Operator, CONVERGE_MAX, CONVERGE_RESET, NAMESPACE,
+    Instance, InstanceCheckpoint, InstanceFingerprint, Operator, CONVERGE_MAX, CONVERGE_RESET,
+    NAMESPACE,
 };
 
 /// Namespace of composition member `index`: the first member keeps the
@@ -293,72 +294,40 @@ impl Composition {
         self.interference.extend(hits);
     }
 
-    /// Observable fingerprint of the whole composition: the shared
-    /// cluster's quiescence fingerprint, every member's harness state, and
-    /// the interference count.
-    #[allow(clippy::type_complexity)]
-    fn fingerprint(
-        &self,
-    ) -> (
-        simkube::ClusterFingerprint,
-        Vec<(
-            simkube::ClusterFingerprint,
-            Option<u64>,
-            u32,
-            Option<u64>,
-            usize,
-            managed::Health,
-        )>,
-        usize,
-    ) {
+    /// Runs [`Composition::tick`] until no state event occurs for
+    /// `reset_timeout` seconds or `max_seconds` pass — the same
+    /// convergence [`simkube::wait`] as [`Instance::converge`], over all
+    /// members at once.
+    pub fn converge(&mut self, reset_timeout: u64, max_seconds: u64) -> bool {
+        let cursor = WaitCursor::new(&self.cluster);
+        simkube::wait(self, cursor, Some(reset_timeout), max_seconds)
+    }
+}
+
+impl Converge for Composition {
+    type Fingerprint = (simkube::ClusterFingerprint, Vec<InstanceFingerprint>, usize);
+
+    fn tick(&mut self, _: &WaitCursor) {
+        Composition::tick(self);
+    }
+
+    /// The shared cluster's quiescence fingerprint, every member's harness
+    /// state, and the interference count.
+    fn fingerprint(&self) -> Self::Fingerprint {
         (
             self.cluster.quiescence_fingerprint(),
-            self.members.iter().map(|m| m.fingerprint()).collect(),
+            self.members.iter().map(Converge::fingerprint).collect(),
             self.interference.len(),
         )
     }
 
-    /// Runs [`Composition::tick`] until no state event occurs for
-    /// `reset_timeout` seconds or `max_seconds` pass — the same reset-timer
-    /// convergence as [`Instance::converge`], over all members at once.
-    pub fn converge(&mut self, reset_timeout: u64, max_seconds: u64) -> bool {
-        let start = self.cluster.now();
-        let mut last_event_time = start;
-        let mut last_revision = self.cluster.api().store().revision();
-        let ticked = simkube::ticked_engine();
-        let mut fingerprint = self.fingerprint();
-        while self.cluster.now() - start < max_seconds {
-            self.tick();
-            let revision = self.cluster.api().store().revision();
-            if revision != last_revision {
-                last_revision = revision;
-                last_event_time = self.cluster.now();
-            } else if self.cluster.now() - last_event_time >= reset_timeout
-                && self.members.iter().all(|m| !m.operator_down())
-            {
-                return true;
-            }
-            if !ticked {
-                let after = self.fingerprint();
-                if after == fingerprint {
-                    let mut target = (last_event_time + reset_timeout).min(start + max_seconds);
-                    if let Some(wake) = self.cluster.next_wakeup() {
-                        target = target.min(wake);
-                    }
-                    for member in &self.members {
-                        if let Some(down) = member.operator_down_at() {
-                            target = target.min(down);
-                        }
-                    }
-                    if target > self.cluster.now() + 1 {
-                        self.cluster.fast_forward_to(target - 1);
-                    }
-                } else {
-                    fingerprint = after;
-                }
-            }
-        }
-        false
+    fn cluster_mut(&mut self) -> &mut SimCluster {
+        &mut self.cluster
+    }
+
+    /// The earliest restart over all members.
+    fn restart_at(&self) -> Option<u64> {
+        self.members.iter().filter_map(Converge::restart_at).min()
     }
 }
 

@@ -16,7 +16,7 @@ use simkube::cluster::LogLevel;
 use simkube::objects::Kind;
 use simkube::platform::SHARED_OBJECT_PAYLOAD_LIMIT;
 use simkube::store::ObjKey;
-use simkube::{ApiError, ClusterConfig, PlatformBugs, SimCluster};
+use simkube::{ApiError, ClusterConfig, Converge, PlatformBugs, SimCluster, WaitCursor};
 
 use crate::bugs::BugToggles;
 
@@ -137,27 +137,13 @@ impl InstanceCheckpoint {
     }
 }
 
-/// Where a convergence wait stands between two ticks: everything the loop
-/// of [`Instance::converge`] carries from one tick to the next.
-#[derive(Debug, Clone, Copy)]
-struct ConvergeCursor {
-    /// Simulated time the wait began.
-    start: u64,
-    /// Simulated time of the wait's last store event (the reset timer).
-    last_event_time: u64,
-    /// Store revision at that event.
-    last_revision: u64,
-    /// State-changing operator writes the wait has made so far (counted
-    /// only while it records a [`BoundaryLog`]).
-    writes: u64,
-}
-
 /// One entry of a [`BoundaryLog`]: a checkpoint of the instance at the
 /// start of a tick of a convergence wait, and where the wait stood then.
 #[derive(Debug, Clone)]
 pub struct WriteBoundary {
     checkpoint: InstanceCheckpoint,
-    cursor: ConvergeCursor,
+    cursor: WaitCursor,
+    writes_before: u64,
 }
 
 impl WriteBoundary {
@@ -168,12 +154,12 @@ impl WriteBoundary {
 
     /// State-changing operator writes the wait made before this tick.
     pub fn writes_before(&self) -> u64 {
-        self.cursor.writes
+        self.writes_before
     }
 
     /// Simulated time the recorded wait began.
     pub fn wait_start(&self) -> u64 {
-        self.cursor.start
+        self.cursor.start()
     }
 }
 
@@ -208,7 +194,7 @@ impl BoundaryLog {
     ///
     /// When no wait has filled the log.
     pub fn at_write(&self, k: u64) -> &WriteBoundary {
-        let after = self.entries.partition_point(|e| e.cursor.writes < k);
+        let after = self.entries.partition_point(|e| e.writes_before < k);
         &self.entries[after.max(1) - 1]
     }
 }
@@ -476,12 +462,6 @@ impl Instance {
         self.operator_down_until.is_some()
     }
 
-    /// Simulated time the downed operator process restarts, if any — the
-    /// composition's fast-forward must never skip a member's restart tick.
-    pub(crate) fn operator_down_at(&self) -> Option<u64> {
-        self.operator_down_until
-    }
-
     /// The crash/restart transcript: every crash-point firing observed so
     /// far, oldest first.
     pub fn crash_transcript(&self) -> &[CrashEvent] {
@@ -734,186 +714,64 @@ impl Instance {
         }
     }
 
-    /// Observable fingerprint of the whole instance: the cluster's
-    /// quiescence fingerprint plus operator-side state a tick can change.
-    /// Two equal fingerprints around a tick prove it was a no-op: operators
-    /// and models are deterministic functions of this state and read the
-    /// clock only to stamp writes (the contract on [`Operator::reconcile`]
-    /// and [`SystemModel::tick`]), so the next tick is a no-op too. The
-    /// event-driven engine fast-forwards on this; `tick` skips a model tick
-    /// or reconcile pass on the same argument, keyed on the cluster part.
-    pub(crate) fn fingerprint(
-        &self,
-    ) -> (
-        simkube::ClusterFingerprint,
-        Option<u64>,
-        u32,
-        Option<u64>,
-        usize,
-        Health,
-    ) {
-        (
-            self.cluster.quiescence_fingerprint(),
-            self.crashed_generation,
-            self.operator_restarts,
-            self.operator_down_until,
-            self.crash_log.len(),
-            self.last_health.clone(),
-        )
-    }
-
     /// Runs [`Instance::tick`] until no state event occurs for
-    /// `reset_timeout` seconds (paper §5.5), or until `max_seconds` pass.
-    ///
-    /// In event-driven mode the clock jumps over provably idle spans, so
-    /// the convergence (or timeout) timestamp matches the ticked loop's
-    /// exactly.
+    /// `reset_timeout` seconds (paper §5.5), or until `max_seconds` pass:
+    /// the convergence [`simkube::wait`], so in event-driven mode the clock
+    /// jumps over provably idle spans and the convergence (or timeout)
+    /// timestamp matches the ticked loop's exactly.
     pub fn converge(&mut self, reset_timeout: u64, max_seconds: u64) -> bool {
         self.converge_logged(reset_timeout, max_seconds, None)
     }
 
     /// [`Instance::converge`], recording the wait's write boundaries into
-    /// `log` when one is given (see [`BoundaryLog`]). Recording costs one
-    /// O(1) copy-on-write checkpoint per executed tick and changes nothing
-    /// the wait does.
+    /// `log` when one is given (see [`BoundaryLog`]). The log is refilled:
+    /// its first entry is the state at the wait's start, and every
+    /// executed tick whose operator pass wrote adds the checkpoint taken at
+    /// its start. Recording costs one O(1) copy-on-write checkpoint per
+    /// executed tick and changes nothing the wait does.
     pub fn converge_logged(
         &mut self,
         reset_timeout: u64,
         max_seconds: u64,
         log: Option<&mut BoundaryLog>,
     ) -> bool {
-        let now = self.cluster.now();
-        let cursor = ConvergeCursor {
-            start: now,
-            last_event_time: now,
-            last_revision: self.cluster.api().store().revision(),
+        let cursor = WaitCursor::new(&self.cluster);
+        let Some(log) = log else {
+            return simkube::wait(self, cursor, Some(reset_timeout), max_seconds);
+        };
+        log.entries.clear();
+        log.entries.push(WriteBoundary {
+            checkpoint: self.checkpoint(),
+            cursor,
+            writes_before: 0,
+        });
+        let mut recorder = Recorder {
+            instance: self,
+            log: Some(log),
             writes: 0,
         };
-        self.converge_from(cursor, reset_timeout, max_seconds, log)
+        simkube::wait(&mut recorder, cursor, Some(reset_timeout), max_seconds)
     }
 
     /// Continues the convergence wait `boundary` was recorded in, on an
     /// instance restored from [`WriteBoundary::checkpoint`]: the loop picks
-    /// up at the boundary's tick with the wait's start time, reset timer
-    /// and write count, exactly where the recorded wait stood.
+    /// up at the boundary's tick with the wait's start time and reset
+    /// timer, exactly where the recorded wait stood.
     pub fn resume_converge(
         &mut self,
         boundary: &WriteBoundary,
         reset_timeout: u64,
         max_seconds: u64,
     ) -> bool {
-        self.converge_from(boundary.cursor, reset_timeout, max_seconds, None)
-    }
-
-    /// The convergence loop, from `cursor` on. With `log`, the log is
-    /// refilled: its first entry is the state at `cursor`, and every
-    /// executed tick whose operator pass wrote adds the checkpoint taken
-    /// at its start. Recording stops for good at the first tick that
-    /// starts with a crash point armed (a fault plan's): a replay arms its
-    /// own crash point, which would replace that one, so only the ticks
-    /// before it fork exactly.
-    fn converge_from(
-        &mut self,
-        mut cursor: ConvergeCursor,
-        reset_timeout: u64,
-        max_seconds: u64,
-        mut log: Option<&mut BoundaryLog>,
-    ) -> bool {
-        if let Some(log) = log.as_deref_mut() {
-            log.entries.clear();
-            log.entries.push(WriteBoundary {
-                checkpoint: self.checkpoint(),
-                cursor,
-            });
-        }
-        let ticked = simkube::ticked_engine();
-        let mut fingerprint = self.fingerprint();
-        while self.cluster.now() - cursor.start < max_seconds {
-            if log.is_some() && self.cluster.api().armed_operator_crash().is_some() {
-                log = None;
-            }
-            match log.as_deref_mut() {
-                Some(log) => self.tick_recorded(log, &mut cursor),
-                None => self.tick(),
-            }
-            let revision = self.cluster.api().store().revision();
-            if revision != cursor.last_revision {
-                cursor.last_revision = revision;
-                cursor.last_event_time = self.cluster.now();
-            } else if self.cluster.now() - cursor.last_event_time >= reset_timeout
-                && self.operator_down_until.is_none()
-            {
-                // A dead operator process is not a converged system, even if
-                // nothing has moved for a full reset window.
-                return true;
-            }
-            if !ticked {
-                let after = self.fingerprint();
-                if after == fingerprint {
-                    let mut target =
-                        (cursor.last_event_time + reset_timeout).min(cursor.start + max_seconds);
-                    if let Some(wake) = self.cluster.next_wakeup() {
-                        target = target.min(wake);
-                    }
-                    if let Some(down) = self.operator_down_until {
-                        // The restart tick is observable; never skip it.
-                        target = target.min(down);
-                    }
-                    if target > self.cluster.now() + 1 {
-                        self.cluster.fast_forward_to(target - 1);
-                    }
-                } else {
-                    fingerprint = after;
-                }
-            }
-        }
-        false
-    }
-
-    /// One tick of a recorded wait: logs the checkpoint taken at its start
-    /// when its operator pass wrote, and counts the writes.
-    fn tick_recorded(&mut self, log: &mut BoundaryLog, cursor: &mut ConvergeCursor) {
-        let checkpoint = self.checkpoint();
-        let writes_before = self.operator_writes();
-        self.tick();
-        let wrote = self.operator_writes() - writes_before;
-        if wrote > 0 {
-            log.entries.push(WriteBoundary {
-                checkpoint,
-                cursor: *cursor,
-            });
-            cursor.writes += wrote;
-        }
+        simkube::wait(self, boundary.cursor, Some(reset_timeout), max_seconds)
     }
 
     /// Advances exactly `seconds` simulated seconds (e.g. a fault-plan
-    /// horizon), fast-forwarding over provably idle spans in event-driven
-    /// mode. Ends with the clock at `now + seconds` in both engines.
+    /// horizon): the convergence [`simkube::wait`] with no reset timer, so
+    /// it fast-forwards over provably idle spans in event-driven mode and
+    /// ends with the clock at `now + seconds` in both engines.
     pub fn advance(&mut self, seconds: u64) {
-        let end = self.cluster.now() + seconds;
-        let ticked = simkube::ticked_engine();
-        let mut fingerprint = self.fingerprint();
-        while self.cluster.now() < end {
-            self.tick();
-            if ticked {
-                continue;
-            }
-            let after = self.fingerprint();
-            if after == fingerprint {
-                let mut target = end;
-                if let Some(wake) = self.cluster.next_wakeup() {
-                    target = target.min(wake);
-                }
-                if let Some(down) = self.operator_down_until {
-                    target = target.min(down);
-                }
-                if target > self.cluster.now() + 1 {
-                    self.cluster.fast_forward_to(target - 1);
-                }
-            } else {
-                fingerprint = after;
-            }
-        }
+        simkube::wait(self, WaitCursor::new(&self.cluster), None, seconds);
     }
 
     /// Pods of the instance's namespace that carry an explicit failure
@@ -949,6 +807,104 @@ impl Instance {
     /// them in time proportional to the objects that differ.
     pub fn state_handles(&self) -> simkube::StateIndex {
         self.cluster.api().store().state_index().clone()
+    }
+}
+
+/// The fingerprint of an [`Instance`]: the cluster's quiescence
+/// fingerprint plus the operator-side state a tick can change.
+pub(crate) type InstanceFingerprint = (
+    simkube::ClusterFingerprint,
+    Option<u64>,
+    u32,
+    Option<u64>,
+    usize,
+    Health,
+);
+
+impl Converge for Instance {
+    type Fingerprint = InstanceFingerprint;
+
+    fn tick(&mut self, _: &WaitCursor) {
+        Instance::tick(self);
+    }
+
+    /// Two equal fingerprints around a tick prove it was a no-op:
+    /// operators and models are deterministic functions of this state and
+    /// read the clock only to stamp writes (the contract on
+    /// [`Operator::reconcile`] and [`SystemModel::tick`]), so the next tick
+    /// is a no-op too. `tick` skips a model tick or reconcile pass on the
+    /// same argument, keyed on the cluster part.
+    fn fingerprint(&self) -> InstanceFingerprint {
+        (
+            self.cluster.quiescence_fingerprint(),
+            self.crashed_generation,
+            self.operator_restarts,
+            self.operator_down_until,
+            self.crash_log.len(),
+            self.last_health.clone(),
+        )
+    }
+
+    fn cluster_mut(&mut self) -> &mut SimCluster {
+        &mut self.cluster
+    }
+
+    /// A dead operator process is not a converged system, even if nothing
+    /// has moved for a full reset window, and its restart tick is
+    /// observable.
+    fn restart_at(&self) -> Option<u64> {
+        self.operator_down_until
+    }
+}
+
+/// An [`Instance`] whose convergence wait records its write boundaries
+/// (see [`Instance::converge_logged`]).
+struct Recorder<'a> {
+    instance: &'a mut Instance,
+    /// Dropped for good at the first tick that starts with a crash point
+    /// armed (a fault plan's): a replay arms its own crash point, which
+    /// would replace that one, so only the ticks before it fork exactly.
+    log: Option<&'a mut BoundaryLog>,
+    /// State-changing operator writes the wait has made so far.
+    writes: u64,
+}
+
+impl Converge for Recorder<'_> {
+    type Fingerprint = InstanceFingerprint;
+
+    /// One tick, logging the checkpoint taken at its start when its
+    /// operator pass wrote, and counting the writes.
+    fn tick(&mut self, cursor: &WaitCursor) {
+        if self.instance.cluster.api().armed_operator_crash().is_some() {
+            self.log = None;
+        }
+        let Some(log) = self.log.as_deref_mut() else {
+            return self.instance.tick();
+        };
+        let checkpoint = self.instance.checkpoint();
+        let writes_before = self.instance.operator_writes();
+        self.instance.tick();
+        let wrote = self.instance.operator_writes() - writes_before;
+        if wrote > 0 {
+            log.entries.push(WriteBoundary {
+                checkpoint,
+                cursor: *cursor,
+                writes_before: self.writes,
+            });
+            self.writes += wrote;
+        }
+    }
+
+    fn fingerprint(&self) -> InstanceFingerprint {
+        self.instance.fingerprint()
+    }
+
+    fn cluster_mut(&mut self) -> &mut SimCluster {
+        &mut self.instance.cluster
+    }
+
+    fn restart_at(&self) -> Option<u64> {
+        self.instance.restart_at()
     }
 }
 
@@ -1445,6 +1401,41 @@ mod tests {
         assert_eq!(instance.cluster.now(), restored.cluster.now());
         assert_eq!(instance.state_snapshot(), restored.state_snapshot());
         assert_eq!(instance.operator_restarts, restored.operator_restarts);
+    }
+
+    #[test]
+    fn advance_ends_at_its_horizon_across_a_restart_in_both_engines() {
+        let base = settled();
+        let run = |ticked: bool| {
+            let _guard = EngineGuard;
+            simkube::set_ticked_engine(ticked);
+            let mut instance =
+                Instance::from_checkpoint(Box::new(ToyOperator), BugToggles::all_injected(), &base);
+            // Kill the process at its next write, down for 20 s: the
+            // restart falls inside the 120 s horizon.
+            instance.cluster.api_mut().arm_operator_crash(1, 20);
+            instance
+                .submit(Value::object([("replicas", Value::from(4))]))
+                .unwrap();
+            let t0 = instance.cluster.now();
+            let (_, skipped_before) = instance.cluster.engine_stats();
+            instance.advance(120);
+            assert_eq!(instance.cluster.now(), t0 + 120, "ticked: {ticked}");
+            let [event] = instance.crash_transcript() else {
+                panic!("one crash fires (ticked: {ticked})");
+            };
+            assert!(event.restart_at < t0 + 120, "ticked: {ticked}");
+            assert!(!instance.operator_down(), "ticked: {ticked}");
+            // Only the event engine skips idle ticks.
+            let skipped = instance.cluster.engine_stats().1 - skipped_before;
+            assert_eq!(skipped > 0, !ticked, "skipped {skipped} (ticked: {ticked})");
+            (
+                Converge::fingerprint(&instance),
+                instance.crash_transcript().to_vec(),
+                instance.state_snapshot(),
+            )
+        };
+        assert_eq!(run(false), run(true));
     }
 
     #[test]

@@ -4,9 +4,11 @@
 //! [`SimCluster::step`] advances the world one simulated second: built-in
 //! controllers reconcile, the scheduler binds pods, and pod lifecycle
 //! progresses (image pulls, container starts, crash loops). Acto's
-//! convergence detection ([`SimCluster::run_until_converged`]) implements
-//! the paper's reset timer (§5.5): the timer restarts on every observed
-//! state event and convergence is declared when it expires.
+//! convergence detection ([`wait`]) implements the paper's reset timer
+//! (§5.5): the timer restarts on every observed state event and
+//! convergence is declared when it expires. The one wait loop serves a
+//! bare cluster ([`SimCluster::run_until_converged`]), an operator
+//! instance and a composition of instances alike, through [`Converge`].
 //!
 //! # The event-driven step engine
 //!
@@ -1211,47 +1213,12 @@ impl SimCluster {
 
     /// Runs until no watch event has occurred for `reset_timeout` simulated
     /// seconds (the paper's reset-timer convergence), or `max_seconds`
-    /// elapse.
+    /// elapse: the convergence [`wait`] over the bare cluster.
     ///
-    /// Returns `true` on convergence, `false` on timeout. In event-driven
-    /// mode, once a tick changes nothing observable the clock jumps to the
-    /// earlier of the next timer wakeup and the reset-timer expiry; since
-    /// every skipped tick is a provable no-op, the convergence (or timeout)
-    /// timestamp is identical to the ticked loop's.
+    /// Returns `true` on convergence, `false` on timeout.
     pub fn run_until_converged(&mut self, reset_timeout: u64, max_seconds: u64) -> bool {
-        let deadline = self.time + max_seconds;
-        let mut last_event_time = self.time;
-        let mut last_revision = self.api.store().revision();
-        let ticked = ticked_engine();
-        let mut fingerprint = self.quiescence_fingerprint();
-        while self.time < deadline {
-            self.step();
-            let revision = self.api.store().revision();
-            if revision != last_revision {
-                last_revision = revision;
-                last_event_time = self.time;
-            } else if self.time - last_event_time >= reset_timeout {
-                return true;
-            }
-            if !ticked {
-                let after = self.quiescence_fingerprint();
-                if after == fingerprint {
-                    // A fully-no-op tick: every tick until the next timer
-                    // wakeup is identical, so land the next step() exactly
-                    // on the first tick that can matter.
-                    let mut target = (last_event_time + reset_timeout).min(deadline);
-                    if let Some(wake) = self.next_wakeup() {
-                        target = target.min(wake);
-                    }
-                    if target > self.time + 1 {
-                        self.fast_forward_to(target - 1);
-                    }
-                } else {
-                    fingerprint = after;
-                }
-            }
-        }
-        false
+        let cursor = WaitCursor::new(self);
+        wait(self, cursor, Some(reset_timeout), max_seconds)
     }
 
     /// Convenience: lists pods of a namespace as `(name, phase, ready,
@@ -1269,6 +1236,134 @@ impl SimCluster {
             })
             .collect()
     }
+}
+
+/// Where a convergence [`wait`] stands between two ticks: everything its
+/// loop carries from one tick to the next. A copy taken at a tick's start
+/// resumes the same wait at that tick.
+#[derive(Debug, Clone, Copy)]
+pub struct WaitCursor {
+    /// Simulated time the wait began.
+    start: u64,
+    /// Simulated time of the wait's last store event (the reset timer).
+    last_event_time: u64,
+    /// Store revision at that event.
+    last_revision: u64,
+}
+
+impl WaitCursor {
+    /// A wait beginning now on `cluster`.
+    pub fn new(cluster: &SimCluster) -> WaitCursor {
+        WaitCursor {
+            start: cluster.time,
+            last_event_time: cluster.time,
+            last_revision: cluster.api.store().revision(),
+        }
+    }
+
+    /// Simulated time the wait began.
+    pub fn start(&self) -> u64 {
+        self.start
+    }
+}
+
+/// What a convergence [`wait`] drives: a bare [`SimCluster`], an operator
+/// instance on one, or several instances sharing one.
+pub trait Converge {
+    /// Everything a tick can observably change. Equal fingerprints around
+    /// an executed tick prove it a no-op, and with it every later tick up
+    /// to the next timer wakeup or operator restart.
+    type Fingerprint: PartialEq;
+
+    /// Advances the world one simulated second; `cursor` is where the wait
+    /// stood when the tick began.
+    fn tick(&mut self, cursor: &WaitCursor);
+
+    /// The current fingerprint.
+    fn fingerprint(&self) -> Self::Fingerprint;
+
+    /// The cluster the system runs on.
+    fn cluster_mut(&mut self) -> &mut SimCluster;
+
+    /// The earliest time a downed operator process restarts, if any. A
+    /// pending restart is observable, so the wait never skips it, and a
+    /// system with an operator down is not converged.
+    fn restart_at(&self) -> Option<u64> {
+        None
+    }
+}
+
+impl Converge for SimCluster {
+    type Fingerprint = ClusterFingerprint;
+
+    fn tick(&mut self, _: &WaitCursor) {
+        self.step();
+    }
+
+    fn fingerprint(&self) -> ClusterFingerprint {
+        self.quiescence_fingerprint()
+    }
+
+    fn cluster_mut(&mut self) -> &mut SimCluster {
+        self
+    }
+}
+
+/// The convergence wait, the one loop behind every caller's: ticks `sys`
+/// from `cursor` until no store event has occurred for `reset` simulated
+/// seconds with no operator down (the paper's reset timer, §5.5), or until
+/// `max_seconds` have passed since the wait began. With `reset` `None` it
+/// runs the whole `max_seconds`, a fixed horizon. Returns `true` on
+/// convergence.
+///
+/// In the event-driven engine, once an executed tick leaves the
+/// fingerprint unchanged, the clock jumps to one second before the first
+/// tick that can matter: the reset-timer expiry, the deadline, the next
+/// timer wakeup ([`SimCluster::next_wakeup`]) or an operator restart,
+/// whichever is earliest. Every skipped tick is provably a no-op, and the
+/// tick at the target still executes, so the convergence (or timeout)
+/// timestamp, the logs and the watch events are identical to the ticked
+/// loop's.
+pub fn wait<S: Converge>(
+    sys: &mut S,
+    mut cursor: WaitCursor,
+    reset: Option<u64>,
+    max_seconds: u64,
+) -> bool {
+    let deadline = cursor.start.saturating_add(max_seconds);
+    let ticked = ticked_engine();
+    let mut fingerprint = sys.fingerprint();
+    while sys.cluster_mut().time < deadline {
+        sys.tick(&cursor);
+        let restart = sys.restart_at();
+        let cluster = sys.cluster_mut();
+        let now = cluster.time;
+        let revision = cluster.api.store().revision();
+        if revision != cursor.last_revision {
+            cursor.last_revision = revision;
+            cursor.last_event_time = now;
+        } else if reset.is_some_and(|r| now - cursor.last_event_time >= r) && restart.is_none() {
+            return true;
+        }
+        if ticked {
+            continue;
+        }
+        let after = sys.fingerprint();
+        if after != fingerprint {
+            fingerprint = after;
+            continue;
+        }
+        let expiry = reset.map_or(deadline, |r| cursor.last_event_time.saturating_add(r));
+        let cluster = sys.cluster_mut();
+        let target = [cluster.next_wakeup(), restart]
+            .into_iter()
+            .flatten()
+            .fold(expiry.min(deadline), u64::min);
+        if target > now + 1 {
+            cluster.fast_forward_to(target - 1);
+        }
+    }
+    false
 }
 
 #[cfg(test)]

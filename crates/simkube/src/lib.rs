@@ -39,8 +39,9 @@ pub mod store;
 
 pub use api::{ApiError, ApiServer};
 pub use cluster::{
-    checkpoint_forks, engine_counters, set_ticked_engine, ticked_engine, ClusterCheckpoint,
-    ClusterConfig, ClusterFingerprint, NodeTopology, SimCluster, StepEngine, BACKGROUND_NAMESPACE,
+    checkpoint_forks, engine_counters, set_ticked_engine, ticked_engine, wait, ClusterCheckpoint,
+    ClusterConfig, ClusterFingerprint, Converge, NodeTopology, SimCluster, StepEngine, WaitCursor,
+    BACKGROUND_NAMESPACE,
 };
 pub use controllers::ControllerCursors;
 pub use faults::{

@@ -13,7 +13,7 @@ use std::path::PathBuf;
 use acto_repro::acto::fuzz::{run_fuzz, FuzzConfig};
 use acto_repro::acto::persist::{
     resume_fuzz, resume_work_stealing, run_fuzz_persistent, run_fuzz_persistent_with,
-    run_work_stealing_persistent,
+    run_work_stealing_persistent, PersistErrorKind,
 };
 use acto_repro::acto::parallel::{run_work_stealing_with, SnapshotDepot};
 use acto_repro::acto::{CampaignConfig, Mode, Strategy};
@@ -210,4 +210,30 @@ fn minimize_flag_shrinks_alarm_raising_corpus_entries_offline() {
         "one minimized reproduction per alarm-raising corpus entry"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn unknown_operator_fails_before_the_store_is_created() {
+    let campaign_dir = fresh_dir("unknown-campaign");
+    let fuzz_dir = fresh_dir("unknown-fuzz");
+    let mut fuzz = fuzz_config(7, 1);
+    fuzz.campaign.operators = vec!["NoSuchOp".to_string()];
+    let errors = [
+        (
+            &campaign_dir,
+            run_work_stealing_persistent(&config("NoSuchOp", 4), 2, 4, &campaign_dir).map(drop),
+        ),
+        (&fuzz_dir, run_fuzz_persistent(&fuzz, &fuzz_dir).map(drop)),
+        (
+            &campaign_dir,
+            resume_work_stealing(&config("NoSuchOp", 4), 2, &campaign_dir).map(drop),
+        ),
+    ];
+    for (dir, result) in errors {
+        let err = result.expect_err("an unknown operator is refused");
+        assert_eq!(err.kind, PersistErrorKind::Run);
+        assert!(err.detail.contains("\"NoSuchOp\""), "{}", err.detail);
+        assert!(err.detail.contains("ZooKeeperOp"), "lists the valid names: {}", err.detail);
+        assert!(!dir.join("manifest.json").exists(), "{} left a manifest", dir.display());
+    }
 }
