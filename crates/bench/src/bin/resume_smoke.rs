@@ -112,7 +112,12 @@ fn main() {
         "campaign".to_string(),
         format!("{campaign_digest:016x}"),
         format!("{resumed_digest:016x}"),
-        if resumed_digest == campaign_digest { "ok" } else { "DRIFT" }.to_string(),
+        if resumed_digest == campaign_digest {
+            "ok"
+        } else {
+            "DRIFT"
+        }
+        .to_string(),
         format!("{campaign_wall:.2?}"),
         format!("{resume_wall:.2?}"),
     ]);
@@ -147,7 +152,12 @@ fn main() {
         "fuzz".to_string(),
         format!("{fuzz_digest:016x}"),
         format!("{fuzz_resumed_digest:016x}"),
-        if fuzz_resumed_digest == fuzz_digest { "ok" } else { "DRIFT" }.to_string(),
+        if fuzz_resumed_digest == fuzz_digest {
+            "ok"
+        } else {
+            "DRIFT"
+        }
+        .to_string(),
         format!("{fuzz_wall:.2?}"),
         format!("{fuzz_resume_wall:.2?}"),
     ]);
@@ -156,7 +166,14 @@ fn main() {
         "{}",
         render_table(
             "interrupt-then-resume transcript digests",
-            &["run", "baseline", "resumed", "drift", "full wall", "resume wall"],
+            &[
+                "run",
+                "baseline",
+                "resumed",
+                "drift",
+                "full wall",
+                "resume wall"
+            ],
             &rows,
         )
     );

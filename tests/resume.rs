@@ -11,11 +11,11 @@
 use std::path::PathBuf;
 
 use acto_repro::acto::fuzz::{run_fuzz, FuzzConfig};
+use acto_repro::acto::parallel::{run_work_stealing_with, SnapshotDepot};
 use acto_repro::acto::persist::{
     resume_fuzz, resume_work_stealing, run_fuzz_persistent, run_fuzz_persistent_with,
     run_work_stealing_persistent, PersistErrorKind,
 };
-use acto_repro::acto::parallel::{run_work_stealing_with, SnapshotDepot};
 use acto_repro::acto::{CampaignConfig, Mode, Strategy};
 use acto_repro::operators::BugToggles;
 use acto_repro::simkube::PlatformBugs;
@@ -72,8 +72,8 @@ fn interrupted_campaign_resumes_byte_identical_at_any_worker_count() {
         let dir = fresh_dir(&format!("campaign-w{workers}"));
 
         // A full persistent run is itself transcript-identical.
-        let full = run_work_stealing_persistent(&config, 2, segment_ops, &dir)
-            .expect("persistent run");
+        let full =
+            run_work_stealing_persistent(&config, 2, segment_ops, &dir).expect("persistent run");
         assert_eq!(
             baseline.transcript(),
             full.transcript(),
@@ -172,8 +172,7 @@ fn resume_refuses_a_mismatched_configuration() {
         err.to_string().contains("`seed`"),
         "error names the differing field: {err}"
     );
-    let err =
-        resume_work_stealing(&config("ZooKeeperOp", 10), 1, &dir).expect_err("kind mismatch");
+    let err = resume_work_stealing(&config("ZooKeeperOp", 10), 1, &dir).expect_err("kind mismatch");
     assert!(
         err.to_string().contains("fuzz"),
         "error names the stored kind: {err}"
@@ -233,7 +232,15 @@ fn unknown_operator_fails_before_the_store_is_created() {
         let err = result.expect_err("an unknown operator is refused");
         assert_eq!(err.kind, PersistErrorKind::Run);
         assert!(err.detail.contains("\"NoSuchOp\""), "{}", err.detail);
-        assert!(err.detail.contains("ZooKeeperOp"), "lists the valid names: {}", err.detail);
-        assert!(!dir.join("manifest.json").exists(), "{} left a manifest", dir.display());
+        assert!(
+            err.detail.contains("ZooKeeperOp"),
+            "lists the valid names: {}",
+            err.detail
+        );
+        assert!(
+            !dir.join("manifest.json").exists(),
+            "{} left a manifest",
+            dir.display()
+        );
     }
 }
