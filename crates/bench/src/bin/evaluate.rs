@@ -4,12 +4,13 @@
 //! false-positive audit (§6.3), by running full Acto campaigns for all
 //! eleven operators in both modes.
 //!
-//! Set `ACTO_QUICK=1` for a reduced-budget smoke run.
+//! Usage: `evaluate [--quick]` (or `ACTO_QUICK=1`) for a reduced-budget
+//! smoke run.
 
 use std::collections::BTreeMap;
 
 use acto::{AlarmKind, CampaignResult, Mode};
-use acto_bench::{quick_mode, render_table, run_all_campaigns};
+use acto_bench::{quick, render_table, run_all_campaigns};
 use operators::bugs::{self, BugCategory, Consequence};
 use operators::existing_tests::{existing_suite, tested_properties};
 use operators::registry::{all_operators, operator_info};
@@ -292,9 +293,9 @@ fn coverage(white: &[CampaignResult]) {
 }
 
 fn main() {
-    let quick = quick_mode();
+    let quick = quick();
     if quick {
-        println!("(ACTO_QUICK set: reduced operation budget, differential oracle off)\n");
+        println!("(quick mode: reduced operation budget, differential oracle off)\n");
     }
     let white = run_all_campaigns(Mode::Whitebox, quick);
     let black = run_all_campaigns(Mode::Blackbox, quick);

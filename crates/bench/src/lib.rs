@@ -39,17 +39,11 @@ pub fn run_all_campaigns(mode: Mode, quick: bool) -> Vec<CampaignResult> {
     results.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Returns `true` when the `ACTO_QUICK` environment variable requests a
-/// reduced-budget run.
-pub fn quick_mode() -> bool {
-    std::env::var("ACTO_QUICK").is_ok()
-}
-
 /// Returns `true` when either the `ACTO_QUICK` environment variable or a
 /// `--quick` command-line flag requests a reduced-budget run — the one
 /// sniffing path shared by every bench binary.
 pub fn quick() -> bool {
-    quick_mode() || std::env::args().any(|a| a == "--quick")
+    std::env::var("ACTO_QUICK").is_ok() || std::env::args().any(|a| a == "--quick")
 }
 
 /// Version of the `BENCH_*.json` emission format, stamped into every

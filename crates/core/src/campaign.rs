@@ -23,7 +23,7 @@ use operators::{
 use simkube::PlatformBugs;
 
 use crate::deps::{infer_dependencies, satisfy};
-use crate::exec::Memo;
+use crate::exec::{Memo, TrialRecord, WorkerStats};
 use crate::gen::{mutate, scenarios_for, GenContext};
 use crate::model::{Expectation, Mode, PlannedOp, Trial, TrialOutcome};
 use crate::oracles::{
@@ -242,34 +242,7 @@ impl CampaignResult {
         let _ = writeln!(out, "setup-sim-seconds: {}", self.setup_sim_seconds);
         let _ = writeln!(out, "resets: {}", self.resets);
         for trial in &self.trials {
-            let _ = writeln!(
-                out,
-                "trial #{} property={} scenario={} outcome={:?} rollback={:?} sim={}",
-                trial.op.index,
-                trial.op.property,
-                trial.op.scenario,
-                trial.outcome,
-                trial.rollback_recovered,
-                trial.sim_seconds
-            );
-            let _ = writeln!(
-                out,
-                "  declaration: {}",
-                crdspec::json::to_string(&trial.declaration)
-            );
-            if trial.crash_points_swept > 0 {
-                let _ = writeln!(
-                    out,
-                    "  crash-sweep: {} boundaries",
-                    trial.crash_points_swept
-                );
-            }
-            for event in &trial.fault_events {
-                let _ = writeln!(out, "  {event}");
-            }
-            for alarm in &trial.alarms {
-                let _ = writeln!(out, "  alarm {}: {}", alarm.kind.name(), alarm.detail);
-            }
+            trial.render(&mut out);
         }
         render_detected(&mut out, &self.summary);
         out
@@ -561,9 +534,10 @@ pub fn run_campaign_with(
     ref_cache: Option<&FreshRefCache>,
 ) -> CampaignResult {
     let window = (0, plan.len());
+    let (result, _) = run_window(config, plan, window, config.max_ops, base, start, ref_cache);
     CampaignResult {
         gen_duration,
-        ..run_window(config, plan, window, config.max_ops, base, start, ref_cache)
+        ..result
     }
 }
 
@@ -571,6 +545,8 @@ pub fn run_campaign_with(
 /// after `max_trials` trials. A window with `skip > 0` is a work-stealing
 /// segment, and `start` must then be the canonical state after the first
 /// `skip` operations (the driver's jump `S_0 → S_skip`, paper §5.5).
+/// Returns the result and the tally its counters were read from, for a
+/// worker to fold in.
 pub(crate) fn run_window(
     config: &CampaignConfig,
     plan: &[PlannedOp],
@@ -579,7 +555,7 @@ pub(crate) fn run_window(
     base: Option<&InstanceCheckpoint>,
     start: Option<&InstanceCheckpoint>,
     ref_cache: Option<&FreshRefCache>,
-) -> CampaignResult {
+) -> (CampaignResult, WorkerStats) {
     debug_assert!(skip == 0 || start.is_some(), "no prefix state");
     let operator = operator_by_name(config.operator());
     let schema = operator.schema();
@@ -753,7 +729,8 @@ pub(crate) fn run_window(
             for k in 1..=writes as u32 {
                 let from = log.at_write(k.into());
                 let replay = step::crash_replay(config.operator(), &config.bugs, from, k);
-                ledger.convergence_waits += 1;
+                ledger.stats.convergence_waits += 1;
+                ledger.stats.crash_points_swept += 1;
                 ledger.bank(replay.sim_seconds);
                 alarms.extend(collapse(oracles::crash_consistency_check(
                     k,
@@ -780,30 +757,31 @@ pub(crate) fn run_window(
     // Residual overhead (e.g. a skipped no-op after a single-operation
     // reset) is unattributable to a trial: fold it into setup.
     setup_sim_seconds += ledger.take_span(&instance);
-    let sim_seconds = ledger.total(&instance);
+    let tally = ledger.finish(&instance);
     debug_assert_eq!(
-        sim_seconds,
+        tally.sim_seconds,
         setup_sim_seconds + trials.iter().map(|t| t.sim_seconds).sum::<u64>()
     );
 
     let summary = summarize(config.operator(), &trials);
-    CampaignResult {
+    let result = CampaignResult {
         operator: config.operator().to_string(),
         mode: config.mode,
         properties_total: schema.property_count(),
         properties_covered: covered_count(&schema, &covered),
-        crash_points_swept: trials.iter().map(|t| u64::from(t.crash_points_swept)).sum(),
         trials,
-        sim_seconds,
+        sim_seconds: tally.sim_seconds,
         setup_sim_seconds,
-        convergence_waits: ledger.convergence_waits,
+        convergence_waits: tally.convergence_waits,
         gen_duration: Duration::ZERO,
         resets,
         summary,
         deterministic_fields,
-        ref_cache_hits: ledger.ref_cache_hits,
-        ref_cache_misses: ledger.ref_cache_misses,
-    }
+        ref_cache_hits: tally.ref_cache_hits,
+        ref_cache_misses: tally.ref_cache_misses,
+        crash_points_swept: tally.crash_points_swept,
+    };
+    (result, tally)
 }
 
 /// Replaces the campaign cluster with a fresh one at the deploy-converged
@@ -825,7 +803,7 @@ fn reset(
 fn resubmit(instance: &mut Instance, declaration: &Value, ledger: &mut Ledger) -> bool {
     let accepted = instance.submit(declaration.clone()).is_ok();
     let _ = instance.converge(CONVERGE_RESET, CONVERGE_MAX);
-    ledger.convergence_waits += 1;
+    ledger.stats.convergence_waits += 1;
     accepted
 }
 
@@ -1163,7 +1141,7 @@ mod tests {
         let mut stats = crate::exec::WorkerStats::new(0);
         let start = driver.build_prefix(&base, 5, &mut stats);
         assert_eq!(stats.convergence_waits, 1, "the jump converges once");
-        let result = run_window(
+        let (result, _) = run_window(
             &config,
             &plan,
             (5, 4),

@@ -302,9 +302,10 @@ pub fn run_composed_campaign(config: &CampaignConfig) -> Result<ComposedResult, 
     let gen_duration = gen_start.elapsed();
     let comp = deploy_composition(config, &resolve_members(&config.operators)?)?;
     let window = (0, plan.len());
+    let (result, _) = run_composed_window(config, &plan, comp, window, config.max_ops);
     Ok(ComposedResult {
         gen_duration,
-        ..run_composed_window(config, &plan, comp, window, config.max_ops)
+        ..result
     })
 }
 
@@ -370,17 +371,18 @@ fn composed_step(
 /// The composed campaign body: executes the interleaved plan window
 /// `(skip, take)` on `comp`, stopping after `max_trials` trials. A window
 /// with `skip > 0` is a work-stealing segment, and `comp` must then hold
-/// the canonical prefix state.
+/// the canonical prefix state. Returns the result and the tally its
+/// counters were read from, for a worker to fold in.
 fn run_composed_window(
     config: &CampaignConfig,
     plan: &[ComposedOp],
     mut comp: Composition,
     (skip, take): (usize, usize),
     max_trials: Option<usize>,
-) -> ComposedResult {
+) -> (ComposedResult, WorkerStats) {
     let n = comp.member_count();
     let t0 = comp.now();
-    let mut convergence_waits = 0usize;
+    let mut tally = WorkerStats::new(0);
     let mut interference_events = 0usize;
     let mut trials: Vec<ComposedTrial> = Vec::new();
     let mut span_start = t0;
@@ -438,7 +440,7 @@ fn run_composed_window(
             continue;
         }
         let (outcome, alarms, interference, rollback_recovered) =
-            match composed_step(&mut comp, m, &spec, &mut convergence_waits) {
+            match composed_step(&mut comp, m, &spec, &mut tally.convergence_waits) {
                 Err(err) => {
                     let outcome = TrialOutcome::RejectedByApi(err.to_string());
                     (outcome, Vec::new(), comp.drain_interference(), None)
@@ -456,7 +458,7 @@ fn run_composed_window(
                     // collateral damage.
                     let rollback_ok = comp.submit(m, last_good[m].clone()).is_ok();
                     let _ = comp.converge(CONVERGE_RESET, CONVERGE_MAX);
-                    convergence_waits += 1;
+                    tally.convergence_waits += 1;
                     current[m] = last_good[m].clone();
                     let rb_drained = comp.drain_interference();
                     judged.alarms.extend(collapse(oracles::composition_check(
@@ -496,17 +498,19 @@ fn run_composed_window(
         });
     }
 
+    tally.sim_seconds = comp.now() - t0;
     let summary = summarize_composed(&config.operators, &trials);
-    ComposedResult {
+    let result = ComposedResult {
         operators: config.operators.clone(),
         mode: config.mode,
         trials,
-        sim_seconds: comp.now() - t0,
-        convergence_waits,
+        sim_seconds: tally.sim_seconds,
+        convergence_waits: tally.convergence_waits,
         interference_events,
         summary,
         gen_duration: Duration::ZERO,
-    }
+    };
+    (result, tally)
 }
 
 /// The result of a parallel composed campaign: the single-operator
@@ -539,9 +543,8 @@ pub fn run_composed_work_stealing_with(
     depot: &SnapshotDepot<CompositionCheckpoint>,
 ) -> Result<ComposedParallelResult, String> {
     let start = Instant::now();
-    let gen_start = Instant::now();
     let plan = plan_composed(config)?;
-    let gen_duration = gen_start.elapsed();
+    let gen_duration = start.elapsed();
     let names = resolve_members(&config.operators)?;
     let initial_crs: Vec<Value> = members(&names).iter().map(|op| op.initial_cr()).collect();
 
@@ -564,7 +567,11 @@ pub fn run_composed_work_stealing_with(
         base_sim_seconds,
     };
     let run = run_segmented(&driver, workers, segment_ops, depot, BTreeMap::new(), None);
-    Ok(ParallelResult::from_run(config, run, gen_duration, start))
+    Ok(ParallelResult {
+        gen_duration,
+        wall: start.elapsed(),
+        ..run
+    })
 }
 
 /// The composed [`Driver`]: whole-composition checkpoints, segments
@@ -582,7 +589,11 @@ struct ComposedDriver<'a> {
 
 impl Driver for ComposedDriver<'_> {
     type Checkpoint = CompositionCheckpoint;
-    type SegmentOut = Vec<ComposedTrial>;
+    type Trial = ComposedTrial;
+
+    fn config(&self) -> &CampaignConfig {
+        self.config
+    }
 
     fn plan_len(&self) -> usize {
         self.plan_len
@@ -632,14 +643,10 @@ impl Driver for ComposedDriver<'_> {
         my: &mut WorkerStats,
     ) -> Vec<ComposedTrial> {
         let comp = Composition::from_checkpoint(members(&self.names), &self.config.bugs, start);
-        let result = run_composed_window(self.config, self.plan, comp, (seg.skip, seg.take), None);
-        my.sim_seconds += result.sim_seconds;
-        my.convergence_waits += result.convergence_waits;
+        let window = (seg.skip, seg.take);
+        let (result, tally) = run_composed_window(self.config, self.plan, comp, window, None);
+        *my += &tally;
         result.trials
-    }
-
-    fn quarantined(&self, seg: Segment, panic: &str) -> Vec<ComposedTrial> {
-        vec![ComposedTrial::worker_panic(self.config, seg, panic)]
     }
 }
 
@@ -665,10 +672,7 @@ fn execute_composed_sequence(
     my: &mut WorkerStats,
 ) -> FuzzExec<ComposedTrial> {
     let mut comp = Composition::from_checkpoint(members(names), &config.bugs, base);
-    my.depot_hits += 1;
-    let (shared, owned) = base.sharing_stats();
-    my.restored_objects_shared += shared;
-    my.restored_objects_owned += owned;
+    my.restored(base, true);
     let t0 = comp.now();
     // Deploy-time interference is part of the base state, identical for
     // every execution: drain it so per-op scoping starts clean.
@@ -761,7 +765,7 @@ pub fn run_composed_fuzz(cfg: &FuzzConfig) -> Result<ComposedFuzzResult, String>
 
     let source = FuzzSource::new(cfg, Guidance::Coverage, plan.len(), interleaving_only);
     Ok(source.run(
-        |_, cand: &Candidate, my| {
+        |cand: &Candidate, my| {
             execute_composed_sequence(config, &names, &plan, &base, &cand.input.ops, my)
         },
         base_sim_seconds,

@@ -1,5 +1,6 @@
-//! Compile-time guard: the six legacy campaign-runner entry points keep
-//! their public signatures.
+//! Compile-time guard: the twelve legacy campaign-runner entry points
+//! (sequential, work-stealing, fuzz and composed families) keep their
+//! public signatures.
 //!
 //! The runners are now thin wrappers over the generic execution core in
 //! `acto::exec` (and the persistent store in `acto::persist`); this test

@@ -139,6 +139,10 @@ fn sweep_transcripts_are_worker_count_invariant() {
     let config = sweep_config("ZooKeeperOp", 10, BugToggles::all_fixed());
     let reference = run_work_stealing(&config, 1);
     assert!(reference.failed_segments.is_empty());
+    assert!(
+        reference.transcript().contains("crash-sweep:"),
+        "the parallel transcript must show each trial's sweep"
+    );
     let swept: u64 = reference
         .worker_stats
         .iter()

@@ -5,6 +5,7 @@
 //! byte-identical campaign transcripts and oracle verdicts, and differing
 //! seeds diverge.
 
+use acto_repro::acto::parallel::{run_work_stealing_with, SnapshotDepot};
 use acto_repro::acto::{run_campaign, CampaignConfig, Mode, Strategy};
 use acto_repro::operators::BugToggles;
 use acto_repro::simkube::{FaultPlan, FaultProfile, PlatformBugs};
@@ -74,4 +75,27 @@ proptest! {
         prop_assert_eq!(first.trials[0].op.scenario, "fault-burst");
         prop_assert!(!first.trials[0].fault_events.is_empty());
     }
+}
+
+/// The work-stealing runner fires the fault burst in the segment that
+/// starts the plan; its transcript carries the burst's fault events, the
+/// same at one worker and at two.
+#[test]
+fn work_stealing_transcripts_carry_the_fault_burst() {
+    let mut config = faulted_config(FaultPlan::generate(7, &FaultProfile::default()));
+    config.max_ops = Some(8);
+    let run = |workers| run_work_stealing_with(&config, workers, 4, &SnapshotDepot::new());
+    let reference = run(1);
+    assert_eq!(reference.segments, 2);
+    let burst = &reference.trials[0];
+    assert_eq!(burst.op.scenario, "fault-burst");
+    assert!(!burst.fault_events.is_empty());
+    let transcript = reference.transcript();
+    for event in &burst.fault_events {
+        assert!(
+            transcript.contains(&format!("\n  {event}\n")),
+            "fault event missing from the transcript: {event}"
+        );
+    }
+    assert_eq!(transcript, run(2).transcript());
 }

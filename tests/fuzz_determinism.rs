@@ -78,6 +78,21 @@ fn fuzz_report_threads_cache_counters_through() {
         result.base_sim_seconds + sim_total,
         "fuzz totals decompose into base + worker spans"
     );
+    // Every crash-boundary trial sweeps one boundary, counted by the
+    // worker that executed it.
+    let swept: u64 = result
+        .worker_stats
+        .iter()
+        .map(|s| s.crash_points_swept)
+        .sum();
+    let trial_swept: u64 = result
+        .records
+        .iter()
+        .flat_map(|r| &r.trials)
+        .map(|t| u64::from(t.crash_points_swept))
+        .sum();
+    assert!(trial_swept > 0, "no crash-boundary trial ran");
+    assert_eq!(swept, trial_swept, "worker stats miss swept boundaries");
 }
 
 #[test]
