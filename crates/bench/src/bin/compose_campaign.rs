@@ -54,6 +54,7 @@ fn main() {
     };
     let composed_wall = composed_start.elapsed();
     let clean_alarms: usize = composed.trials.iter().map(|t| t.alarms.len()).sum();
+    let interference_events: usize = composed.trials.iter().map(|t| t.interference.len()).sum();
     if clean_alarms > 0 {
         failures.push(format!(
             "clean composed pair raised {clean_alarms} alarm(s); composition of correct operators must be silent"
@@ -156,8 +157,8 @@ fn main() {
                 vec![
                     "composed".to_string(),
                     composed.trials.len().to_string(),
-                    composed.sim_seconds.to_string(),
-                    composed.interference_events.to_string(),
+                    composed.total_sim_seconds.to_string(),
+                    interference_events.to_string(),
                     format!("{composed_wall:.2?}"),
                 ],
             ],
@@ -197,8 +198,8 @@ fn main() {
         sequential_sim,
         sequential_wall.as_millis(),
         composed.trials.len(),
-        composed.sim_seconds,
-        composed.interference_events,
+        composed.total_sim_seconds,
+        interference_events,
         clean_alarms,
         composed_wall.as_millis(),
         seeded_detected,

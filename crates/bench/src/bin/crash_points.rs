@@ -22,7 +22,7 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use acto::{run_campaign, AlarmKind, CampaignConfig, Mode};
+use acto::{run_campaign, AlarmKind, CampaignConfig, CampaignResult, Mode};
 use acto_bench::{git_rev, nproc, quick, render_table, BENCH_SCHEMA_VERSION};
 use operators::bugs::BugToggles;
 use operators::Instance;
@@ -110,18 +110,25 @@ fn main() {
         let off_start = Instant::now();
         let off = run_campaign(&base_config);
         let off_wall = off_start.elapsed();
-        if off.trials.len() != max_ops {
-            failures.push(format!(
-                "{operator}: sweep-off campaign ran {} trials, expected {max_ops}",
-                off.trials.len()
-            ));
-        }
 
         let mut sweep_config = base_config.clone();
         sweep_config.crash_sweep = true;
         let on_start = Instant::now();
         let on = run_campaign(&sweep_config);
         let on_wall = on_start.elapsed();
+        // `max_ops` caps planned ops, and a planned no-op runs no trial:
+        // both campaigns must run the same planned ops inside the cap, so
+        // the wall delta prices the sweep alone.
+        let ops = |r: &CampaignResult| r.trials.iter().map(|t| t.op.index).collect::<Vec<_>>();
+        if ops(&off).is_empty() || ops(&off) != ops(&on) || ops(&off).iter().any(|&i| i >= max_ops)
+        {
+            failures.push(format!(
+                "{operator}: sweep-off and sweep-on campaigns ran planned ops {:?} and {:?}; \
+                 expected the same ops, all below max_ops {max_ops}",
+                ops(&off),
+                ops(&on)
+            ));
+        }
 
         if on.crash_points_swept == 0 {
             failures.push(format!(

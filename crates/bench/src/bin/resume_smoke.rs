@@ -20,7 +20,8 @@ use std::time::Instant;
 
 use acto::fuzz::{run_fuzz, FuzzConfig};
 use acto::persist::{
-    resume_fuzz, resume_work_stealing, run_fuzz_persistent, run_work_stealing_persistent,
+    resume_fuzz_with, resume_work_stealing_with, run_fuzz_persistent_io,
+    run_work_stealing_persistent_io, RecoveryPolicy, StoreIo,
 };
 use acto::{CampaignConfig, Mode, Strategy};
 use acto_bench::{quick, render_table, BENCH_SCHEMA_VERSION};
@@ -90,16 +91,20 @@ fn main() {
     let config = campaign_config(max_ops);
     let base_dir = fresh_dir("campaign-base");
     let start = Instant::now();
-    let baseline = run_work_stealing_persistent(&config, 2, 4, &base_dir).expect("persistent run");
+    let baseline = run_work_stealing_persistent_io(&config, 2, 4, &base_dir, StoreIo::clean())
+        .expect("persistent run");
     let campaign_wall = start.elapsed();
     let campaign_digest = digest(&baseline.transcript());
     let _ = std::fs::remove_dir_all(&base_dir);
 
     let dir = fresh_dir("campaign");
-    let _ = run_work_stealing_persistent(&config, 2, 4, &dir).expect("persistent run");
+    let _ = run_work_stealing_persistent_io(&config, 2, 4, &dir, StoreIo::clean())
+        .expect("persistent run");
     interrupt_journal(&dir, 2);
     let start = Instant::now();
-    let resumed = resume_work_stealing(&config, 4, &dir).expect("resume");
+    let resumed =
+        resume_work_stealing_with(&config, 4, &dir, RecoveryPolicy::Refuse, StoreIo::clean())
+            .expect("resume");
     let resume_wall = start.elapsed();
     let resumed_digest = digest(&resumed.transcript());
     if resumed_digest != campaign_digest {
@@ -129,11 +134,18 @@ fn main() {
 
     let dir = fresh_dir("fuzz");
     let start = Instant::now();
-    let _ = run_fuzz_persistent(&fuzz_config(execs), &dir).expect("persistent fuzz");
+    let _ = run_fuzz_persistent_io(&fuzz_config(execs), &dir, false, StoreIo::clean())
+        .expect("persistent fuzz");
     let fuzz_wall = start.elapsed();
     interrupt_journal(&dir, 1);
     let start = Instant::now();
-    let fuzz_resumed = resume_fuzz(&fuzz_config(execs), &dir).expect("resume fuzz");
+    let fuzz_resumed = resume_fuzz_with(
+        &fuzz_config(execs),
+        &dir,
+        RecoveryPolicy::Refuse,
+        StoreIo::clean(),
+    )
+    .expect("resume fuzz");
     let fuzz_resume_wall = start.elapsed();
     let fuzz_resumed_digest = digest(&fuzz_resumed.transcript());
     if fuzz_resumed_digest != fuzz_digest {

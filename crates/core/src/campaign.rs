@@ -45,15 +45,11 @@ pub struct CampaignConfig {
     pub bugs: BugToggles,
     /// Platform-bug configuration.
     pub platform: PlatformBugs,
-    /// Caps the run's operations (`None` = full coverage). The runners
-    /// read it two ways. The sequential runners ([`run_campaign_with`],
-    /// [`crate::run_composed_campaign`]) stop after this many *executed
-    /// trials*: a planned op that changes nothing is skipped uncounted,
-    /// and a trial recorded before the plan (the fault burst, a composed
-    /// run's deploy-interference trial) counts. The work-stealing runners
-    /// cap the *planned ops* before segmenting the plan, so skipped no-ops
-    /// count and the pre-plan trial does not. Changing either meaning
-    /// would move the goldens; ROADMAP item 6 reconciles them.
+    /// Caps the *planned operations* a campaign runs (`None` = full
+    /// coverage): every runner cuts the plan to its first `max_ops` ops
+    /// before any of them executes. A planned op that changes nothing
+    /// still counts; a trial recorded before the plan (the fault burst, a
+    /// composed run's deploy-interference trial) does not.
     pub max_ops: Option<usize>,
     /// Run the (expensive) differential oracle for normal transitions.
     pub differential: bool,
@@ -478,53 +474,54 @@ pub(crate) fn resolve_operator(name: &str) -> Result<Box<dyn operators::Operator
     })
 }
 
-fn deploy_instance(config: &CampaignConfig) -> Instance {
-    Instance::deploy_on(
+/// Deploys the campaign's base system from scratch and checkpoints it once
+/// it has converged: every run, fuzz execution, reset and differential
+/// reference starts from a restore of it. Returns the checkpoint and the
+/// simulated seconds the deployment took.
+pub(crate) fn deploy_base(config: &CampaignConfig) -> Result<(InstanceCheckpoint, u64), String> {
+    let instance = Instance::deploy_on(
         operator_by_name(config.operator()),
         config.bugs.clone(),
         config.platform,
         config.topology.clone(),
     )
-    .expect("initial deployment")
+    .map_err(|e| format!("initial deployment failed: {e:?}"))?;
+    Ok((instance.checkpoint(), instance.cluster.now()))
 }
 
-/// Obtains a campaign cluster: restores the deploy-converged base
-/// checkpoint when one is available (a snapshot restore costs zero
-/// simulated seconds), otherwise deploys from scratch. Returns the
-/// instance and whether it was freshly deployed.
-pub(crate) fn acquire_instance(
-    config: &CampaignConfig,
-    base: Option<&InstanceCheckpoint>,
-) -> (Instance, bool) {
-    match base {
-        Some(cp) => (
-            Instance::from_checkpoint(operator_by_name(config.operator()), config.bugs.clone(), cp),
-            false,
-        ),
-        None => (deploy_instance(config), true),
-    }
+/// Restores a campaign cluster from `checkpoint` (an O(1) copy-on-write
+/// restore that costs zero simulated seconds).
+pub(crate) fn restore(config: &CampaignConfig, checkpoint: &InstanceCheckpoint) -> Instance {
+    Instance::from_checkpoint(
+        operator_by_name(config.operator()),
+        config.bugs.clone(),
+        checkpoint,
+    )
+}
+
+/// The plan length a campaign executes: the plan cut to
+/// [`CampaignConfig::max_ops`] ops.
+pub(crate) fn capped_len(config: &CampaignConfig, plan_len: usize) -> usize {
+    config.max_ops.map_or(plan_len, |max| plan_len.min(max))
 }
 
 /// Runs a full campaign for one operator: plans once, then executes.
 pub fn run_campaign(config: &CampaignConfig) -> CampaignResult {
     let gen_start = Instant::now();
     let plan = plan_operator(&*operator_by_name(config.operator()), config.mode);
-    let gen_duration = gen_start.elapsed();
-    let ref_cache = FreshRefCache::new();
-    run_campaign_with(config, &plan, gen_duration, None, None, Some(&ref_cache))
+    run_campaign_with(config, &plan, gen_start.elapsed(), None, None, None)
 }
 
-/// Executes a campaign over an externally computed `plan`.
+/// Executes a campaign over an externally computed `plan`, cut to
+/// [`CampaignConfig::max_ops`] ops.
 ///
 /// `base` is a checkpoint of the deploy-converged initial state, restored
-/// for every reset and differential reference instead of paying for a
-/// redeployment; `start` is the state the campaign begins from (the base
-/// when `None`). `None` everywhere gives the sequential behaviour of
-/// [`run_campaign`].
-///
-/// `ref_cache` shares differential-oracle reference runs across trials
-/// (and, when the parallel runner passes one cache to every segment,
-/// across workers); `None` recomputes every reference.
+/// for the start, every reset and every differential reference; `None`
+/// deploys one and bills the deployment to setup. `start` is the state the
+/// campaign begins from (the base when `None`). `ref_cache` shares
+/// differential-oracle reference runs across trials and runs; `None` uses
+/// a cache local to this run. Transcripts depend on neither the cache nor
+/// whether the base was passed in.
 pub fn run_campaign_with(
     config: &CampaignConfig,
     plan: &[PlannedOp],
@@ -533,44 +530,53 @@ pub fn run_campaign_with(
     start: Option<&InstanceCheckpoint>,
     ref_cache: Option<&FreshRefCache>,
 ) -> CampaignResult {
-    let window = (0, plan.len());
-    let (result, _) = run_window(config, plan, window, config.max_ops, base, start, ref_cache);
+    let deployed;
+    let (base, deploy_sim_seconds) = match base {
+        Some(base) => (base, 0),
+        None => {
+            deployed = deploy_base(config).expect("initial deployment");
+            (&deployed.0, deployed.1)
+        }
+    };
+    let local_cache;
+    let ref_cache = match ref_cache {
+        Some(cache) => cache,
+        None => {
+            local_cache = FreshRefCache::new();
+            &local_cache
+        }
+    };
+    let window = (0, capped_len(config, plan.len()));
+    let start = start.unwrap_or(base);
+    let (result, _) = run_window(config, plan, window, base, start, ref_cache);
     CampaignResult {
         gen_duration,
+        sim_seconds: result.sim_seconds + deploy_sim_seconds,
+        setup_sim_seconds: result.setup_sim_seconds + deploy_sim_seconds,
         ..result
     }
 }
 
-/// The campaign body: executes the plan window `(skip, take)`, stopping
-/// after `max_trials` trials. A window with `skip > 0` is a work-stealing
-/// segment, and `start` must then be the canonical state after the first
-/// `skip` operations (the driver's jump `S_0 → S_skip`, paper §5.5).
-/// Returns the result and the tally its counters were read from, for a
-/// worker to fold in.
+/// The campaign body: executes the plan window `(skip, take)` from
+/// `start`. A window with `skip > 0` is a work-stealing segment, and
+/// `start` must then be the canonical state after the first `skip`
+/// operations (the driver's jump `S_0 → S_skip`, paper §5.5). Resets and
+/// differential references restore `base`. Returns the result and the
+/// tally its counters were read from, for a worker to fold in.
 pub(crate) fn run_window(
     config: &CampaignConfig,
     plan: &[PlannedOp],
     (skip, take): (usize, usize),
-    max_trials: Option<usize>,
-    base: Option<&InstanceCheckpoint>,
-    start: Option<&InstanceCheckpoint>,
-    ref_cache: Option<&FreshRefCache>,
+    base: &InstanceCheckpoint,
+    start: &InstanceCheckpoint,
+    ref_cache: &FreshRefCache,
 ) -> (CampaignResult, WorkerStats) {
-    debug_assert!(skip == 0 || start.is_some(), "no prefix state");
     let operator = operator_by_name(config.operator());
     let schema = operator.schema();
-    let (mut instance, fresh) = acquire_instance(config, start.or(base));
-    // Sequential runs reset by restoring the deploy-converged state —
-    // exactly the parallel runner's shared base checkpoint — instead of
-    // paying a full redeployment per reset, which is prohibitive on
-    // production-sized clusters. The restore replays bit-for-bit, so
-    // transcripts are unchanged.
-    let local_base: Option<InstanceCheckpoint> =
-        (base.is_none() && start.is_none() && fresh).then(|| instance.checkpoint());
-    let base = base.or(local_base.as_ref());
+    let mut instance = restore(config, start);
     // Everything billed before the first trial's span is setup.
-    let mut ledger = Ledger::new(&instance, fresh);
-    let mut setup_sim_seconds = ledger.total(&instance);
+    let mut ledger = Ledger::new(&instance);
+    let mut setup_sim_seconds = 0;
     let mut resets = 0usize;
     let mut last_good = instance.cr_spec();
     let mut trials: Vec<Trial> = Vec::new();
@@ -597,9 +603,6 @@ pub(crate) fn run_window(
     setup_sim_seconds += ledger.take_span(&instance);
 
     for planned in plan.iter().skip(skip).take(take) {
-        if max_trials.is_some_and(|max| trials.len() >= max) {
-            break;
-        }
         // The single-operation strategy always starts from the initial
         // state; the others chain.
         if config.strategy == Strategy::SingleOperation {
@@ -790,12 +793,11 @@ fn reset(
     instance: &mut Instance,
     ledger: &mut Ledger,
     config: &CampaignConfig,
-    base: Option<&InstanceCheckpoint>,
+    base: &InstanceCheckpoint,
 ) {
     ledger.retire(instance);
-    let (next, fresh) = acquire_instance(config, base);
-    *instance = next;
-    ledger.adopt(instance, fresh);
+    *instance = restore(config, base);
+    ledger.adopt(instance);
 }
 
 /// Submits `declaration` and waits for convergence; returns whether the
@@ -880,24 +882,21 @@ pub struct CachedReference {
 pub type FreshRefCache = Memo<String, CachedReference>;
 
 /// Builds the fresh-deployment reference state for the differential oracle
-/// (`S_0 --D--> S'_i`), restoring the deploy-converged base checkpoint
-/// when one is available instead of paying for a full redeployment, and
+/// (`S_0 --D--> S'_i`) on a restore of the deploy-converged `base`,
 /// consulting `cache` first. Returns the reference plus whether it was a
 /// cache hit.
 pub(crate) fn fresh_reference(
     config: &CampaignConfig,
     declaration: &Value,
-    base: Option<&InstanceCheckpoint>,
-    cache: Option<&FreshRefCache>,
+    base: &InstanceCheckpoint,
+    cache: &FreshRefCache,
 ) -> (Arc<CachedReference>, bool) {
-    let key = cache.map(|_| crdspec::json::to_string(declaration));
-    if let (Some(cache), Some(key)) = (cache, &key) {
-        if let Some(hit) = cache.get(key.as_str()) {
-            return (hit, true);
-        }
+    let key = crdspec::json::to_string(declaration);
+    if let Some(hit) = cache.get(key.as_str()) {
+        return (hit, true);
     }
-    let (mut fresh, deployed) = acquire_instance(config, base);
-    let t0 = if deployed { 0 } else { fresh.cluster.now() };
+    let mut fresh = restore(config, base);
+    let t0 = fresh.cluster.now();
     let entry = if fresh.submit(declaration.clone()).is_err() {
         CachedReference {
             state: None,
@@ -913,9 +912,7 @@ pub(crate) fn fresh_reference(
         }
     };
     let entry = Arc::new(entry);
-    if let (Some(cache), Some(key)) = (cache, key) {
-        cache.put(key, Arc::clone(&entry));
-    }
+    cache.put(key, Arc::clone(&entry));
     (entry, false)
 }
 
@@ -1141,15 +1138,8 @@ mod tests {
         let mut stats = crate::exec::WorkerStats::new(0);
         let start = driver.build_prefix(&base, 5, &mut stats);
         assert_eq!(stats.convergence_waits, 1, "the jump converges once");
-        let (result, _) = run_window(
-            &config,
-            &plan,
-            (5, 4),
-            None,
-            Some(&base),
-            Some(&start),
-            None,
-        );
+        let cache = FreshRefCache::new();
+        let (result, _) = run_window(&config, &plan, (5, 4), &base, &start, &cache);
         assert!(!result.trials.is_empty());
         assert!(result.trials.iter().all(|t| (5..9).contains(&t.op.index)));
         let trial_sum: u64 = result.trials.iter().map(|t| t.sim_seconds).sum();

@@ -13,31 +13,32 @@
 //! [`crate::oracles::composition_check`] oracle inspects the interference
 //! log and every bystander member.
 //!
-//! [`run_composed_campaign`] is the sequential executor. The other two
-//! runners ride the single-operator plumbing and supply only what is
-//! composed: [`run_composed_work_stealing`] is a [`Driver`] whose segments
-//! are windows of the interleaved plan started from whole-composition
-//! checkpoints in a [`SnapshotDepot`], and [`run_composed_fuzz`] is an
-//! executor for the one fuzz loop ([`crate::fuzz`]) that explores
-//! op-sequence interleavings over snapshot forking. Results, reports,
-//! segment quarantine and coverage features are the single-operator ones
-//! over [`ComposedTrial`] ([`ComposedParallelResult`] and
-//! [`ComposedFuzzResult`] are aliases). Each runner resolves its member
-//! operators once, at run start; past that point building a composition
-//! cannot fail.
+//! The runners ride the single-operator plumbing and supply only what is
+//! composed: [`run_composed_work_stealing_with`] is a [`Driver`] whose
+//! segments are windows of the interleaved plan started from
+//! whole-composition checkpoints in a [`SnapshotDepot`], and
+//! [`run_composed_campaign`] is its one-worker, one-segment case.
+//! [`run_composed_fuzz`] is an executor for the one fuzz loop
+//! ([`crate::fuzz`]) that explores op-sequence interleavings over snapshot
+//! forking. Results, reports, segment quarantine and coverage features are
+//! the single-operator ones over [`ComposedTrial`]
+//! ([`ComposedParallelResult`] and [`ComposedFuzzResult`] are aliases).
+//! Each runner resolves its member operators once, at run start; past that
+//! point building a composition cannot fail.
 //! Every composed trial — campaign or fuzz — is judged by the composition
 //! oracle over the interference drained from its convergence wait, then by
 //! the single-operator outcome classifier (`crate::step`) on the acting
 //! member, so a crash, an error state, a stall or a refusal reads the same
 //! here as in a single-operator run. Composed runners do not run the
 //! consistency, custom, differential or crash-sweep oracles (all are
-//! defined against a single instance's masked state); fault plans and
-//! crash arming are likewise stripped from composed fuzz inputs — the
-//! input space here is the interleaving itself.
+//! defined against a single instance's masked state), so
+//! [`plan_composed`] refuses a configuration that asks for them or for a
+//! fault plan; fault plans and crash arming are likewise stripped from
+//! composed fuzz inputs — the input space here is the interleaving itself.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crdspec::Value;
 use operators::{
@@ -47,19 +48,17 @@ use operators::{
 use simkube::{ApiError, FaultPlan, ObjKey};
 
 use crate::campaign::{
-    apply_op, collapse, normalized, plan_operator, resolve_operator, CampaignConfig,
+    apply_op, capped_len, collapse, normalized, plan_operator, resolve_operator, CampaignConfig,
 };
 use crate::exec::{run_segmented, Driver, Segment, TrialRecord};
 use crate::fuzz::{
     observable_hash, Candidate, ExecRecord, FeatureRecorder, FuzzConfig, FuzzExec, FuzzInput,
     FuzzResult, FuzzSource, Guidance,
 };
-use crate::model::{Mode, PlannedOp, Trial, TrialOutcome};
+use crate::model::{PlannedOp, Trial, TrialOutcome};
 use crate::oracles;
-use crate::parallel::{
-    declaration_after_prefix, ParallelResult, SnapshotDepot, WorkerStats, DEFAULT_SEGMENT_OPS,
-};
-use crate::report::{merge_summaries, render_detected, summarize, Alarm, CampaignSummary};
+use crate::parallel::{declaration_after_prefix, ParallelResult, SnapshotDepot, WorkerStats};
+use crate::report::{merge_summaries, summarize, Alarm, CampaignSummary};
 use crate::step;
 
 /// One entry of an interleaved composed plan: a planned operation plus the
@@ -81,14 +80,30 @@ pub struct ComposedOp {
 /// 1's first op, …, member 0's second op — so consecutive trials alternate
 /// actors and every operation lands on state shaped by the others.
 ///
-/// Errors at the configuration boundary: no operators configured, or a
-/// name outside the registry (the message lists the valid names).
+/// Errors at the configuration boundary: no operators configured, a name
+/// outside the registry (the message lists the valid names), or a
+/// single-instance setting a composed run cannot honour (`faults`,
+/// `custom_oracles`, `crash_sweep`, `differential`; the message names the
+/// field). Every composed runner plans here first.
 pub fn plan_composed(config: &CampaignConfig) -> Result<Vec<ComposedOp>, String> {
     if config.operators.is_empty() {
         return Err(format!(
             "composed campaign has no operators; valid operators: {:?}",
             operators::operator_names()
         ));
+    }
+    for (field, set) in [
+        ("faults", !config.faults.is_empty()),
+        ("custom_oracles", !config.custom_oracles.is_empty()),
+        ("crash_sweep", config.crash_sweep),
+        ("differential", config.differential),
+    ] {
+        if set {
+            return Err(format!(
+                "composed campaigns do not support `{field}`: it is defined against a single \
+                 instance's state; leave it unset"
+            ));
+        }
     }
     let mut per_member: Vec<std::vec::IntoIter<PlannedOp>> = Vec::new();
     for name in &config.operators {
@@ -200,28 +215,6 @@ pub fn summarize_composed(operators: &[String], trials: &[ComposedTrial]) -> Cam
     merge_summaries(parts)
 }
 
-/// The result of a composed campaign (sequential or one parallel segment).
-#[derive(Debug)]
-pub struct ComposedResult {
-    /// Operators under test, in deployment order.
-    pub operators: Vec<String>,
-    /// Mode used.
-    pub mode: Mode,
-    /// Executed trials, in interleaved plan order.
-    pub trials: Vec<ComposedTrial>,
-    /// Simulated seconds consumed after acquisition (deployment included
-    /// only for fresh sequential runs).
-    pub sim_seconds: u64,
-    /// Convergence waits issued.
-    pub convergence_waits: usize,
-    /// Total cross-member interference events observed.
-    pub interference_events: usize,
-    /// Attributed findings over all trials.
-    pub summary: CampaignSummary,
-    /// Wall-clock time spent planning.
-    pub gen_duration: Duration,
-}
-
 impl TrialRecord for ComposedTrial {
     const TARGET_KEY: &'static str = "operators";
 
@@ -276,37 +269,6 @@ impl TrialRecord for ComposedTrial {
             interference: Vec::new(),
         }
     }
-}
-
-impl ComposedResult {
-    /// Renders everything the run observed, excluding scheduling-dependent
-    /// quantities — the determinism check is one string comparison.
-    pub fn transcript(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let _ = writeln!(out, "operators: {}", self.operators.join("+"));
-        let _ = writeln!(out, "mode: {}", self.mode.name());
-        for trial in &self.trials {
-            trial.render(&mut out);
-        }
-        render_detected(&mut out, &self.summary);
-        out
-    }
-}
-
-/// Runs a full composed campaign sequentially: plans each member once,
-/// interleaves, deploys the composition, executes.
-pub fn run_composed_campaign(config: &CampaignConfig) -> Result<ComposedResult, String> {
-    let gen_start = Instant::now();
-    let plan = plan_composed(config)?;
-    let gen_duration = gen_start.elapsed();
-    let comp = deploy_composition(config, &resolve_members(&config.operators)?)?;
-    let window = (0, plan.len());
-    let (result, _) = run_composed_window(config, &plan, comp, window, config.max_ops);
-    Ok(ComposedResult {
-        gen_duration,
-        ..result
-    })
 }
 
 /// Reads every member's shadow health (valid while parked: `last_health`
@@ -369,21 +331,19 @@ fn composed_step(
 }
 
 /// The composed campaign body: executes the interleaved plan window
-/// `(skip, take)` on `comp`, stopping after `max_trials` trials. A window
-/// with `skip > 0` is a work-stealing segment, and `comp` must then hold
-/// the canonical prefix state. Returns the result and the tally its
-/// counters were read from, for a worker to fold in.
+/// `(skip, take)` on `comp`. A window with `skip > 0` is a work-stealing
+/// segment, and `comp` must then hold the canonical prefix state. Returns
+/// the trials and the tally of the window's counters, for a worker to fold
+/// in.
 fn run_composed_window(
     config: &CampaignConfig,
     plan: &[ComposedOp],
     mut comp: Composition,
     (skip, take): (usize, usize),
-    max_trials: Option<usize>,
-) -> (ComposedResult, WorkerStats) {
+) -> (Vec<ComposedTrial>, WorkerStats) {
     let n = comp.member_count();
     let t0 = comp.now();
     let mut tally = WorkerStats::new(0);
-    let mut interference_events = 0usize;
     let mut trials: Vec<ComposedTrial> = Vec::new();
     let mut span_start = t0;
     let mut current: Vec<Value> = (0..n)
@@ -406,7 +366,6 @@ fn run_composed_window(
             &healths,
             &BTreeSet::new(),
         ));
-        interference_events += carried.len();
         let unhealthy = comp.members().iter().any(|m| !m.last_health.is_healthy());
         let outcome = if unhealthy {
             TrialOutcome::ErrorState("member unhealthy after composed deploy".to_string())
@@ -430,9 +389,6 @@ fn run_composed_window(
     }
 
     for planned in plan.iter().skip(skip).take(take) {
-        if max_trials.is_some_and(|max| trials.len() >= max) {
-            break;
-        }
         let m = planned.member;
         let mut spec = current[m].clone();
         apply_op(&mut spec, &planned.op);
@@ -481,7 +437,6 @@ fn run_composed_window(
                     (judged.outcome, judged.alarms, judged.drained, recovered)
                 }
             };
-        interference_events += interference.len();
         let sim = comp.now() - span_start;
         span_start = comp.now();
         trials.push(ComposedTrial {
@@ -499,31 +454,19 @@ fn run_composed_window(
     }
 
     tally.sim_seconds = comp.now() - t0;
-    let summary = summarize_composed(&config.operators, &trials);
-    let result = ComposedResult {
-        operators: config.operators.clone(),
-        mode: config.mode,
-        trials,
-        sim_seconds: tally.sim_seconds,
-        convergence_waits: tally.convergence_waits,
-        interference_events,
-        summary,
-        gen_duration: Duration::ZERO,
-    };
-    (result, tally)
+    (trials, tally)
 }
 
 /// The result of a parallel composed campaign: the single-operator
 /// [`ParallelResult`] carrying composed trials.
 pub type ComposedParallelResult = ParallelResult<ComposedTrial>;
 
-/// Runs a composed campaign across `workers` threads with work stealing
-/// and [`DEFAULT_SEGMENT_OPS`]-operation segments.
-pub fn run_composed_work_stealing(
-    config: &CampaignConfig,
-    workers: usize,
-) -> Result<ComposedParallelResult, String> {
-    run_composed_work_stealing_with(config, workers, DEFAULT_SEGMENT_OPS, &SnapshotDepot::new())
+/// Runs a full composed campaign sequentially: the one-worker,
+/// one-segment case of [`run_composed_work_stealing_with`], so the segment
+/// spans the whole plan (cut to [`CampaignConfig::max_ops`] ops) and
+/// starts from the deploy-converged base.
+pub fn run_composed_campaign(config: &CampaignConfig) -> Result<ComposedParallelResult, String> {
+    run_composed(config, 1, None, &SnapshotDepot::new())
 }
 
 /// Runs a composed campaign across `workers` threads, claiming
@@ -542,13 +485,25 @@ pub fn run_composed_work_stealing_with(
     segment_ops: usize,
     depot: &SnapshotDepot<CompositionCheckpoint>,
 ) -> Result<ComposedParallelResult, String> {
+    run_composed(config, workers, Some(segment_ops), depot)
+}
+
+/// The composed runners' one body; `segment_ops: None` cuts the capped
+/// plan into a single segment.
+fn run_composed(
+    config: &CampaignConfig,
+    workers: usize,
+    segment_ops: Option<usize>,
+    depot: &SnapshotDepot<CompositionCheckpoint>,
+) -> Result<ComposedParallelResult, String> {
     let start = Instant::now();
     let plan = plan_composed(config)?;
     let gen_duration = start.elapsed();
     let names = resolve_members(&config.operators)?;
     let initial_crs: Vec<Value> = members(&names).iter().map(|op| op.initial_cr()).collect();
 
-    let plan_len = config.max_ops.map_or(plan.len(), |max| plan.len().min(max));
+    let plan_len = capped_len(config, plan.len());
+    let segment_ops = segment_ops.unwrap_or(plan_len);
 
     // Deploy the shared base composition once; every segment start and
     // depot miss restores this snapshot instead of redeploying N systems.
@@ -643,10 +598,10 @@ impl Driver for ComposedDriver<'_> {
         my: &mut WorkerStats,
     ) -> Vec<ComposedTrial> {
         let comp = Composition::from_checkpoint(members(&self.names), &self.config.bugs, start);
-        let window = (seg.skip, seg.take);
-        let (result, tally) = run_composed_window(self.config, self.plan, comp, window, None);
+        let (trials, tally) =
+            run_composed_window(self.config, self.plan, comp, (seg.skip, seg.take));
         *my += &tally;
-        result.trials
+        trials
     }
 }
 
@@ -784,6 +739,7 @@ fn interleaving_only(input: &mut FuzzInput) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::Mode;
 
     #[test]
     fn interleave_alternates_members_and_indexes_globally() {
@@ -823,7 +779,8 @@ mod tests {
         config.max_ops = Some(6);
         let result = run_composed_campaign(&config).expect("runs");
         assert!(!result.trials.is_empty());
-        assert_eq!(result.operators, vec!["ZooKeeperOp", "RabbitMQOp"]);
+        assert_eq!(result.operator, "ZooKeeperOp+RabbitMQOp");
+        assert_eq!((result.workers, result.segments), (1, 1));
         assert!(
             result.trials.iter().all(|t| t.alarms.is_empty()),
             "bugs-off composed run must stay silent: {:?}",

@@ -23,7 +23,7 @@
 //!
 //! The harness returns a [`DurabilitySweep`] report; `crates/bench`'s
 //! `persist_sweep` binary emits it as `BENCH_durability.json` and the
-//! `durability-smoke` CI job runs the quick variant on every push.
+//! CI `smoke` job runs the quick variant on every push.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};

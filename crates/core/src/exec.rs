@@ -10,10 +10,11 @@
 //!   Every worker runs its own first item (worker `w` claims item `w`),
 //!   and every in-flight item is supervised; a panicking item is retried
 //!   once and then quarantined when the caller supplies a placeholder,
-//!   and aborts the run when it does not. The sequential runners
-//!   ([`crate::run_campaign`], [`crate::run_composed_campaign`]) do not
-//!   schedule: they call their window bodies directly, because their
-//!   transcripts still differ from a one-segment run (ROADMAP item 6).
+//!   and aborts the run when it does not. The sequential composed run
+//!   ([`crate::run_composed_campaign`]) is its one-worker, one-segment
+//!   case; the sequential single-operator run ([`crate::run_campaign`])
+//!   calls its window body directly on a restored base, the same body a
+//!   segment runs.
 //! - [`WorkerStats`]: the per-worker counters, folded in one place — its
 //!   `+=` ([`AddAssign`]). A window body or fuzz execution counts into a
 //!   tally of its own (the trial step's ledger) and the worker adds the
@@ -397,12 +398,16 @@ impl Scheduler {
         // A worker's static share under even chunking; claims outside it
         // are counted as steals.
         let static_chunk = items.len().div_ceil(workers).max(1);
+        // The step-engine selection is per thread; workers inherit the
+        // caller's.
+        let ticked = simkube::ticked_engine();
         std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for w in 0..workers {
                 let (cursor, results, stats, failed, f) = (&cursor, &results, &stats, &failed, &f);
                 let (in_flight, supervision) = (&in_flight, &supervision);
                 handles.push(scope.spawn(move || {
+                    simkube::set_ticked_engine(ticked);
                     let worker_start = Instant::now();
                     let mut my = WorkerStats::new(w);
                     let mut preassigned = Some(w);

@@ -37,11 +37,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crdspec::Value;
-use operators::{operator_by_name, Instance, InstanceCheckpoint, CONVERGE_MAX, CONVERGE_RESET};
+use operators::{InstanceCheckpoint, CONVERGE_MAX, CONVERGE_RESET};
 use simkube::{FaultPlan, FaultProfile, ObjKey, SimCluster, SplitMix64};
 
 use crate::campaign::{
-    apply_op, collapse, normalized, plan_operator, resolve_operator, CampaignConfig, FreshRefCache,
+    apply_op, collapse, deploy_base, normalized, plan_operator, resolve_operator, restore,
+    CampaignConfig, FreshRefCache,
 };
 use crate::exec::{Memo, Scheduler, TrialRecord};
 use crate::model::{Expectation, Mode, PlannedOp, Trial, TrialOutcome};
@@ -888,14 +889,10 @@ fn execute_sequence(
     crash: Option<(usize, u32)>,
 ) -> SeqRun {
     let config = ctx.config;
-    let mut instance = Instance::from_checkpoint(
-        operator_by_name(config.operator()),
-        config.bugs.clone(),
-        &ctx.base,
-    );
+    let mut instance = restore(config, &ctx.base);
     // Each trial is billed everything it caused since the previous trial,
     // including banked reference runs.
-    let mut ledger = Ledger::new(&instance, false);
+    let mut ledger = Ledger::new(&instance);
     let mut trials: Vec<Trial> = Vec::new();
     let cr_id = step::cr_id(&instance);
     let crs = [instance.cr_key()];
@@ -973,8 +970,8 @@ fn execute_sequence(
                     &oracle_ctx,
                     &last_good,
                     &instance,
-                    Some(&ctx.base),
-                    Some(&ctx.ref_cache),
+                    &ctx.base,
+                    &ctx.ref_cache,
                     &mut ledger,
                 ));
             }
@@ -1317,18 +1314,11 @@ impl ExecState<'_> {
         let operator = resolve_operator(cfg.campaign.operator())?;
         let pool = plan_operator(&*operator, cfg.campaign.mode);
         ensure_pool(&pool)?;
-        let base_instance = Instance::deploy_on(
-            operator,
-            cfg.campaign.bugs.clone(),
-            cfg.campaign.platform,
-            cfg.campaign.topology.clone(),
-        )
-        .map_err(|e| format!("initial deployment failed: {e:?}"))?;
-        let base_sim_seconds = base_instance.cluster.now();
+        let (base, base_sim_seconds) = deploy_base(&cfg.campaign)?;
         Ok(ExecState {
             config: &cfg.campaign,
             pool,
-            base: Arc::new(base_instance.checkpoint()),
+            base: Arc::new(base),
             seq_refs: SeqRefCache::new(),
             ref_cache: FreshRefCache::new(),
             base_sim_seconds,
@@ -1622,6 +1612,7 @@ fn replay_candidates(saved: &Corpus) -> Vec<Candidate> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use operators::operator_by_name;
 
     #[test]
     fn unknown_operator_is_a_config_error_not_a_panic() {

@@ -33,10 +33,11 @@
 //!   the regular error checks (§5.3).
 //! - [`minimize`]: alarm reproduction — delta-debugging a failing campaign
 //!   prefix into a minimal e2e test and emitting its code (§5.4).
-//! - [`exec`]: the generic execution core the work-stealing and fuzz
-//!   runners sit on — the work-stealing [`exec::Scheduler`] with its one
-//!   `run` call (the sequential runners call their window bodies
-//!   directly, not through it), [`exec::run_segmented`], which owns the
+//! - [`exec`]: the generic execution core every runner sits on — the
+//!   work-stealing [`exec::Scheduler`] with its one `run` call (a
+//!   sequential composed run is its one-worker, one-segment case; a
+//!   sequential single-operator run restores a base and calls the segment
+//!   body directly), [`exec::run_segmented`], which owns the
 //!   snapshot depot, quarantine and the assembly of the one
 //!   [`ParallelResult`], the [`exec::Driver`] abstraction over
 //!   single-operator and composed targets (a driver supplies only its
@@ -88,9 +89,8 @@ pub use campaign::{
     Strategy, PLAN_COMPUTATIONS,
 };
 pub use compose::{
-    plan_composed, run_composed_campaign, run_composed_fuzz, run_composed_work_stealing,
-    run_composed_work_stealing_with, ComposedExecRecord, ComposedFuzzResult, ComposedOp,
-    ComposedParallelResult, ComposedResult, ComposedTrial,
+    plan_composed, run_composed_campaign, run_composed_fuzz, run_composed_work_stealing_with,
+    ComposedExecRecord, ComposedFuzzResult, ComposedOp, ComposedParallelResult, ComposedTrial,
 };
 pub use deps::{infer_dependencies, Dependency};
 pub use durability::{persist_sweep, DurabilitySweep, SweepOptions};
@@ -107,10 +107,9 @@ pub use parallel::{
     ParallelResult, SnapshotDepot, WorkerStats, DEFAULT_SEGMENT_OPS,
 };
 pub use persist::{
-    load_corpus, resume_fuzz, resume_fuzz_with, resume_work_stealing, resume_work_stealing_with,
-    run_fuzz_persistent, run_fuzz_persistent_io, run_fuzz_persistent_with,
-    run_work_stealing_persistent, run_work_stealing_persistent_io, IoFaultPlan, IoStats, Manifest,
-    PersistError, PersistErrorKind, RecoveryClass, RecoveryPolicy, RunKind, RunStore, StoreIo,
+    load_corpus, resume_fuzz_with, resume_work_stealing_with, run_fuzz_persistent_io,
+    run_work_stealing_persistent_io, IoFaultPlan, IoStats, Manifest, PersistError,
+    PersistErrorKind, RecoveryClass, RecoveryPolicy, RunKind, RunStore, StoreIo,
     RECOVERY_REPORT_VERSION, STORE_VERSION,
 };
 pub use report::{Alarm, Attribution, CampaignSummary};

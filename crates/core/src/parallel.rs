@@ -33,7 +33,8 @@ pub use crate::exec::{
 };
 
 use crate::campaign::{
-    acquire_instance, apply_op, plan_operator, run_window, CampaignConfig, FreshRefCache,
+    apply_op, capped_len, deploy_base, plan_operator, restore, run_window, CampaignConfig,
+    FreshRefCache,
 };
 use crate::model::{Mode, PlannedOp, Trial, TrialOutcome};
 use crate::oracles::AlarmKind;
@@ -238,7 +239,7 @@ impl<'a> CampaignDriver<'a> {
         CampaignDriver {
             config,
             plan,
-            plan_len: config.max_ops.map_or(plan.len(), |max| plan.len().min(max)),
+            plan_len: capped_len(config, plan.len()),
             initial_cr: operator_by_name(config.operator()).initial_cr(),
             // One fresh-reference cache for the whole run: reference runs
             // depend only on the declaration, so workers share them like
@@ -261,9 +262,8 @@ impl Driver for CampaignDriver<'_> {
     }
 
     fn deploy_base(&self) -> (Arc<InstanceCheckpoint>, u64) {
-        let (base_instance, _) = acquire_instance(self.config, None);
-        let base_sim_seconds = base_instance.cluster.now();
-        (Arc::new(base_instance.checkpoint()), base_sim_seconds)
+        let (base, base_sim_seconds) = deploy_base(self.config).expect("initial deployment");
+        (Arc::new(base), base_sim_seconds)
     }
 
     fn build_prefix(
@@ -273,7 +273,7 @@ impl Driver for CampaignDriver<'_> {
         my: &mut WorkerStats,
     ) -> InstanceCheckpoint {
         let jump = declaration_after_prefix(&self.initial_cr, &self.plan[..skip]);
-        let (mut instance, _) = acquire_instance(self.config, Some(base));
+        let mut instance = restore(self.config, base);
         let t0 = instance.cluster.now();
         if instance.submit(jump).is_ok() {
             let _ = instance.converge(CONVERGE_RESET, CONVERGE_MAX);
@@ -290,15 +290,9 @@ impl Driver for CampaignDriver<'_> {
         start: &InstanceCheckpoint,
         my: &mut WorkerStats,
     ) -> Vec<Trial> {
-        let (result, tally) = run_window(
-            self.config,
-            self.plan,
-            (seg.skip, seg.take),
-            None,
-            Some(base),
-            Some(start),
-            Some(&self.ref_cache),
-        );
+        let window = (seg.skip, seg.take);
+        let (result, tally) =
+            run_window(self.config, self.plan, window, base, start, &self.ref_cache);
         *my += &tally;
         result.trials
     }

@@ -1166,18 +1166,9 @@ fn campaign_manifest(config: &CampaignConfig, segment_ops: usize) -> Manifest {
 }
 
 /// Runs a work-stealing campaign journaling each completed segment to
-/// `dir`, so an interrupted run can [`resume_work_stealing`].
-pub fn run_work_stealing_persistent(
-    config: &CampaignConfig,
-    workers: usize,
-    segment_ops: usize,
-    dir: &Path,
-) -> Result<ParallelResult, PersistError> {
-    run_work_stealing_persistent_io(config, workers, segment_ops, dir, StoreIo::clean())
-}
-
-/// Like [`run_work_stealing_persistent`], with all store IO routed
-/// through `io` — the durability sweep injects crashes here.
+/// `dir`, so an interrupted run can [`resume_work_stealing_with`]. All
+/// store IO goes through `io` ([`StoreIo::clean`] for real disk IO; the
+/// durability sweep injects crashes here).
 pub fn run_work_stealing_persistent_io(
     config: &CampaignConfig,
     workers: usize,
@@ -1191,27 +1182,12 @@ pub fn run_work_stealing_persistent_io(
     run_campaign_against(config, workers, segment_ops, &store, BTreeMap::new())
 }
 
-/// Resumes an interrupted work-stealing campaign from its store under the
-/// default [`RecoveryPolicy::Refuse`]: already journaled segments are
-/// spliced back in, only missing segments execute, and the returned
-/// transcript is byte-identical to an uninterrupted run at any worker
-/// count.
-pub fn resume_work_stealing(
-    config: &CampaignConfig,
-    workers: usize,
-    dir: &Path,
-) -> Result<ParallelResult, PersistError> {
-    resume_work_stealing_with(
-        config,
-        workers,
-        dir,
-        RecoveryPolicy::Refuse,
-        StoreIo::clean(),
-    )
-}
-
-/// Like [`resume_work_stealing`], with an explicit [`RecoveryPolicy`] for
-/// mid-file journal corruption and all store IO routed through `io`.
+/// Resumes an interrupted work-stealing campaign from its store: already
+/// journaled segments are spliced back in, only missing segments execute,
+/// and the returned transcript is byte-identical to an uninterrupted run
+/// at any worker count. `policy` decides what mid-file journal corruption
+/// does ([`RecoveryPolicy::Refuse`] fails the resume); all store IO goes
+/// through `io`.
 pub fn resume_work_stealing_with(
     config: &CampaignConfig,
     workers: usize,
@@ -1317,26 +1293,12 @@ fn fuzz_manifest(cfg: &FuzzConfig, minimize_alarms: bool) -> Manifest {
 }
 
 /// Runs a coverage-guided fuzz campaign journaling each batch barrier to
-/// `dir`, so an interrupted run can [`resume_fuzz`]. On completion the
-/// final corpus is written to `corpus.json`.
-pub fn run_fuzz_persistent(cfg: &FuzzConfig, dir: &Path) -> Result<FuzzResult, PersistError> {
-    run_fuzz_persistent_with(cfg, dir, false)
-}
-
-/// Like [`run_fuzz_persistent`], with the store's `minimize` flag set:
-/// when the run (or any later resume) completes, every alarm-raising
-/// corpus entry is also delta-debugged into a minimal declaration
-/// sequence, written to `minimized.json`.
-pub fn run_fuzz_persistent_with(
-    cfg: &FuzzConfig,
-    dir: &Path,
-    minimize_alarms: bool,
-) -> Result<FuzzResult, PersistError> {
-    run_fuzz_persistent_io(cfg, dir, minimize_alarms, StoreIo::clean())
-}
-
-/// Like [`run_fuzz_persistent_with`], with all store IO routed through
-/// `io` — the durability sweep injects crashes here.
+/// `dir`, so an interrupted run can [`resume_fuzz_with`]. On completion the
+/// final corpus is written to `corpus.json`. With `minimize_alarms` the
+/// store's `minimize` flag is set: when the run (or any later resume)
+/// completes, every alarm-raising corpus entry is also delta-debugged into
+/// a minimal declaration sequence, written to `minimized.json`. All store
+/// IO goes through `io` ([`StoreIo::clean`] for real disk IO).
 pub fn run_fuzz_persistent_io(
     cfg: &FuzzConfig,
     dir: &Path,
@@ -1349,18 +1311,13 @@ pub fn run_fuzz_persistent_io(
     run_fuzz_against(cfg, &store, &manifest, None)
 }
 
-/// Resumes an interrupted fuzz run from its store under the default
-/// [`RecoveryPolicy::Refuse`]: the journal fast-forwards coverage,
-/// corpus, records, the dedup set, and the random stream to the last
-/// completed batch barrier, then the guided loop continues. The returned
-/// transcript, corpus JSON, and coverage digest are byte-identical to an
-/// uninterrupted run at any worker count.
-pub fn resume_fuzz(cfg: &FuzzConfig, dir: &Path) -> Result<FuzzResult, PersistError> {
-    resume_fuzz_with(cfg, dir, RecoveryPolicy::Refuse, StoreIo::clean())
-}
-
-/// Like [`resume_fuzz`], with an explicit [`RecoveryPolicy`] for mid-file
-/// journal corruption and all store IO routed through `io`.
+/// Resumes an interrupted fuzz run from its store: the journal
+/// fast-forwards coverage, corpus, records, the dedup set, and the random
+/// stream to the last completed batch barrier, then the guided loop
+/// continues. The returned transcript, corpus JSON, and coverage digest
+/// are byte-identical to an uninterrupted run at any worker count.
+/// `policy` decides what mid-file journal corruption does; all store IO
+/// goes through `io`.
 pub fn resume_fuzz_with(
     cfg: &FuzzConfig,
     dir: &Path,

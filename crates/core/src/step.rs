@@ -235,8 +235,8 @@ pub(crate) fn oracle_pass(
     ctx: &OracleContext<'_>,
     last_good: &Value,
     instance: &Instance,
-    base: Option<&InstanceCheckpoint>,
-    ref_cache: Option<&FreshRefCache>,
+    base: &InstanceCheckpoint,
+    ref_cache: &FreshRefCache,
     ledger: &mut Ledger,
 ) -> Vec<Alarm> {
     let previous = last_good.get_path(&value_path(ctx.property));
@@ -318,8 +318,7 @@ pub(crate) fn crash_replay(
 /// kept in the [`WorkerStats`] shape a worker folds them in with `+=`.
 ///
 /// Only the simulated seconds elapsed while the run *owned* a cluster
-/// count: a fresh deployment is adopted at clock zero (its deployment
-/// convergence is billed), a checkpoint-restored cluster at its restore
+/// count: every cluster is a checkpoint restore, adopted at its restore
 /// time (the checkpoint's already-billed history is not). Retiring a
 /// cluster banks its span, and side clusters (differential references,
 /// crash replays) bank theirs. The total is therefore a sum of disjoint
@@ -335,24 +334,19 @@ pub(crate) struct Ledger {
 }
 
 impl Ledger {
-    /// Starts metering `instance`; everything it already cost (all of it
-    /// when `fresh`) falls before the first span.
-    pub(crate) fn new(instance: &Instance, fresh: bool) -> Ledger {
-        let mut ledger = Ledger {
+    /// Starts metering `instance` from its current clock.
+    pub(crate) fn new(instance: &Instance) -> Ledger {
+        Ledger {
             banked: 0,
-            adopted_at: 0,
+            adopted_at: instance.cluster.now(),
             span_start: 0,
             stats: WorkerStats::new(0),
-        };
-        ledger.adopt(instance, fresh);
-        ledger.span_start = ledger.total(instance);
-        ledger
+        }
     }
 
-    /// Starts metering a replacement cluster. `fresh` means it was
-    /// deployed from nothing, so its whole history is billed to this run.
-    pub(crate) fn adopt(&mut self, instance: &Instance, fresh: bool) {
-        self.adopted_at = if fresh { 0 } else { instance.cluster.now() };
+    /// Starts metering a replacement cluster from its current clock.
+    pub(crate) fn adopt(&mut self, instance: &Instance) {
+        self.adopted_at = instance.cluster.now();
     }
 
     /// Banks the span of a cluster about to be replaced.
@@ -453,7 +447,7 @@ mod tests {
                     PlatformBugs::none(),
                 )
                 .expect("deploy");
-                let mut ledger = Ledger::new(&instance, true);
+                let mut ledger = Ledger::new(&instance);
                 let mut ops = 0;
                 for planned in &plan {
                     let mut spec = instance.cr_spec();
@@ -495,7 +489,7 @@ mod tests {
             PlatformBugs::none(),
         )
         .expect("deploy");
-        let mut ledger = Ledger::new(&instance, true);
+        let mut ledger = Ledger::new(&instance);
         instance
             .cluster
             .api_mut()
@@ -531,7 +525,7 @@ mod tests {
             PlatformBugs::none(),
         )
         .expect("deploy");
-        let mut ledger = Ledger::new(&instance, true);
+        let mut ledger = Ledger::new(&instance);
         let mut tagless = instance.cr_spec();
         tagless.set_path(&"image".parse().expect("path"), Value::from("cockroach"));
         let judged =

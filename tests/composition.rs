@@ -2,12 +2,17 @@
 //! on the seeded ground-truth bug and stays silent on clean pairs, and the
 //! composed runners are deterministic across repeats and worker counts.
 
+use std::sync::Arc;
+
 use acto_repro::acto::compose::{
-    run_composed_campaign, run_composed_fuzz, run_composed_work_stealing,
+    plan_composed, run_composed_campaign, run_composed_fuzz, run_composed_work_stealing_with,
 };
 use acto_repro::acto::fuzz::FuzzConfig;
-use acto_repro::acto::{AlarmKind, CampaignConfig, Mode};
-use acto_repro::operators::bugs;
+use acto_repro::acto::oracles::{CustomOracle, OracleContext};
+use acto_repro::acto::parallel::{SnapshotDepot, DEFAULT_SEGMENT_OPS};
+use acto_repro::acto::{Alarm, AlarmKind, CampaignConfig, Mode};
+use acto_repro::operators::{bugs, Instance};
+use acto_repro::simkube::Fault;
 
 /// SEED-COMPOSE-1: TiDBOp's seeded garbage collector raw-iterates the
 /// shared store and deletes `*-config` ConfigMaps outside its own
@@ -42,7 +47,7 @@ fn seeded_cross_operator_gc_is_detected_and_attributed() {
         result.summary.detected_bugs
     );
     assert!(
-        result.interference_events > 0,
+        result.trials.iter().any(|t| !t.interference.is_empty()),
         "interference log records the foreign deletions"
     );
 }
@@ -96,10 +101,18 @@ fn composed_campaign_is_deterministic_across_repeats() {
 #[test]
 fn composed_parallel_transcript_is_worker_count_invariant() {
     let config = CampaignConfig::composed(&["ZooKeeperOp", "RabbitMQOp"], Mode::Whitebox);
-    let reference = run_composed_work_stealing(&config, 1).expect("runs");
+    let reference =
+        run_composed_work_stealing_with(&config, 1, DEFAULT_SEGMENT_OPS, &SnapshotDepot::new())
+            .expect("runs");
     assert!(!reference.trials.is_empty());
     for workers in [2, 4] {
-        let run = run_composed_work_stealing(&config, workers).expect("runs");
+        let run = run_composed_work_stealing_with(
+            &config,
+            workers,
+            DEFAULT_SEGMENT_OPS,
+            &SnapshotDepot::new(),
+        )
+        .expect("runs");
         assert_eq!(
             reference.transcript(),
             run.transcript(),
@@ -137,4 +150,61 @@ fn composed_fuzz_is_deterministic_and_interleaving_only() {
     two.workers = 2;
     let run = run_composed_fuzz(&two).expect("composed fuzz runs");
     assert_eq!(reference.transcript(), run.transcript());
+}
+
+/// A custom oracle that never fires.
+struct Silent;
+
+impl CustomOracle for Silent {
+    fn name(&self) -> &str {
+        "silent"
+    }
+
+    fn check(&self, _ctx: &OracleContext<'_>, _instance: &Instance) -> Vec<Alarm> {
+        Vec::new()
+    }
+}
+
+/// Fault plans, custom oracles, crash sweeps and the differential oracle
+/// are defined against a single instance, so a composed run cannot honour
+/// them. Every composed runner refuses them before it deploys anything,
+/// naming the field, instead of silently running without them.
+#[test]
+fn composed_runners_refuse_single_instance_settings() {
+    let with = |set: &dyn Fn(&mut CampaignConfig)| {
+        let mut config = CampaignConfig::composed(&["ZooKeeperOp", "RabbitMQOp"], Mode::Whitebox);
+        config.max_ops = Some(2);
+        set(&mut config);
+        config
+    };
+    let cases = [
+        (
+            "faults",
+            with(&|c| {
+                c.faults.push(2, Fault::WatchBlackout { duration: 5 });
+            }),
+        ),
+        (
+            "custom_oracles",
+            with(&|c| c.custom_oracles.push(Arc::new(Silent))),
+        ),
+        ("crash_sweep", with(&|c| c.crash_sweep = true)),
+        ("differential", with(&|c| c.differential = true)),
+    ];
+    for (field, config) in cases {
+        let named = |err: String| {
+            assert!(err.contains(&format!("`{field}`")), "{field}: {err}");
+        };
+        named(plan_composed(&config).expect_err(field));
+        named(run_composed_campaign(&config).expect_err(field));
+        let depot = SnapshotDepot::new();
+        named(
+            run_composed_work_stealing_with(&config, 2, DEFAULT_SEGMENT_OPS, &depot)
+                .expect_err(field),
+        );
+        let mut fuzz = FuzzConfig::new("ZooKeeperOp");
+        fuzz.campaign = config;
+        fuzz.execs = 2;
+        named(run_composed_fuzz(&fuzz).expect_err(field));
+    }
 }

@@ -19,8 +19,8 @@ use std::sync::OnceLock;
 
 use acto_repro::acto::fuzz::FuzzConfig;
 use acto_repro::acto::persist::{
-    load_corpus, resume_fuzz_with, resume_work_stealing_with, run_fuzz_persistent,
-    run_work_stealing_persistent, PersistErrorKind, RecoveryPolicy, StoreIo,
+    load_corpus, resume_fuzz_with, resume_work_stealing_with, run_fuzz_persistent_io,
+    run_work_stealing_persistent_io, PersistErrorKind, RecoveryPolicy, StoreIo,
 };
 use acto_repro::acto::{persist_sweep, CampaignConfig, Mode, Strategy, SweepOptions};
 use acto_repro::operators::BugToggles;
@@ -86,8 +86,8 @@ fn campaign_pristine() -> &'static Pristine {
     static ONCE: OnceLock<Pristine> = OnceLock::new();
     ONCE.get_or_init(|| {
         let dir = fresh_dir("campaign-pristine");
-        let result =
-            run_work_stealing_persistent(&config(8), 2, 4, &dir).expect("persistent campaign");
+        let result = run_work_stealing_persistent_io(&config(8), 2, 4, &dir, StoreIo::clean())
+            .expect("persistent campaign");
         let pristine = Pristine {
             manifest: std::fs::read(dir.join("manifest.json")).expect("manifest"),
             journal: std::fs::read(dir.join("journal.jsonl")).expect("journal"),
@@ -104,7 +104,8 @@ fn fuzz_pristine() -> &'static Pristine {
     static ONCE: OnceLock<Pristine> = OnceLock::new();
     ONCE.get_or_init(|| {
         let dir = fresh_dir("fuzz-pristine");
-        let result = run_fuzz_persistent(&fuzz_config(), &dir).expect("persistent fuzz");
+        let result = run_fuzz_persistent_io(&fuzz_config(), &dir, false, StoreIo::clean())
+            .expect("persistent fuzz");
         let pristine = Pristine {
             manifest: std::fs::read(dir.join("manifest.json")).expect("manifest"),
             journal: std::fs::read(dir.join("journal.jsonl")).expect("journal"),

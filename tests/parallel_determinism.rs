@@ -6,10 +6,15 @@
 //! byte-identical for *any* worker count — stealing may only change who
 //! runs a segment, never what the segment observes.
 
+use std::collections::BTreeSet;
+
+use acto_repro::acto::compose::{
+    run_composed_campaign, run_composed_work_stealing_with, ComposedParallelResult,
+};
 use acto_repro::acto::parallel::{run_work_stealing, run_work_stealing_with, SnapshotDepot};
-use acto_repro::acto::{CampaignConfig, Mode, Strategy};
+use acto_repro::acto::{run_campaign, CampaignConfig, Mode, Strategy, Trial};
 use acto_repro::operators::BugToggles;
-use acto_repro::simkube::PlatformBugs;
+use acto_repro::simkube::{Fault, FaultPlan, PlatformBugs};
 use proptest::prelude::*;
 
 fn config(operator: &str, max_ops: usize) -> CampaignConfig {
@@ -61,4 +66,48 @@ proptest! {
         prop_assert!(b.failed_segments.is_empty());
         prop_assert_eq!(a.transcript(), b.transcript());
     }
+}
+
+/// `max_ops` has one meaning in every runner: it caps the *planned* ops
+/// before any of them executes. The sequential campaign and the one-worker
+/// work-stealing campaign run the same planned ops, all inside the cap,
+/// and the fault burst rides on top of the cap instead of counting against
+/// it. A composed run cuts its interleaved plan the same way at one worker
+/// and at two.
+#[test]
+fn max_ops_caps_planned_ops_in_every_runner() {
+    let mut config = config("ZooKeeperOp", 8);
+    let mut faults = FaultPlan::new();
+    faults.push(2, Fault::WatchBlackout { duration: 5 });
+    config.faults = faults;
+    let planned = |trials: &[Trial]| -> BTreeSet<usize> {
+        let planned = trials.iter().filter(|t| t.op.scenario != "fault-burst");
+        planned.map(|t| t.op.index).collect()
+    };
+    let sequential = run_campaign(&config);
+    let stolen = run_work_stealing(&config, 1);
+    for trials in [&sequential.trials, &stolen.trials] {
+        assert_eq!(trials[0].op.scenario, "fault-burst");
+    }
+    let ops = planned(&sequential.trials);
+    assert_eq!(ops, planned(&stolen.trials));
+    assert!(ops.iter().all(|&i| i < 8), "ops past the cap: {ops:?}");
+    assert_eq!(sequential.trials.len(), ops.len() + 1, "the burst is extra");
+
+    let mut composed = CampaignConfig::composed(&["ZooKeeperOp", "RabbitMQOp"], Mode::Whitebox);
+    composed.max_ops = Some(8);
+    let composed_ops = |run: &ComposedParallelResult| -> BTreeSet<usize> {
+        let planned = run
+            .trials
+            .iter()
+            .filter(|t| t.op.scenario != "composed-deploy");
+        planned.map(|t| t.index).collect()
+    };
+    let one = run_composed_campaign(&composed).expect("composed campaign runs");
+    let two = run_composed_work_stealing_with(&composed, 2, 4, &SnapshotDepot::new())
+        .expect("composed campaign runs");
+    assert_eq!((one.workers, one.segments, two.workers), (1, 1, 2));
+    let ops = composed_ops(&one);
+    assert!(ops.iter().all(|&i| i < 8), "ops past the cap: {ops:?}");
+    assert_eq!(ops, composed_ops(&two));
 }

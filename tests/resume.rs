@@ -13,8 +13,8 @@ use std::path::PathBuf;
 use acto_repro::acto::fuzz::{run_fuzz, FuzzConfig};
 use acto_repro::acto::parallel::{run_work_stealing_with, SnapshotDepot};
 use acto_repro::acto::persist::{
-    resume_fuzz, resume_work_stealing, run_fuzz_persistent, run_fuzz_persistent_with,
-    run_work_stealing_persistent, PersistErrorKind,
+    resume_fuzz_with, resume_work_stealing_with, run_fuzz_persistent_io,
+    run_work_stealing_persistent_io, PersistErrorKind, RecoveryPolicy, StoreIo,
 };
 use acto_repro::acto::{CampaignConfig, Mode, Strategy};
 use acto_repro::operators::BugToggles;
@@ -72,8 +72,8 @@ fn interrupted_campaign_resumes_byte_identical_at_any_worker_count() {
         let dir = fresh_dir(&format!("campaign-w{workers}"));
 
         // A full persistent run is itself transcript-identical.
-        let full =
-            run_work_stealing_persistent(&config, 2, segment_ops, &dir).expect("persistent run");
+        let full = run_work_stealing_persistent_io(&config, 2, segment_ops, &dir, StoreIo::clean())
+            .expect("persistent run");
         assert_eq!(
             baseline.transcript(),
             full.transcript(),
@@ -83,7 +83,14 @@ fn interrupted_campaign_resumes_byte_identical_at_any_worker_count() {
         // Kill after two journaled segments (plus a torn append), then
         // resume at this worker count.
         interrupt_journal(&dir, 2);
-        let resumed = resume_work_stealing(&config, workers, &dir).expect("resume");
+        let resumed = resume_work_stealing_with(
+            &config,
+            workers,
+            &dir,
+            RecoveryPolicy::Refuse,
+            StoreIo::clean(),
+        )
+        .expect("resume");
         assert!(resumed.failed_segments.is_empty());
         assert_eq!(
             baseline.transcript(),
@@ -99,10 +106,13 @@ fn interrupted_campaign_resumes_byte_identical_at_any_worker_count() {
 fn resuming_a_complete_campaign_reexecutes_nothing_new() {
     let config = config("RabbitMQOp", 10);
     let dir = fresh_dir("campaign-complete");
-    let full = run_work_stealing_persistent(&config, 2, 4, &dir).expect("persistent run");
+    let full = run_work_stealing_persistent_io(&config, 2, 4, &dir, StoreIo::clean())
+        .expect("persistent run");
     let journal_after_full =
         std::fs::read_to_string(dir.join("journal.jsonl")).expect("journal exists");
-    let resumed = resume_work_stealing(&config, 2, &dir).expect("resume");
+    let resumed =
+        resume_work_stealing_with(&config, 2, &dir, RecoveryPolicy::Refuse, StoreIo::clean())
+            .expect("resume");
     assert_eq!(full.transcript(), resumed.transcript());
     let journal_after_resume =
         std::fs::read_to_string(dir.join("journal.jsonl")).expect("journal exists");
@@ -122,7 +132,8 @@ fn interrupted_fuzz_resumes_byte_identical_at_any_worker_count() {
         let dir = fresh_dir(&format!("fuzz-w{workers}"));
 
         let full =
-            run_fuzz_persistent(&fuzz_config(0xF5ED, workers), &dir).expect("persistent fuzz");
+            run_fuzz_persistent_io(&fuzz_config(0xF5ED, workers), &dir, false, StoreIo::clean())
+                .expect("persistent fuzz");
         assert_eq!(
             baseline.transcript(),
             full.transcript(),
@@ -134,7 +145,13 @@ fn interrupted_fuzz_resumes_byte_identical_at_any_worker_count() {
         // set, and the random stream, so the remaining rounds draw exactly
         // the inputs the uninterrupted run drew.
         interrupt_journal(&dir, 1);
-        let resumed = resume_fuzz(&fuzz_config(0xF5ED, workers), &dir).expect("resume fuzz");
+        let resumed = resume_fuzz_with(
+            &fuzz_config(0xF5ED, workers),
+            &dir,
+            RecoveryPolicy::Refuse,
+            StoreIo::clean(),
+        )
+        .expect("resume fuzz");
         assert_eq!(
             baseline.transcript(),
             resumed.transcript(),
@@ -162,8 +179,15 @@ fn interrupted_fuzz_resumes_byte_identical_at_any_worker_count() {
 #[test]
 fn resume_refuses_a_mismatched_configuration() {
     let dir = fresh_dir("fuzz-mismatch");
-    let _ = run_fuzz_persistent(&fuzz_config(0xBEEF, 1), &dir).expect("persistent fuzz");
-    let err = resume_fuzz(&fuzz_config(0xBEEF + 1, 1), &dir).expect_err("seed mismatch");
+    let _ = run_fuzz_persistent_io(&fuzz_config(0xBEEF, 1), &dir, false, StoreIo::clean())
+        .expect("persistent fuzz");
+    let err = resume_fuzz_with(
+        &fuzz_config(0xBEEF + 1, 1),
+        &dir,
+        RecoveryPolicy::Refuse,
+        StoreIo::clean(),
+    )
+    .expect_err("seed mismatch");
     assert!(
         err.to_string().contains("does not match"),
         "error explains the mismatch: {err}"
@@ -172,7 +196,14 @@ fn resume_refuses_a_mismatched_configuration() {
         err.to_string().contains("`seed`"),
         "error names the differing field: {err}"
     );
-    let err = resume_work_stealing(&config("ZooKeeperOp", 10), 1, &dir).expect_err("kind mismatch");
+    let err = resume_work_stealing_with(
+        &config("ZooKeeperOp", 10),
+        1,
+        &dir,
+        RecoveryPolicy::Refuse,
+        StoreIo::clean(),
+    )
+    .expect_err("kind mismatch");
     assert!(
         err.to_string().contains("fuzz"),
         "error names the stored kind: {err}"
@@ -186,7 +217,8 @@ fn minimize_flag_shrinks_alarm_raising_corpus_entries_offline() {
     let mut cfg = fuzz_config(0xF5ED, 2);
     cfg.execs = 8;
     cfg.batch = 4;
-    let result = run_fuzz_persistent_with(&cfg, &dir, true).expect("persistent fuzz");
+    let result =
+        run_fuzz_persistent_io(&cfg, &dir, true, StoreIo::clean()).expect("persistent fuzz");
     let minimized = std::fs::read_to_string(dir.join("minimized.json")).expect("minimized.json");
     let root = acto_repro::crdspec::json::from_str(&minimized).expect("valid json");
     let entries = root
@@ -220,12 +252,29 @@ fn unknown_operator_fails_before_the_store_is_created() {
     let errors = [
         (
             &campaign_dir,
-            run_work_stealing_persistent(&config("NoSuchOp", 4), 2, 4, &campaign_dir).map(drop),
+            run_work_stealing_persistent_io(
+                &config("NoSuchOp", 4),
+                2,
+                4,
+                &campaign_dir,
+                StoreIo::clean(),
+            )
+            .map(drop),
         ),
-        (&fuzz_dir, run_fuzz_persistent(&fuzz, &fuzz_dir).map(drop)),
+        (
+            &fuzz_dir,
+            run_fuzz_persistent_io(&fuzz, &fuzz_dir, false, StoreIo::clean()).map(drop),
+        ),
         (
             &campaign_dir,
-            resume_work_stealing(&config("NoSuchOp", 4), 2, &campaign_dir).map(drop),
+            resume_work_stealing_with(
+                &config("NoSuchOp", 4),
+                2,
+                &campaign_dir,
+                RecoveryPolicy::Refuse,
+                StoreIo::clean(),
+            )
+            .map(drop),
         ),
     ];
     for (dir, result) in errors {

@@ -11,11 +11,11 @@
 //! mismatch the test prints the actual digest next to the expected one.
 
 use acto_repro::acto::compose::{
-    run_composed_campaign, run_composed_fuzz, run_composed_work_stealing,
+    run_composed_campaign, run_composed_fuzz, run_composed_work_stealing_with,
 };
 use acto_repro::acto::fuzz::{run_fuzz, FuzzConfig};
 use acto_repro::acto::minimize::minimize;
-use acto_repro::acto::parallel::run_work_stealing;
+use acto_repro::acto::parallel::{run_work_stealing, SnapshotDepot, DEFAULT_SEGMENT_OPS};
 use acto_repro::acto::{run_campaign, AlarmKind, CampaignConfig, CampaignResult, Mode, Strategy};
 use acto_repro::operators::bugs::{
     bugs_of, BugToggles, SEEDED_CROSS_OPERATOR_GC, SEEDED_NONIDEMPOTENT_CREATE,
@@ -73,7 +73,7 @@ fn faulted_swept_differential_campaign() {
     assert_digest(
         "zookeeper fault+sweep+differential campaign",
         &campaign_rendering(&result),
-        "063759867e8172a3",
+        "8627b1dd9e7d1324",
     );
     // Shrink every crash-consistency reproduction: the minimizer re-sweeps
     // the final transition's write boundaries.
@@ -107,7 +107,7 @@ fn faulted_swept_differential_campaign() {
     assert_digest(
         "zookeeper crash reproductions",
         &minimized,
-        "2abb170d2bace0a8",
+        "92f31fcdf01bee92",
     );
 }
 
@@ -150,7 +150,7 @@ fn failed_fault_burst_resets_and_continues() {
     assert_digest(
         "zookeeper failed fault burst campaign",
         &campaign_rendering(&result),
-        "1601bd896f79e87c",
+        "4e79bb44cf5830cc",
     );
 }
 
@@ -162,13 +162,13 @@ fn reset_strategies() {
     assert_digest(
         "cockroach operation-sequence campaign",
         &campaign_rendering(&sequence),
-        "a319b9dac9e9848d",
+        "109892a84107801f",
     );
     let single = run_campaign(&strategy_config(Strategy::SingleOperation));
     assert_digest(
         "cockroach single-operation campaign",
         &campaign_rendering(&single),
-        "b5ead1103305f089",
+        "26f6d666a880a785",
     );
 }
 
@@ -225,14 +225,15 @@ fn composed_campaign_with_seeded_gc() {
     config.bugs.seed(SEEDED_CROSS_OPERATOR_GC);
     config.max_ops = Some(8);
     let result = run_composed_campaign(&config).expect("composed campaign runs");
+    let waits: usize = result
+        .worker_stats
+        .iter()
+        .map(|s| s.convergence_waits)
+        .sum();
     assert_digest(
         "tidb+zookeeper composed campaign",
-        &format!(
-            "{}waits: {}\n",
-            result.transcript(),
-            result.convergence_waits
-        ),
-        "fbe2a407ccf2d900",
+        &format!("{}waits: {waits}\n", result.transcript()),
+        "db8691defdc6ec61",
     );
 }
 
@@ -243,7 +244,9 @@ fn composed_work_stealing_at_two_workers() {
     let mut config = CampaignConfig::composed(&["CockroachOp", "ZooKeeperOp"], Mode::Whitebox);
     config.bugs = BugToggles::all_injected();
     config.max_ops = Some(16);
-    let result = run_composed_work_stealing(&config, 2).expect("composed campaign runs");
+    let result =
+        run_composed_work_stealing_with(&config, 2, DEFAULT_SEGMENT_OPS, &SnapshotDepot::new())
+            .expect("composed campaign runs");
     assert_digest(
         "cockroach+zookeeper composed work stealing",
         &result.transcript(),
