@@ -203,12 +203,16 @@ impl ComposedTrial {
 /// summarized against *that member's* ground truth, then merged — so a
 /// TiDB-seeded alarm raised while RabbitMQ was acting still lands on the
 /// TiDB bug.
-pub fn summarize_composed(operators: &[String], trials: &[ComposedTrial]) -> CampaignSummary {
+pub fn summarize_composed<'a>(
+    operators: &[String],
+    trials: impl IntoIterator<Item = &'a ComposedTrial>,
+) -> CampaignSummary {
+    let trials: Vec<&ComposedTrial> = trials.into_iter().collect();
     let parts = operators.iter().enumerate().map(|(i, name)| {
         let member_trials: Vec<Trial> = trials
             .iter()
             .filter(|t| t.member == i)
-            .map(ComposedTrial::as_trial)
+            .map(|t| t.as_trial())
             .collect();
         summarize(name, &member_trials)
     });
@@ -222,7 +226,10 @@ impl TrialRecord for ComposedTrial {
         config.operators_label()
     }
 
-    fn summarize(config: &CampaignConfig, trials: &[ComposedTrial]) -> CampaignSummary {
+    fn summarize<'a>(
+        config: &CampaignConfig,
+        trials: impl IntoIterator<Item = &'a ComposedTrial>,
+    ) -> CampaignSummary {
         summarize_composed(&config.operators, trials)
     }
 

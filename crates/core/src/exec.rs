@@ -657,8 +657,13 @@ pub trait TrialRecord: Clone + Send {
     /// registry name, or the members joined with `+`.
     fn target(config: &CampaignConfig) -> String;
 
-    /// Attributed findings over a run's trials.
-    fn summarize(config: &CampaignConfig, trials: &[Self]) -> CampaignSummary;
+    /// Attributed findings over a run's trials, in order.
+    fn summarize<'a>(
+        config: &CampaignConfig,
+        trials: impl IntoIterator<Item = &'a Self>,
+    ) -> CampaignSummary
+    where
+        Self: 'a;
 
     /// Appends the trial's lines to a campaign transcript.
     fn render(&self, out: &mut String);

@@ -804,9 +804,11 @@ fn entry_digest(key: &ObjKey, obj: &Arc<simkube::StoredObject>) -> u64 {
     };
     let id = format!("{}/{}/{}", key.kind.name(), key.namespace, key.name);
     let mut h = fnv(0xcbf2_9ce4_8422_2325u64, normalize_key(&id).as_bytes());
-    if let Some(status) = oracles::mask_value(&obj.to_value()).get("status") {
-        h = fnv(h, crdspec::json::to_string(status).as_bytes());
-    }
+    // Masking goes by key name and `status` is not a masked name, so this
+    // is the `status` section of the masked whole-object rendering, without
+    // rendering the metadata and spec beside it.
+    let status = oracles::mask_value(&obj.data.status_value());
+    h = fnv(h, crdspec::json::to_string(&status).as_bytes());
     // splitmix64 finalizer: without it, wrapping-add of raw FNV values
     // would let near-identical entries cancel.
     h ^= h >> 30;
@@ -1383,11 +1385,10 @@ impl<T: TrialRecord> Progress<T> {
         (execs, rounds): (usize, usize),
         start: Instant,
     ) -> FuzzResult<T> {
-        let all_trials: Vec<T> = self
-            .records
-            .iter()
-            .flat_map(|r| r.trials.iter().cloned())
-            .collect();
+        let summary = T::summarize(
+            &cfg.campaign,
+            self.records.iter().flat_map(|r| r.trials.iter()),
+        );
         let total_sim_seconds =
             base_sim_seconds + self.worker_stats.iter().map(|s| s.sim_seconds).sum::<u64>();
         FuzzResult {
@@ -1399,7 +1400,7 @@ impl<T: TrialRecord> Progress<T> {
             coverage: self.coverage,
             corpus: self.corpus,
             records: self.records,
-            summary: T::summarize(&cfg.campaign, &all_trials),
+            summary,
             total_sim_seconds,
             base_sim_seconds,
             worker_stats: self.worker_stats,
@@ -1641,6 +1642,64 @@ mod tests {
         let op = operator_by_name("ZooKeeperOp");
         let pool = plan_operator(&*op, Mode::Blackbox);
         assert!(ensure_pool(&pool).is_ok());
+    }
+
+    /// Reference for [`entry_digest`]: the same hash taken over the
+    /// `status` section of the masked whole-object rendering.
+    fn whole_object_digest(key: &ObjKey, obj: &Arc<simkube::StoredObject>) -> u64 {
+        let fnv = |mut h: u64, bytes: &[u8]| -> u64 {
+            for b in bytes {
+                h ^= u64::from(*b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            h
+        };
+        let id = format!("{}/{}/{}", key.kind.name(), key.namespace, key.name);
+        let mut h = fnv(0xcbf2_9ce4_8422_2325u64, normalize_key(&id).as_bytes());
+        if let Some(status) = oracles::mask_value(&obj.to_value()).get("status") {
+            h = fnv(h, crdspec::json::to_string(status).as_bytes());
+        }
+        h ^= h >> 30;
+        h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        h ^= h >> 27;
+        h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
+        h ^ (h >> 31)
+    }
+
+    /// Rendering only the status section is the same function as masking
+    /// the whole object and taking its `status`: checked on every stored
+    /// object of every operator, with all bugs injected, after deploy and
+    /// after each of its first few planned ops.
+    #[test]
+    fn status_only_digest_matches_the_whole_object_digest() {
+        let mut checked = 0;
+        for operator in operators::operator_names() {
+            let mut instance = operators::Instance::deploy(
+                operator_by_name(operator),
+                operators::bugs::BugToggles::all_injected(),
+                simkube::PlatformBugs::none(),
+            )
+            .expect("deploy");
+            let plan = plan_operator(&*operator_by_name(operator), Mode::Whitebox);
+            for planned in std::iter::once(None).chain(plan.iter().take(5).map(Some)) {
+                if let Some(planned) = planned {
+                    let mut spec = instance.cr_spec();
+                    apply_op(&mut spec, planned);
+                    if instance.submit(spec).is_ok() {
+                        instance.converge(CONVERGE_RESET, CONVERGE_MAX);
+                    }
+                }
+                for (key, obj) in instance.cluster.api().store().iter_shared() {
+                    assert_eq!(
+                        entry_digest(key, obj),
+                        whole_object_digest(key, obj),
+                        "{operator}: {key:?}"
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 500, "only {checked} objects checked");
     }
 
     #[test]

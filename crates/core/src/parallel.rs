@@ -126,7 +126,10 @@ impl TrialRecord for Trial {
         config.operator().to_string()
     }
 
-    fn summarize(config: &CampaignConfig, trials: &[Trial]) -> CampaignSummary {
+    fn summarize<'a>(
+        config: &CampaignConfig,
+        trials: impl IntoIterator<Item = &'a Trial>,
+    ) -> CampaignSummary {
         summarize(config.operator(), trials)
     }
 

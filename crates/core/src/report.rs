@@ -228,7 +228,10 @@ pub struct CampaignSummary {
 }
 
 /// Builds the summary for a finished campaign.
-pub fn summarize(operator: &str, trials: &[Trial]) -> CampaignSummary {
+pub fn summarize<'a>(
+    operator: &str,
+    trials: impl IntoIterator<Item = &'a Trial>,
+) -> CampaignSummary {
     let mut summary = CampaignSummary::default();
     for trial in trials {
         if !trial.alarms.is_empty() {

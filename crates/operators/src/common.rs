@@ -444,14 +444,16 @@ pub fn stamp_label_record(
             .map(|(k, v)| (k.clone(), Value::from(v.clone())))
             .collect(),
     ));
-    if cluster.api().get(key).is_none() {
-        return;
+    // A record that is already current is left alone without copying the
+    // object.
+    match cluster.api().get(key) {
+        None => return,
+        Some(o) if o.meta.annotations.get(annotation) == Some(&rendered) => return,
+        Some(_) => {}
     }
     let time = cluster.now();
     let _ = cluster.api_mut().store_mut().update_with(key, time, |o| {
-        o.meta
-            .annotations
-            .insert(annotation.to_string(), rendered.clone());
+        o.meta.annotations.insert(annotation.to_string(), rendered);
     });
 }
 
@@ -465,8 +467,10 @@ pub fn stamp_sts_annotation(
     value: &str,
 ) {
     let sts_key = ObjKey::new(Kind::StatefulSet, namespace, name);
-    if cluster.api().get(&sts_key).is_none() {
-        return;
+    match cluster.api().get(&sts_key) {
+        None => return,
+        Some(o) if o.meta.annotations.get(key).map(String::as_str) == Some(value) => return,
+        Some(_) => {}
     }
     let time = cluster.now();
     let _ = cluster

@@ -257,17 +257,28 @@ impl Operator for CassOp {
         for ordinal in 0..size {
             let pod_name = format!("{INSTANCE}-{ordinal}");
             let pod_key = ObjKey::new(Kind::Pod, NAMESPACE, &pod_name);
-            if cluster.api().get(&pod_key).is_none() {
+            let Some(pod) = cluster.api().get(&pod_key) else {
+                continue;
+            };
+            let labels = &pod.meta.labels;
+            let is_seed = ordinal < seed_count;
+            let already_seed = labels.get("seed").map(String::as_str) == Some("true");
+            let skip_refresh = bugs.injected("CASS-2") && already_seed && is_seed;
+            // A pod already labelled as this pass would leave it is not
+            // copied: the check runs on the borrowed labels.
+            let seed_prefixed = || labels.iter().filter(|(k, _)| k.starts_with("seed/"));
+            let current = if is_seed {
+                already_seed
+                    && (skip_refresh
+                        || seed_prefixed()
+                            .map(|(k, v)| (&k["seed/".len()..], v))
+                            .eq(seed_labels.iter().map(|(k, v)| (k.as_str(), v))))
+            } else {
+                !labels.contains_key("seed") && seed_prefixed().next().is_none()
+            };
+            if current {
                 continue;
             }
-            let is_seed = ordinal < seed_count;
-            let already_seed = cluster
-                .api()
-                .get(&pod_key)
-                .map(|o| o.meta.labels.get("seed").map(String::as_str) == Some("true"))
-                .unwrap_or(false);
-            let skip_refresh = bugs.injected("CASS-2") && already_seed && is_seed;
-            let seed_labels = seed_labels.clone();
             let time = cluster.now();
             let _ = cluster
                 .api_mut()

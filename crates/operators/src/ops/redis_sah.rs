@@ -252,7 +252,15 @@ impl Operator for RedisSahOp {
             // annotation is removed otherwise.
             let keep = bool_at(cr, "storage.keepAfterDelete").unwrap_or(false);
             let sts_key = ObjKey::new(Kind::StatefulSet, NAMESPACE, INSTANCE);
-            if cluster.api().get(&sts_key).is_some() {
+            let stale = cluster.api().get(&sts_key).is_some_and(|o| {
+                let recorded = o.meta.annotations.get("keepAfterDelete");
+                if persistent {
+                    recorded.map(String::as_str) != Some(if keep { "true" } else { "false" })
+                } else {
+                    recorded.is_some()
+                }
+            });
+            if stale {
                 let time = cluster.now();
                 let _ = cluster
                     .api_mut()

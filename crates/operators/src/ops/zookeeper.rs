@@ -389,22 +389,30 @@ impl Operator for ZooKeeperOp {
         let sts_key = ObjKey::new(Kind::StatefulSet, NAMESPACE, INSTANCE);
         let time = cluster.now();
         let zk4 = bugs.injected("ZK-4");
-        let _ = cluster
-            .api_mut()
-            .store_mut()
-            .update_with(&sts_key, time, |o| {
-                let slot = o.meta.annotations.entry("reclaimPolicy".to_string());
-                match slot {
-                    std::collections::btree_map::Entry::Vacant(v) => {
-                        v.insert(reclaim.clone());
-                    }
-                    std::collections::btree_map::Entry::Occupied(mut occ) => {
-                        if !zk4 {
-                            occ.insert(reclaim.clone());
+        let stale = cluster.api().get(&sts_key).is_some_and(|o| {
+            o.meta
+                .annotations
+                .get("reclaimPolicy")
+                .is_none_or(|v| !zk4 && *v != reclaim)
+        });
+        if stale {
+            let _ = cluster
+                .api_mut()
+                .store_mut()
+                .update_with(&sts_key, time, |o| {
+                    let slot = o.meta.annotations.entry("reclaimPolicy".to_string());
+                    match slot {
+                        std::collections::btree_map::Entry::Vacant(v) => {
+                            v.insert(reclaim);
+                        }
+                        std::collections::btree_map::Entry::Occupied(mut occ) => {
+                            if !zk4 {
+                                occ.insert(reclaim);
+                            }
                         }
                     }
-                }
-            });
+                });
+        }
 
         // Client service. ZK-3: the domain annotation is only stamped when
         // the service is first created.

@@ -374,14 +374,23 @@ impl ApiServer {
     ) -> Result<(), ApiError> {
         self.check_pass_alive(|| format!("status {}/{}", key.namespace, key.name))?;
         let rev = self.store.revision();
-        let result = self
-            .store
-            .update_with(key, time, |obj| {
-                if let ObjectData::Custom { status: s, .. } = &mut obj.data {
-                    *s = status;
-                }
-            })
-            .map_err(ApiError::NotFound);
+        // Rewriting the status it already has is decided on the borrowed
+        // object: `update_with` would copy it only to throw the copy away.
+        let unchanged = self.store.get(key).is_some_and(|obj| match &obj.data {
+            ObjectData::Custom { status: s, .. } => *s == status,
+            _ => true,
+        });
+        let result = if unchanged {
+            Ok(())
+        } else {
+            self.store
+                .update_with(key, time, |obj| {
+                    if let ObjectData::Custom { status: s, .. } = &mut obj.data {
+                        *s = status;
+                    }
+                })
+                .map_err(ApiError::NotFound)
+        };
         self.note_operator_write(rev);
         result
     }
@@ -460,13 +469,12 @@ impl ApiServer {
             )));
         }
         self.truncate_annotations(&mut meta);
-        if self.store.get(&key).is_none() {
+        let Some(existing) = self.store.get(&key) else {
             // Already interposed by the caller: a create-through-apply is
             // one upsert, so it must count as one write, not two.
             return self.create_object_inner(meta, data, time);
-        }
+        };
         if !self.bugs.selector_mutation_allowed {
-            let existing = self.store.get(&key).expect("checked above");
             let old_sel = selector_of(&existing.data);
             let new_sel = selector_of(&data);
             if let (Some(old), Some(new)) = (old_sel, new_sel) {
@@ -480,10 +488,16 @@ impl ApiServer {
                 }
             }
         }
+        let mut data = data;
+        preserve_status(&existing.data, &mut data);
+        // Re-applying what is stored (the steady state of every reconcile
+        // loop) is decided on the borrowed object, before `update_with`
+        // would copy it only to find the copy unchanged.
+        if existing.data == data && merge_is_noop(&existing.meta, &meta) {
+            return Ok(key);
+        }
         self.store
             .update_with(&key, time, |obj| {
-                let mut data = data;
-                preserve_status(&obj.data, &mut data);
                 obj.data = data;
                 // Merge semantics for identifying metadata: apply adds or
                 // overwrites the keys it names and leaves others (e.g.
@@ -544,6 +558,19 @@ impl ApiServer {
     pub fn events_since(&self, revision: u64) -> &[WatchEvent] {
         self.store.events_since(revision)
     }
+}
+
+/// Whether [`ApiServer::apply_object`]'s metadata merge of `applied` into
+/// `stored` leaves `stored` as it is: every named label and annotation
+/// already holds its value, and the owner references are absent or equal.
+fn merge_is_noop(stored: &ObjectMeta, applied: &ObjectMeta) -> bool {
+    let holds = |have: &BTreeMap<String, String>, want: &BTreeMap<String, String>| {
+        want.iter().all(|(k, v)| have.get(k) == Some(v))
+    };
+    holds(&stored.labels, &applied.labels)
+        && holds(&stored.annotations, &applied.annotations)
+        && (applied.owner_references.is_empty()
+            || applied.owner_references == stored.owner_references)
 }
 
 /// Copies controller-owned status fields from the stored object into a

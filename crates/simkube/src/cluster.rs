@@ -314,6 +314,54 @@ enum PodAction {
     Restart,
 }
 
+impl PodAction {
+    /// Writes the action's outcome into the pod.
+    fn apply(&self, p: &mut Pod, time: u64) {
+        match self {
+            PodAction::CrashLoop { already, .. } => {
+                p.phase = PodPhase::Failed;
+                p.reason = "CrashLoopBackOff".to_string();
+                p.ready = false;
+                if !already {
+                    p.restarts += 1;
+                    p.phase_since = time;
+                }
+            }
+            PodAction::SetReason(reason) => p.reason = reason.to_string(),
+            PodAction::ImagePull { .. } => p.reason = "ImagePullBackOff".to_string(),
+            PodAction::Start => {
+                p.phase = PodPhase::Running;
+                p.reason = String::new();
+                p.phase_since = time;
+            }
+            PodAction::MarkReady => p.ready = true,
+            PodAction::Restart => {
+                p.phase = PodPhase::Pending;
+                p.reason = String::new();
+                p.phase_since = time;
+            }
+        }
+    }
+
+    /// Whether [`PodAction::apply`] would leave `p` exactly as it is.
+    fn leaves_unchanged(&self, p: &Pod, time: u64) -> bool {
+        let restarted = |phase| p.phase == phase && p.reason.is_empty() && p.phase_since == time;
+        match self {
+            PodAction::CrashLoop { already, .. } => {
+                *already
+                    && p.phase == PodPhase::Failed
+                    && p.reason == "CrashLoopBackOff"
+                    && !p.ready
+            }
+            PodAction::SetReason(reason) => p.reason == *reason,
+            PodAction::ImagePull { .. } => p.reason == "ImagePullBackOff",
+            PodAction::Start => restarted(PodPhase::Running),
+            PodAction::MarkReady => p.ready,
+            PodAction::Restart => restarted(PodPhase::Pending),
+        }
+    }
+}
+
 /// Observable-state fingerprint used by the engine's no-op detection: two
 /// equal fingerprints around a tick prove the tick changed nothing any
 /// oracle, transcript, or controller can see.
@@ -1148,65 +1196,24 @@ impl SimCluster {
             }
         }
         for (key, action) in decisions {
-            match action {
-                PodAction::CrashLoop { already, msg } => {
-                    let _ = self.api.store_mut().update_with(&key, time, |o| {
-                        if let ObjectData::Pod(p) = &mut o.data {
-                            p.phase = PodPhase::Failed;
-                            p.reason = "CrashLoopBackOff".to_string();
-                            p.ready = false;
-                            if !already {
-                                p.restarts += 1;
-                                p.phase_since = time;
-                            }
-                        }
-                    });
-                    if let Some(msg) = msg {
-                        self.log(LogLevel::Error, "kubelet", msg);
+            // Steady-state revisits (a pod still crash-looping, still
+            // waiting for its volume or image) are decided on the borrowed
+            // pod, so they copy nothing.
+            let unchanged = self.api.store().get(&key).is_none_or(|o| match &o.data {
+                ObjectData::Pod(p) => action.leaves_unchanged(p, time),
+                _ => true,
+            });
+            if !unchanged {
+                let _ = self.api.store_mut().update_with(&key, time, |o| {
+                    if let ObjectData::Pod(p) = &mut o.data {
+                        action.apply(p, time);
                     }
-                }
-                PodAction::SetReason(reason) => {
-                    let _ = self.api.store_mut().update_with(&key, time, |o| {
-                        if let ObjectData::Pod(p) = &mut o.data {
-                            p.reason = reason.to_string();
-                        }
-                    });
-                }
-                PodAction::ImagePull { log } => {
-                    let _ = self.api.store_mut().update_with(&key, time, |o| {
-                        if let ObjectData::Pod(p) = &mut o.data {
-                            p.reason = "ImagePullBackOff".to_string();
-                        }
-                    });
-                    if let Some(msg) = log {
-                        self.log(LogLevel::Error, "kubelet", msg);
-                    }
-                }
-                PodAction::Start => {
-                    let _ = self.api.store_mut().update_with(&key, time, |o| {
-                        if let ObjectData::Pod(p) = &mut o.data {
-                            p.phase = PodPhase::Running;
-                            p.reason = String::new();
-                            p.phase_since = time;
-                        }
-                    });
-                }
-                PodAction::MarkReady => {
-                    let _ = self.api.store_mut().update_with(&key, time, |o| {
-                        if let ObjectData::Pod(p) = &mut o.data {
-                            p.ready = true;
-                        }
-                    });
-                }
-                PodAction::Restart => {
-                    let _ = self.api.store_mut().update_with(&key, time, |o| {
-                        if let ObjectData::Pod(p) = &mut o.data {
-                            p.phase = PodPhase::Pending;
-                            p.reason = String::new();
-                            p.phase_since = time;
-                        }
-                    });
-                }
+                });
+            }
+            if let PodAction::CrashLoop { msg: Some(msg), .. }
+            | PodAction::ImagePull { log: Some(msg) } = action
+            {
+                self.log(LogLevel::Error, "kubelet", msg);
             }
         }
     }

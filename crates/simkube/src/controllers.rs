@@ -11,7 +11,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use crate::meta::ObjectMeta;
 use crate::objects::StoredObject;
 use crate::objects::{
-    ClaimPhase, Kind, ObjectData, PersistentVolumeClaim, PodPhase, UpdateStrategy,
+    ClaimPhase, Deployment, Kind, ObjectData, PersistentVolumeClaim, PodPhase, UpdateStrategy,
 };
 use crate::platform::PlatformBugs;
 use crate::pmap::PMap;
@@ -548,12 +548,22 @@ fn update_sts_status(
             }
         }
     }
+    // PLAT-6: observedGeneration is bumped before the rollout completes,
+    // so watchers believe convergence happened early.
+    let observe = bugs.premature_observed_generation || (ready == replicas && current == replicas);
+    let unchanged = store.get(key).is_some_and(|obj| match &obj.data {
+        ObjectData::StatefulSet(s) => {
+            s.ready_replicas == ready && (!observe || s.observed_generation == generation)
+        }
+        _ => true,
+    });
+    if unchanged {
+        return;
+    }
     let _ = store.update_with(key, time, |obj| {
         if let ObjectData::StatefulSet(s) = &mut obj.data {
             s.ready_replicas = ready;
-            // PLAT-6: observedGeneration is bumped before the rollout
-            // completes, so watchers believe convergence happened early.
-            if bugs.premature_observed_generation || (ready == replicas && current == replicas) {
+            if observe {
                 s.observed_generation = generation;
             }
         }
@@ -661,10 +671,20 @@ pub fn reconcile_deployments(
                 }
             }
         }
+        let observe = |d: &Deployment| bugs.premature_observed_generation || ready == d.replicas;
+        let unchanged = store.get(&key).is_some_and(|obj| match &obj.data {
+            ObjectData::Deployment(d) => {
+                d.ready_replicas == ready && (!observe(d) || d.observed_generation == generation)
+            }
+            _ => true,
+        });
+        if unchanged {
+            continue;
+        }
         let _ = store.update_with(&key, time, |obj| {
             if let ObjectData::Deployment(d) = &mut obj.data {
                 d.ready_replicas = ready;
-                if bugs.premature_observed_generation || ready == d.replicas {
+                if observe(d) {
                     d.observed_generation = generation;
                 }
             }
@@ -723,6 +743,13 @@ pub fn reconcile_services(store: &mut ObjectStore, time: u64) {
             .map(|o| o.meta.name.clone())
             .collect();
         endpoints.sort();
+        let unchanged = store.get(&key).is_some_and(|obj| match &obj.data {
+            ObjectData::Service(s) => s.endpoints == endpoints,
+            _ => true,
+        });
+        if unchanged {
+            continue;
+        }
         let _ = store.update_with(&key, time, |obj| {
             if let ObjectData::Service(s) = &mut obj.data {
                 s.endpoints = endpoints;
@@ -754,6 +781,13 @@ pub fn reconcile_pdbs(store: &mut ObjectStore, time: u64) {
                     && matches!(&o.data, ObjectData::Pod(p) if p.phase == PodPhase::Running && p.ready)
             })
             .count() as i32;
+        let unchanged = store.get(&key).is_some_and(|obj| match &obj.data {
+            ObjectData::PodDisruptionBudget(p) => p.current_healthy == healthy,
+            _ => true,
+        });
+        if unchanged {
+            continue;
+        }
         let _ = store.update_with(&key, time, |obj| {
             if let ObjectData::PodDisruptionBudget(p) = &mut obj.data {
                 p.current_healthy = healthy;
