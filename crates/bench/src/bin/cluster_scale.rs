@@ -12,7 +12,7 @@
 use std::time::{Duration, Instant};
 
 use acto::{run_campaign, CampaignConfig, Mode};
-use acto_bench::{quick, render_table, BENCH_SCHEMA_VERSION};
+use acto_bench::{git_rev, nproc, quick, render_table, BENCH_SCHEMA_VERSION};
 use simkube::{set_ticked_engine, ClusterConfig, NodeTopology, SimCluster, BACKGROUND_NAMESPACE};
 
 /// Largest-vs-smallest per-step cost ratio allowed across the population
@@ -175,7 +175,7 @@ fn main() {
 
     let json = format!(
         concat!(
-            "{{\n  \"bench\": \"cluster_scale\",\n  \"schema_version\": {},\n  \"quick\": {},\n",
+            "{{\n  \"bench\": \"cluster_scale\",\n  \"schema_version\": {},\n  \"nproc\": {},\n  \"git_rev\": \"{}\",\n  \"quick\": {},\n",
             "  \"step_flatness_bound\": {:.1},\n  \"step_flatness\": {:.4},\n",
             "  \"step_costs\": [\n{}\n  ],\n",
             "  \"campaign\": {{\"nodes\": 1000, \"background_pods\": 20000, ",
@@ -183,6 +183,8 @@ fn main() {
             "\"speedup_floor\": {:.1}, \"transcripts_identical\": {}}}\n}}\n"
         ),
         BENCH_SCHEMA_VERSION,
+        nproc(),
+        git_rev(),
         quick,
         STEP_FLATNESS_BOUND,
         flatness,

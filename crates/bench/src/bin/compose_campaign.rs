@@ -13,7 +13,7 @@ use std::time::Instant;
 use acto::compose::{run_composed_campaign, run_composed_work_stealing_with};
 use acto::parallel::{SnapshotDepot, DEFAULT_SEGMENT_OPS};
 use acto::{run_campaign, CampaignConfig, Mode};
-use acto_bench::{quick, render_table, BENCH_SCHEMA_VERSION};
+use acto_bench::{git_rev, nproc, quick, render_table, BENCH_SCHEMA_VERSION};
 use operators::bugs;
 
 const PAIR: [&str; 2] = ["TiDBOp", "ZooKeeperOp"];
@@ -53,7 +53,7 @@ fn main() {
         }
     };
     let composed_wall = composed_start.elapsed();
-    let clean_alarms: usize = composed.trials.iter().map(|t| t.alarms.len()).sum();
+    let clean_alarms: usize = composed.trials.iter().map(|t| t.trial.alarms.len()).sum();
     let interference_events: usize = composed.trials.iter().map(|t| t.interference.len()).sum();
     if clean_alarms > 0 {
         failures.push(format!(
@@ -183,7 +183,7 @@ fn main() {
 
     let json = format!(
         concat!(
-            "{{\n  \"bench\": \"compose\",\n  \"schema_version\": {},\n  \"quick\": {},\n",
+            "{{\n  \"bench\": \"compose\",\n  \"schema_version\": {},\n  \"nproc\": {},\n  \"git_rev\": \"{}\",\n  \"quick\": {},\n",
             "  \"pair\": \"{}\",\n",
             "  \"sequential\": {{\"trials\": {}, \"sim_seconds\": {}, \"wall_ms\": {}}},\n",
             "  \"composed\": {{\"trials\": {}, \"sim_seconds\": {}, ",
@@ -192,6 +192,8 @@ fn main() {
             "  \"parallel\": [\n{}\n  ]\n}}\n"
         ),
         BENCH_SCHEMA_VERSION,
+        nproc(),
+        git_rev(),
         quick,
         PAIR.join("+"),
         sequential_trials,

@@ -20,7 +20,7 @@
 use std::time::Instant;
 
 use acto::fuzz::{replay_corpus, run_fuzz, run_random, Corpus, FuzzConfig, FuzzResult};
-use acto_bench::{quick, render_table, BENCH_SCHEMA_VERSION};
+use acto_bench::{git_rev, nproc, quick, render_table, BENCH_SCHEMA_VERSION};
 use operators::bugs::SEEDED_NONIDEMPOTENT_CREATE;
 use simkube::checkpoint_forks;
 
@@ -226,6 +226,8 @@ fn main() {
             "{{\n",
             "  \"bench\": \"fuzz\",\n",
             "  \"schema_version\": {},\n",
+            "  \"nproc\": {},\n",
+            "  \"git_rev\": \"{}\",\n",
             "  \"quick\": {},\n",
             "  \"ratio_floor\": {:.1},\n",
             "  \"execs\": {},\n",
@@ -246,6 +248,8 @@ fn main() {
             "}}\n"
         ),
         BENCH_SCHEMA_VERSION,
+        nproc(),
+        git_rev(),
         quick,
         RATIO_FLOOR,
         execs,

@@ -10,7 +10,7 @@
 
 use acto::parallel::{run_work_stealing_with, ParallelResult, SnapshotDepot, DEFAULT_SEGMENT_OPS};
 use acto::{CampaignConfig, Mode};
-use acto_bench::{quick, render_table, BENCH_SCHEMA_VERSION};
+use acto_bench::{git_rev, nproc, quick, render_table, BENCH_SCHEMA_VERSION};
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const OPERATORS: [&str; 2] = ["RabbitMQOp", "ZooKeeperOp"];
@@ -140,8 +140,10 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"bench\": \"parallel_scaling\",\n  \"schema_version\": {},\n  \"quick\": {},\n  \"makespan_budget\": {},\n  \"runs\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"parallel_scaling\",\n  \"schema_version\": {},\n  \"nproc\": {},\n  \"git_rev\": \"{}\",\n  \"quick\": {},\n  \"makespan_budget\": {},\n  \"runs\": [\n{}\n  ]\n}}\n",
         BENCH_SCHEMA_VERSION,
+        nproc(),
+        git_rev(),
         quick,
         MAKESPAN_RATIO,
         json_entries.join(",\n")

@@ -21,7 +21,7 @@ use std::time::Instant;
 
 use acto::fuzz::FuzzConfig;
 use acto::{persist_sweep, CampaignConfig, Mode, Strategy, SweepOptions};
-use acto_bench::{quick, render_table, BENCH_SCHEMA_VERSION};
+use acto_bench::{git_rev, nproc, quick, render_table, BENCH_SCHEMA_VERSION};
 use operators::BugToggles;
 use simkube::PlatformBugs;
 
@@ -143,6 +143,8 @@ fn main() {
             "{{\n",
             "  \"bench\": \"durability\",\n",
             "  \"schema_version\": {},\n",
+            "  \"nproc\": {},\n",
+            "  \"git_rev\": \"{}\",\n",
             "  \"quick\": {},\n",
             "  \"campaign_boundaries\": {},\n",
             "  \"fuzz_boundaries\": {},\n",
@@ -158,6 +160,8 @@ fn main() {
             "}}\n"
         ),
         BENCH_SCHEMA_VERSION,
+        nproc(),
+        git_rev(),
         quick,
         sweep.campaign_boundaries,
         sweep.fuzz_boundaries,

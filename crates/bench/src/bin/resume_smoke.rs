@@ -24,7 +24,7 @@ use acto::persist::{
     run_work_stealing_persistent_io, RecoveryPolicy, StoreIo,
 };
 use acto::{CampaignConfig, Mode, Strategy};
-use acto_bench::{quick, render_table, BENCH_SCHEMA_VERSION};
+use acto_bench::{git_rev, nproc, quick, render_table, BENCH_SCHEMA_VERSION};
 use operators::BugToggles;
 use simkube::PlatformBugs;
 
@@ -195,6 +195,8 @@ fn main() {
             "{{\n",
             "  \"bench\": \"resume\",\n",
             "  \"schema_version\": {},\n",
+            "  \"nproc\": {},\n",
+            "  \"git_rev\": \"{}\",\n",
             "  \"quick\": {},\n",
             "  \"campaign_max_ops\": {},\n",
             "  \"fuzz_execs\": {},\n",
@@ -210,6 +212,8 @@ fn main() {
             "}}\n"
         ),
         BENCH_SCHEMA_VERSION,
+        nproc(),
+        git_rev(),
         quick,
         max_ops,
         execs,

@@ -21,7 +21,7 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use acto::{run_campaign, CampaignConfig, Mode};
-use acto_bench::{quick, render_table, BENCH_SCHEMA_VERSION};
+use acto_bench::{git_rev, nproc, quick, render_table, BENCH_SCHEMA_VERSION};
 use operators::bugs::BugToggles;
 use operators::Instance;
 use simkube::{PlatformBugs, SimCluster};
@@ -181,8 +181,10 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"snapshot_cow\",\n  \"schema_version\": {},\n  \"quick\": {},\n  \"speedup_floor\": {:.1},\n  \"runs\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"snapshot_cow\",\n  \"schema_version\": {},\n  \"nproc\": {},\n  \"git_rev\": \"{}\",\n  \"quick\": {},\n  \"speedup_floor\": {:.1},\n  \"runs\": [\n{}\n  ]\n}}\n",
         BENCH_SCHEMA_VERSION,
+        nproc(),
+        git_rev(),
         quick,
         SPEEDUP_FLOOR,
         json_entries.join(",\n")

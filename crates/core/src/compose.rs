@@ -157,46 +157,19 @@ fn deploy_composition(
     .map_err(|e| format!("composed deployment failed: {e:?}"))
 }
 
-/// One executed composed trial.
+/// One executed composed trial: the single-operator [`Trial`] the acting
+/// member ran, plus who acted and what interference it caused.
 #[derive(Debug, Clone)]
 pub struct ComposedTrial {
-    /// Global interleaved plan index.
-    pub index: usize,
+    /// The trial; its `op.index` is the global interleaved plan index.
+    /// Composed trials record no fault events or crash replays.
+    pub trial: Trial,
     /// Member the trial acted on.
     pub member: usize,
     /// Registry name of the acting member's operator.
     pub operator: String,
-    /// The operation, as planned.
-    pub op: PlannedOp,
-    /// The declaration submitted to the acting member.
-    pub declaration: Value,
-    /// How the trial ended.
-    pub outcome: TrialOutcome,
-    /// Alarms raised (composition oracle plus the shared error ladder).
-    pub alarms: Vec<Alarm>,
-    /// Whether a rollback after an error state restored health.
-    pub rollback_recovered: Option<bool>,
-    /// Simulated seconds the trial consumed.
-    pub sim_seconds: u64,
     /// Cross-member interference observed during the trial, rendered.
     pub interference: Vec<String>,
-}
-
-impl ComposedTrial {
-    /// Projects the composed trial onto the single-operator [`Trial`]
-    /// shape, for attribution and summary reuse.
-    pub fn as_trial(&self) -> Trial {
-        Trial {
-            op: self.op.clone(),
-            declaration: self.declaration.clone(),
-            outcome: self.outcome.clone(),
-            alarms: self.alarms.clone(),
-            rollback_recovered: self.rollback_recovered,
-            sim_seconds: self.sim_seconds,
-            fault_events: Vec::new(),
-            crash_points_swept: 0,
-        }
-    }
 }
 
 /// Attributed findings over composed trials: each member's trials are
@@ -209,12 +182,8 @@ pub fn summarize_composed<'a>(
 ) -> CampaignSummary {
     let trials: Vec<&ComposedTrial> = trials.into_iter().collect();
     let parts = operators.iter().enumerate().map(|(i, name)| {
-        let member_trials: Vec<Trial> = trials
-            .iter()
-            .filter(|t| t.member == i)
-            .map(|t| t.as_trial())
-            .collect();
-        summarize(name, &member_trials)
+        let member_trials = trials.iter().filter(|t| t.member == i);
+        summarize(name, member_trials.map(|t| &t.trial))
     });
     merge_summaries(parts)
 }
@@ -235,44 +204,38 @@ impl TrialRecord for ComposedTrial {
 
     fn render(&self, out: &mut String) {
         use std::fmt::Write;
+        let t = &self.trial;
         let _ = writeln!(
             out,
             "trial #{} member={} operator={} property={} scenario={} outcome={:?} rollback={:?} sim={}",
-            self.index,
+            t.op.index,
             self.member,
             self.operator,
-            self.op.property,
-            self.op.scenario,
-            self.outcome,
-            self.rollback_recovered,
-            self.sim_seconds
+            t.op.property,
+            t.op.scenario,
+            t.outcome,
+            t.rollback_recovered,
+            t.sim_seconds
         );
         let _ = writeln!(
             out,
             "  declaration: {}",
-            crdspec::json::to_string(&self.declaration)
+            crdspec::json::to_string(&t.declaration)
         );
         for line in &self.interference {
             let _ = writeln!(out, "  interference {line}");
         }
-        for alarm in &self.alarms {
+        for alarm in &t.alarms {
             let _ = writeln!(out, "  alarm {}: {}", alarm.kind.name(), alarm.detail);
         }
     }
 
     /// The single-operator placeholder, charged to the first member.
     fn worker_panic(config: &CampaignConfig, seg: Segment, panic: &str) -> ComposedTrial {
-        let trial = Trial::worker_panic(config, seg, panic);
         ComposedTrial {
-            index: trial.op.index,
+            trial: Trial::worker_panic(config, seg, panic),
             member: 0,
             operator: config.operator().to_string(),
-            op: trial.op,
-            declaration: trial.declaration,
-            outcome: trial.outcome,
-            alarms: trial.alarms,
-            rollback_recovered: None,
-            sim_seconds: 0,
             interference: Vec::new(),
         }
     }
@@ -381,16 +344,11 @@ fn run_composed_window(
         };
         let sim = comp.now() - span_start;
         span_start = comp.now();
+        let op = step::synthetic_op(0, "composed-deploy", Value::Null);
         trials.push(ComposedTrial {
-            index: 0,
+            trial: step::trial(op, current[0].clone(), outcome, alarms, sim),
             member: 0,
             operator: config.operator().to_string(),
-            op: step::synthetic_op(0, "composed-deploy", Value::Null),
-            declaration: current[0].clone(),
-            outcome,
-            alarms,
-            rollback_recovered: None,
-            sim_seconds: sim,
             interference: carried.iter().map(|e| e.render()).collect(),
         });
     }
@@ -447,15 +405,12 @@ fn run_composed_window(
         let sim = comp.now() - span_start;
         span_start = comp.now();
         trials.push(ComposedTrial {
-            index: planned.op.index,
+            trial: Trial {
+                rollback_recovered,
+                ..step::trial(planned.op.clone(), spec, outcome, alarms, sim)
+            },
             member: m,
             operator: planned.operator.clone(),
-            op: planned.op.clone(),
-            declaration: spec,
-            outcome,
-            alarms,
-            rollback_recovered,
-            sim_seconds: sim,
             interference: interference.iter().map(|e| e.render()).collect(),
         });
     }
@@ -674,19 +629,14 @@ fn execute_composed_sequence(
             };
         let sim = comp.now() - span_start;
         span_start = comp.now();
-        trials.push(ComposedTrial {
+        let op = PlannedOp {
             index: trials.len(),
+            ..planned.op.clone()
+        };
+        trials.push(ComposedTrial {
+            trial: step::trial(op, spec, outcome, alarms, sim),
             member: m,
             operator: planned.operator.clone(),
-            op: PlannedOp {
-                index: trials.len(),
-                ..planned.op.clone()
-            },
-            declaration: spec,
-            outcome,
-            alarms,
-            rollback_recovered: None,
-            sim_seconds: sim,
             interference,
         });
     }
@@ -789,12 +739,12 @@ mod tests {
         assert_eq!(result.operator, "ZooKeeperOp+RabbitMQOp");
         assert_eq!((result.workers, result.segments), (1, 1));
         assert!(
-            result.trials.iter().all(|t| t.alarms.is_empty()),
+            result.trials.iter().all(|t| t.trial.alarms.is_empty()),
             "bugs-off composed run must stay silent: {:?}",
             result
                 .trials
                 .iter()
-                .flat_map(|t| &t.alarms)
+                .flat_map(|t| &t.trial.alarms)
                 .collect::<Vec<_>>()
         );
         // Both members acted.

@@ -34,14 +34,14 @@
 //! - [`minimize`]: alarm reproduction — delta-debugging a failing campaign
 //!   prefix into a minimal e2e test and emitting its code (§5.4).
 //! - [`exec`]: the generic execution core every runner sits on — the
-//!   work-stealing [`exec::Scheduler`] with its one `run` call (a
-//!   sequential composed run is its one-worker, one-segment case; a
-//!   sequential single-operator run restores a base and calls the segment
-//!   body directly), [`exec::run_segmented`], which owns the
-//!   snapshot depot, quarantine and the assembly of the one
-//!   [`ParallelResult`], the [`exec::Driver`] abstraction over
-//!   single-operator and composed targets (a driver supplies only its
-//!   trial type, prefix build and segment body), the one
+//!   work-stealing [`exec::Scheduler`] with its one `run` call,
+//!   [`exec::run_segmented`], which every campaign runs through (both
+//!   sequential runs are its one-worker, one-segment case, and
+//!   [`CampaignResult`] is only the single-operator sequential view of its
+//!   result) and which owns the snapshot depot, quarantine and the
+//!   assembly of the one [`ParallelResult`], the [`exec::Driver`]
+//!   abstraction over single-operator and composed targets (a driver
+//!   supplies only its trial type, prefix build and segment body), the one
 //!   [`WorkerStats`] fold (`+=`) every counter goes through, the
 //!   [`exec::Memo`] behind every cross-worker cache, and the
 //!   [`exec::TrialRecord`] trait that lets one result type, one report,

@@ -1,10 +1,12 @@
 //! The IR interpreter.
 //!
-//! Operators execute their registered modules against the current CR spec;
-//! the resulting sink writes are then applied to cluster objects by the
-//! operator's Rust orchestration code. Executing the same IR that the
-//! whitebox analysis inspects keeps Acto-□'s dependency inference faithful
-//! to actual behaviour.
+//! Executes a module against a CR spec and returns its sink writes. The
+//! operators do not call it: their reconcile is hand-written Rust, and
+//! their IR modules feed only semantics and dependency inference, so
+//! Acto-□'s inference is faithful only as far as each module matches its
+//! operator's code. The interpreter runs in this crate's property tests
+//! and the micro bench, and is kept for an IR-driven reconcile, which
+//! would make the analyzed IR the code that runs.
 
 use std::collections::BTreeMap;
 use std::fmt;

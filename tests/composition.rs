@@ -28,7 +28,7 @@ fn seeded_cross_operator_gc_is_detected_and_attributed() {
     let composition_alarms: Vec<_> = result
         .trials
         .iter()
-        .flat_map(|t| &t.alarms)
+        .flat_map(|t| &t.trial.alarms)
         .filter(|a| a.kind == AlarmKind::Composition)
         .collect();
     assert!(
@@ -68,7 +68,7 @@ fn clean_composed_pairs_stay_silent() {
         let composition_alarms: Vec<_> = result
             .trials
             .iter()
-            .flat_map(|t| &t.alarms)
+            .flat_map(|t| &t.trial.alarms)
             .filter(|a| a.kind == AlarmKind::Composition)
             .collect();
         assert!(
