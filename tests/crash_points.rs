@@ -16,6 +16,8 @@
 //! deterministic: transcripts are byte-identical across repeat runs and
 //! across any worker count.
 
+mod common;
+
 use acto_repro::acto::parallel::run_work_stealing;
 use acto_repro::acto::{run_campaign, AlarmKind, CampaignConfig, Mode, Strategy};
 use acto_repro::operators::bugs::SEEDED_NONIDEMPOTENT_CREATE;
@@ -129,6 +131,8 @@ proptest! {
         let config = sweep_config("ZooKeeperOp", max_ops, BugToggles::all_fixed());
         let a = run_campaign(&config);
         let b = run_campaign(&config);
+        common::assert_not_quarantined("a", &a);
+        common::assert_not_quarantined("b", &b);
         prop_assert_eq!(a.transcript(), b.transcript());
         prop_assert_eq!(a.crash_points_swept, b.crash_points_swept);
     }

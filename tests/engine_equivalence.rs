@@ -10,6 +10,8 @@
 //! and compares transcripts (which embed per-trial `sim=` timestamps,
 //! alarms, outcomes, and total sim-seconds).
 
+mod common;
+
 use acto_repro::acto::compose::run_composed_campaign;
 use acto_repro::acto::{run_campaign, CampaignConfig, CampaignResult, Mode, Strategy};
 use acto_repro::operators::registry::all_operators;
@@ -51,6 +53,8 @@ fn config(operator: &str, max_ops: usize, faults: FaultPlan) -> CampaignConfig {
 }
 
 fn assert_equivalent(label: &str, ticked: &CampaignResult, event: &CampaignResult) {
+    common::assert_not_quarantined(label, ticked);
+    common::assert_not_quarantined(label, event);
     assert_eq!(
         ticked.sim_seconds, event.sim_seconds,
         "{label}: sim-seconds diverged"
@@ -128,6 +132,7 @@ fn composed_pairs_are_engine_equivalent() {
     set_ticked_engine(false);
     let event = run_composed_campaign(&config).expect("composed campaign runs");
     assert!(!event.trials.is_empty());
+    assert!(ticked.failed_segments.is_empty() && event.failed_segments.is_empty());
     assert_eq!(
         ticked.transcript(),
         event.transcript(),

@@ -5,6 +5,8 @@
 //! byte-identical campaign transcripts and oracle verdicts, and differing
 //! seeds diverge.
 
+mod common;
+
 use acto_repro::acto::parallel::{run_work_stealing_with, SnapshotDepot};
 use acto_repro::acto::{run_campaign, CampaignConfig, Mode, Strategy};
 use acto_repro::operators::BugToggles;
@@ -64,6 +66,8 @@ proptest! {
         let plan = FaultPlan::generate(seed, &FaultProfile::default());
         let first = run_campaign(&faulted_config(plan.clone()));
         let second = run_campaign(&faulted_config(plan));
+        common::assert_not_quarantined("first", &first);
+        common::assert_not_quarantined("second", &second);
         let (a, b) = (first.transcript(), second.transcript());
         prop_assert!(
             a == b,
