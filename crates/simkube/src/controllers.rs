@@ -39,9 +39,9 @@ pub fn run_all(store: &mut ObjectStore, time: u64, bugs: PlatformBugs) -> bool {
 
 /// Template-fingerprint memo keyed by object uid: an entry is valid while
 /// the object's generation is unchanged, because generation bumps exactly
-/// when the spec — which contains the pod template — changes
-/// ([`ObjectStore::update`]). Uids are never reused, so a stale entry can
-/// only miss, never alias.
+/// when the rendered spec — which contains the pod template — changes
+/// ([`ObjectStore::update_with`]). Uids are never reused, so a stale entry
+/// can only miss, never alias.
 pub(crate) type TemplateFpMemo = BTreeMap<u64, (u64, String)>;
 
 /// Returns the memoized fingerprint for `(uid, generation)`, computing and

@@ -110,6 +110,32 @@ impl Container {
             ),
         ])
     }
+
+    /// Compares exactly the fields [`Container::to_value`] renders: every
+    /// field but `security`, with quantities compared as they render.
+    fn renders_eq(&self, other: &Container) -> bool {
+        self.name == other.name
+            && self.image == other.image
+            && quantities_render_eq(&self.resources.requests, &other.resources.requests)
+            && quantities_render_eq(&self.resources.limits, &other.resources.limits)
+            && self.env == other.env
+            && self.ports == other.ports
+            && self.config_hash == other.config_hash
+            && self.volume_mounts == other.volume_mounts
+    }
+}
+
+/// Compares two container lists as [`Container::to_value`] renders them.
+fn containers_render_eq(a: &[Container], b: &[Container]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.renders_eq(y))
+}
+
+/// Compares two quantity maps as they render (see [`Quantity::renders_eq`]).
+fn quantities_render_eq(a: &BTreeMap<String, Quantity>, b: &BTreeMap<String, Quantity>) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|((ka, qa), (kb, qb))| ka == kb && qa.renders_eq(qb))
 }
 
 /// Pod lifecycle phase.
@@ -328,6 +354,19 @@ impl PodTemplate {
             ("serviceAccount", Value::from(self.service_account.clone())),
             ("priorityClass", Value::from(self.priority_class.clone())),
         ])
+    }
+
+    /// Compares exactly the fields [`PodTemplate::to_value`] renders.
+    fn renders_eq(&self, other: &PodTemplate) -> bool {
+        self.labels == other.labels
+            && self.annotations == other.annotations
+            && containers_render_eq(&self.containers, &other.containers)
+            && self.affinity == other.affinity
+            && self.node_selector == other.node_selector
+            && self.tolerations == other.tolerations
+            && self.security == other.security
+            && self.service_account == other.service_account
+            && self.priority_class == other.priority_class
     }
 }
 
@@ -771,35 +810,80 @@ impl ObjectData {
         }
     }
 
-    /// Structural fast path for "is the spec section unchanged?".
+    /// Returns `self.spec_value() == other.spec_value()` without rendering
+    /// either side.
     ///
     /// [`ObjectStore::update_with`](crate::store::ObjectStore::update_with)
-    /// must decide on every modified write whether to bump `generation`,
-    /// and rendering two full spec [`Value`] trees dominates write cost on
-    /// production-scale clusters where most writes are pod status
-    /// transitions. The pod arm compares exactly the fields
-    /// [`Pod::spec_value`] projects (pinned by a debug assertion); other
-    /// kinds fall back to comparing rendered specs.
+    /// asks this on every changing write to decide whether `generation`
+    /// moves, so it compares in place and must agree with the rendering
+    /// exactly. Each arm compares exactly the fields its kind's `spec_value`
+    /// projects: fields the rendering leaves out (a stateful set's
+    /// `selector`, a container's `security`, every status field) are not
+    /// compared, and quantities are compared as they render
+    /// (`Quantity::renders_eq`), suffix family included. A custom
+    /// resource compares its spec in place. Only a pair of different kinds,
+    /// which never share a store key, is rendered. A debug assertion pins
+    /// every answer to the rendered comparison.
     pub fn spec_eq(&self, other: &ObjectData) -> bool {
-        match (self, other) {
+        let eq = match (self, other) {
             (ObjectData::Pod(a), ObjectData::Pod(b)) => {
-                let eq = a.containers == b.containers
+                containers_render_eq(&a.containers, &b.containers)
                     && a.affinity == b.affinity
                     && a.tolerations == b.tolerations
                     && a.node_selector == b.node_selector
                     && a.security == b.security
                     && a.service_account == b.service_account
                     && a.priority_class == b.priority_class
-                    && a.claims == b.claims;
-                debug_assert_eq!(
-                    eq,
-                    a.spec_value() == b.spec_value(),
-                    "Pod::spec_eq fast path diverged from Pod::spec_value projection"
-                );
-                eq
+                    && a.claims == b.claims
             }
-            _ => self.spec_value() == other.spec_value(),
-        }
+            (ObjectData::StatefulSet(a), ObjectData::StatefulSet(b)) => {
+                a.replicas == b.replicas
+                    && a.service_name == b.service_name
+                    && a.template.renders_eq(&b.template)
+                    && a.claim_templates.len() == b.claim_templates.len()
+                    && a.claim_templates
+                        .iter()
+                        .zip(&b.claim_templates)
+                        .all(|(x, y)| {
+                            x.name == y.name
+                                && x.size.renders_eq(&y.size)
+                                && x.storage_class == y.storage_class
+                        })
+                    && a.update_strategy == b.update_strategy
+            }
+            (ObjectData::Deployment(a), ObjectData::Deployment(b)) => {
+                a.replicas == b.replicas && a.template.renders_eq(&b.template)
+            }
+            (ObjectData::Service(a), ObjectData::Service(b)) => {
+                a.service_type == b.service_type
+                    && a.ports == b.ports
+                    && a.selector.match_labels == b.selector.match_labels
+            }
+            (ObjectData::PersistentVolumeClaim(a), ObjectData::PersistentVolumeClaim(b)) => {
+                a.size.renders_eq(&b.size) && a.storage_class == b.storage_class
+            }
+            (ObjectData::ConfigMap(a), ObjectData::ConfigMap(b)) => a.data == b.data,
+            (ObjectData::Secret(a), ObjectData::Secret(b)) => a.data == b.data,
+            (ObjectData::PodDisruptionBudget(a), ObjectData::PodDisruptionBudget(b)) => {
+                a.min_available == b.min_available
+                    && a.selector.match_labels == b.selector.match_labels
+            }
+            (ObjectData::Ingress(a), ObjectData::Ingress(b)) => {
+                a.host == b.host && a.service_name == b.service_name && a.tls_secret == b.tls_secret
+            }
+            (ObjectData::Node(a), ObjectData::Node(b)) => {
+                quantities_render_eq(&a.capacity, &b.capacity) && a.ready == b.ready
+            }
+            (ObjectData::Custom { spec: a, .. }, ObjectData::Custom { spec: b, .. }) => a == b,
+            _ => return self.spec_value() == other.spec_value(),
+        };
+        debug_assert_eq!(
+            eq,
+            self.spec_value() == other.spec_value(),
+            "ObjectData::spec_eq diverged from the rendered {} spec",
+            self.kind().name()
+        );
+        eq
     }
 
     /// Renders the spec section as a [`Value`].
@@ -964,6 +1048,79 @@ mod tests {
         };
         assert_eq!(data.kind().name(), "ZookeeperCluster");
         assert_eq!(data.spec_value(), spec);
+    }
+
+    /// Asserts that `spec_eq` decides `a` vs `b` like the rendered specs,
+    /// and that the rendering says `rendered_eq`.
+    fn assert_decides_like_render(a: &ObjectData, b: &ObjectData, rendered_eq: bool) {
+        assert_eq!(
+            a.spec_value() == b.spec_value(),
+            rendered_eq,
+            "{a:?} vs {b:?}"
+        );
+        assert_eq!(a.spec_eq(b), rendered_eq, "{a:?} vs {b:?}");
+        assert_eq!(b.spec_eq(a), rendered_eq, "{b:?} vs {a:?}");
+    }
+
+    #[test]
+    fn pod_spec_eq_ignores_container_security_and_keeps_quantity_family() {
+        let base = sample_pod();
+        let mut secured = base.clone();
+        secured.containers[0].security.run_as_user = Some(1000);
+        assert_decides_like_render(
+            &ObjectData::Pod(base.clone()),
+            &ObjectData::Pod(secured),
+            true,
+        );
+        let mut bytes = base.clone();
+        bytes.containers[0].resources = ResourceRequirements::new()
+            .request("cpu", "500m")
+            .request("memory", "1073741824");
+        assert_eq!(bytes.containers, base.containers);
+        assert_decides_like_render(&ObjectData::Pod(base), &ObjectData::Pod(bytes), false);
+    }
+
+    #[test]
+    fn template_and_claim_spec_eq_keep_quantity_family() {
+        let mut sts = StatefulSet {
+            replicas: 3,
+            template: PodTemplate {
+                containers: sample_pod().containers,
+                ..PodTemplate::default()
+            },
+            claim_templates: vec![ClaimTemplate {
+                name: "data".to_string(),
+                size: "1Gi".parse().unwrap(),
+                storage_class: "standard".to_string(),
+            }],
+            ..StatefulSet::default()
+        };
+        let base = ObjectData::StatefulSet(sts.clone());
+        sts.claim_templates[0].size = "1073741824".parse().unwrap();
+        assert_decides_like_render(&base, &ObjectData::StatefulSet(sts.clone()), false);
+        sts.claim_templates[0].size = "1024Mi".parse().unwrap();
+        sts.template.containers[0].security.run_as_non_root = true;
+        sts.selector = LabelSelector::match_labels([("app", "zk")]);
+        sts.ready_replicas = 3;
+        assert_decides_like_render(&base, &ObjectData::StatefulSet(sts), true);
+        let pvc = |size: &str| {
+            ObjectData::PersistentVolumeClaim(PersistentVolumeClaim {
+                size: size.parse().unwrap(),
+                storage_class: "standard".to_string(),
+                phase: ClaimPhase::Pending,
+            })
+        };
+        assert_decides_like_render(&pvc("1Gi"), &pvc("1073741824"), false);
+        assert_decides_like_render(&pvc("1Gi"), &pvc("1024Mi"), true);
+    }
+
+    #[test]
+    fn spec_eq_across_kinds_follows_the_render() {
+        let cm = ObjectData::ConfigMap(ConfigMap::default());
+        let secret = ObjectData::Secret(Secret::default());
+        assert_decides_like_render(&cm, &secret, true);
+        let pod = ObjectData::Pod(sample_pod());
+        assert_decides_like_render(&cm, &pod, false);
     }
 
     #[test]

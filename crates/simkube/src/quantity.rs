@@ -139,6 +139,16 @@ impl Quantity {
         }
     }
 
+    /// Returns `true` when both quantities format to the same string, as
+    /// rendered state shows them. Unlike `==`, which compares amounts
+    /// only, this keeps the suffix family: `1Gi` and `1073741824` are the
+    /// same amount but render differently. Equal amounts in one family
+    /// always render alike, so only a cross-family pair is formatted.
+    pub(crate) fn renders_eq(&self, other: &Quantity) -> bool {
+        self.millis == other.millis
+            && (self.family == other.family || self.canonical() == other.canonical())
+    }
+
     /// Formats the quantity canonically: binary-family values use the
     /// largest exact binary suffix; decimal-family values use `m` or plain
     /// units.
@@ -417,6 +427,37 @@ mod tests {
             let round = parsed.to_string().parse::<Quantity>().unwrap();
             assert_eq!(parsed, round, "roundtrip of {s}");
         }
+    }
+
+    #[test]
+    fn renders_eq_matches_formatting() {
+        let cases = [
+            "1Gi",
+            "1073741824",
+            "1024Mi",
+            "1G",
+            "1000M",
+            "0",
+            "0Gi",
+            "1500m",
+            "1.5",
+            "3000",
+            "3k",
+            "2Ki",
+            "2048",
+        ];
+        for a in cases {
+            for b in cases {
+                assert_eq!(
+                    q(a).renders_eq(&q(b)),
+                    q(a).to_string() == q(b).to_string(),
+                    "{a} vs {b}"
+                );
+            }
+        }
+        assert_eq!(q("1Gi"), q("1073741824"));
+        assert!(!q("1Gi").renders_eq(&q("1073741824")));
+        assert!(q("0Gi").renders_eq(&Quantity::zero()));
     }
 
     #[test]

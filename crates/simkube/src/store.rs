@@ -269,41 +269,17 @@ impl ObjectStore {
         self.objects.get(&*self.resolve_key(key))
     }
 
-    /// Replaces an object's payload. Bumps generation when the spec changed
-    /// and the resource version always.
-    pub fn update(&mut self, key: &ObjKey, data: ObjectData, time: u64) -> Result<(), String> {
-        let resolved = self.resolve_key(key);
-        let key = &*resolved;
-        let cur = self.objects.get(key).ok_or_else(|| {
-            format!(
-                "{} {}/{} not found",
-                key.kind.name(),
-                key.namespace,
-                key.name
-            )
-        })?;
-        // Cheap structural equality first: an unchanged payload implies an
-        // unchanged spec, so the (allocating) spec rendering only runs for
-        // actual modifications — and a no-op never copies the tree path.
-        if cur.data == data {
-            return Ok(());
-        }
-        let spec_changed = !cur.data.spec_eq(&data);
-        let mut meta = cur.meta.clone();
-        meta.resource_version = self.revision + 1;
-        if spec_changed {
-            meta.generation += 1;
-        }
-        // A replacement gets a fresh Arc instead of mutating in place, so
-        // snapshots holding the old handle are untouched.
-        self.replace(key.clone(), Arc::new(StoredObject { meta, data }), time);
-        Ok(())
-    }
-
-    /// Mutates an object through a closure applied to a copy of it. A
-    /// closure that leaves the object unchanged records no event and
-    /// touches neither map, so a no-op keeps every tree node and handle
-    /// shared with snapshots (`Arc::ptr_eq`-based pruning stays exact).
+    /// Mutates an object through a closure applied to a copy of it: the
+    /// store's one write primitive for existing objects.
+    ///
+    /// The closure may change the payload and the caller-owned metadata;
+    /// `uid`, `resource_version`, `generation` and `creation_timestamp` are
+    /// restored afterwards. A closure that leaves the object unchanged
+    /// records no event and touches neither map, so a no-op keeps every
+    /// tree node and handle shared with snapshots (`Arc::ptr_eq`-based
+    /// pruning stays exact). A changing write takes the next resource
+    /// version, and bumps `generation` exactly when the rendered spec
+    /// changed, decided by [`ObjectData::spec_eq`] without rendering.
     pub fn update_with<F: FnOnce(&mut StoredObject)>(
         &mut self,
         key: &ObjKey,
@@ -618,6 +594,77 @@ mod tests {
             })
             .unwrap();
         assert_eq!(store.get(&key).unwrap().meta.generation, 2);
+    }
+
+    #[test]
+    fn statefulset_and_custom_generation_moves_only_with_spec() {
+        use crate::objects::StatefulSet;
+        use crdspec::Value;
+        let mut store = ObjectStore::new();
+        let sts = store
+            .create(
+                ObjectMeta::named("ns", "s"),
+                ObjectData::StatefulSet(StatefulSet::default()),
+                0,
+            )
+            .unwrap();
+        let cr = store
+            .create(
+                ObjectMeta::named("ns", "c"),
+                ObjectData::Custom {
+                    kind: "Demo".to_string(),
+                    spec: Value::object([("replicas", Value::from(1))]),
+                    status: Value::empty_object(),
+                },
+                0,
+            )
+            .unwrap();
+        let generation =
+            |store: &ObjectStore, key: &ObjKey| store.get(key).unwrap().meta.generation;
+        let version =
+            |store: &ObjectStore, key: &ObjKey| store.get(key).unwrap().meta.resource_version;
+
+        // Status-only writes (and the unrendered selector) keep generation.
+        let before = version(&store, &sts);
+        store
+            .update_with(&sts, 1, |o| {
+                if let ObjectData::StatefulSet(s) = &mut o.data {
+                    s.ready_replicas = 2;
+                    s.observed_generation = 1;
+                    s.selector.match_labels.insert("app".into(), "s".into());
+                }
+            })
+            .unwrap();
+        assert!(version(&store, &sts) > before);
+        assert_eq!(generation(&store, &sts), 1);
+        let before = version(&store, &cr);
+        store
+            .update_with(&cr, 2, |o| {
+                if let ObjectData::Custom { status, .. } = &mut o.data {
+                    status.set_path(&"ready".parse().unwrap(), Value::from(true));
+                }
+            })
+            .unwrap();
+        assert!(version(&store, &cr) > before);
+        assert_eq!(generation(&store, &cr), 1);
+
+        // A template or spec change bumps it.
+        store
+            .update_with(&sts, 3, |o| {
+                if let ObjectData::StatefulSet(s) = &mut o.data {
+                    s.template.labels.insert("app".into(), "s".into());
+                }
+            })
+            .unwrap();
+        assert_eq!(generation(&store, &sts), 2);
+        store
+            .update_with(&cr, 4, |o| {
+                if let ObjectData::Custom { spec, .. } = &mut o.data {
+                    spec.set_path(&"replicas".parse().unwrap(), Value::from(3));
+                }
+            })
+            .unwrap();
+        assert_eq!(generation(&store, &cr), 2);
     }
 
     #[test]

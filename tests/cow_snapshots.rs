@@ -63,7 +63,7 @@ fn apply(
         }
         1 if model.contains_key(name) => {
             store
-                .update(&key, cm(value), time)
+                .update_with(&key, time, |obj| obj.data = cm(value))
                 .expect("update of present object");
             model.insert(name.to_string(), value.to_string());
         }

@@ -95,10 +95,7 @@ fn step(store: &mut ObjectStore, rng: &mut Rng, time: u64) {
                 time,
             );
         }
-        1 => {
-            let _ = store.update(&key, payload(kind, value), time);
-        }
-        2 => {
+        1 | 2 => {
             let _ = store.update_with(&key, time, |obj| obj.data = payload(kind, value));
         }
         3 => {
