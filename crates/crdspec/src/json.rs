@@ -6,7 +6,7 @@
 //! Emitted test code (`acto`'s minimized e2e reproductions) and fixtures use
 //! this format.
 
-use std::fmt;
+use std::fmt::{self, Write};
 
 use crate::value::Value;
 
@@ -75,14 +75,17 @@ fn write_value(out: &mut String, value: &Value, indent: Option<usize>, depth: us
         Value::Null => out.push_str("null"),
         Value::Bool(true) => out.push_str("true"),
         Value::Bool(false) => out.push_str("false"),
-        Value::Integer(i) => out.push_str(&i.to_string()),
+        // Writing to a `String` cannot fail.
+        Value::Integer(i) => {
+            let _ = write!(out, "{i}");
+        }
         Value::Float(f) => {
             if f.is_finite() {
                 // Keep a trailing .0 so floats survive a round trip as floats.
                 if f.fract() == 0.0 && f.abs() < 1e15 {
-                    out.push_str(&format!("{f:.1}"));
+                    let _ = write!(out, "{f:.1}");
                 } else {
-                    out.push_str(&format!("{f}"));
+                    let _ = write!(out, "{f}");
                 }
             } else {
                 out.push_str("null");
@@ -138,19 +141,31 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
     }
 }
 
+/// Writes `s` as a JSON string literal. Only ASCII bytes are ever escaped,
+/// and no byte of a multibyte UTF-8 sequence is ASCII, so the text between
+/// two escapes is copied whole with one `push_str`.
 fn write_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -460,6 +475,54 @@ mod tests {
         let v = Value::from(s);
         let round = from_str(&to_string(&v)).unwrap();
         assert_eq!(round, v);
+    }
+
+    /// The char-by-char string writer `write_string` replaced, kept as
+    /// the reference it must agree with byte for byte.
+    fn reference_write_string(out: &mut String, s: &str) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    #[test]
+    fn string_writer_matches_the_char_by_char_reference() {
+        let ascii: String = (0u8..0x80).map(char::from).collect();
+        let mut cases = vec![
+            String::new(),
+            ascii.clone(),
+            ascii.chars().rev().collect(),
+            "plain text with no escapes".to_string(),
+            "\"\\\n\r\t".to_string(),
+            "a\u{0}b\u{1f}c\u{7f}d".to_string(),
+            "ünïcödé \u{1F600} 日本語 \u{10FFFF}".to_string(),
+            "é\"日\\😀\n\u{1}ü".to_string(),
+            "\u{1F600}".repeat(100),
+        ];
+        // Every escaped byte between, before and after multibyte text.
+        for c in (0u8..0x20).map(char::from).chain(['"', '\\']) {
+            cases.push(format!("{c}ü{c}日{c}😀{c}"));
+        }
+        for s in &cases {
+            let (mut new, mut reference) = (String::from("x"), String::from("x"));
+            write_string(&mut new, s);
+            reference_write_string(&mut reference, s);
+            assert_eq!(new, reference, "{s:?}");
+            assert_eq!(from_str(&new[1..]).unwrap(), Value::from(s.as_str()));
+        }
+        for i in [0, 7, -7, i64::MAX, i64::MIN] {
+            assert_eq!(to_string(&Value::Integer(i)), i.to_string());
+        }
     }
 
     #[test]

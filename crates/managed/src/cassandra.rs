@@ -23,12 +23,12 @@ impl SystemModel for CassandraModel {
         if let Some(tokens) = view.config_value("num_tokens") {
             if tokens.parse::<u32>().map_or(true, |t| t == 0 || t > 4096) {
                 for pod in &pods {
-                    view.crash_pod(&pod.name, "invalid num_tokens");
+                    view.crash_pod(pod.name(), "invalid num_tokens");
                 }
                 return Health::Down("invalid num_tokens configuration".to_string());
             }
             for pod in &pods {
-                view.clear_crash(&pod.name);
+                view.clear_crash(pod.name());
             }
         }
         // Binding a privileged port fails: processes run unprivileged.
@@ -38,23 +38,23 @@ impl SystemModel for CassandraModel {
         {
             if port < 1024 {
                 for pod in &pods {
-                    view.crash_pod(&pod.name, "cannot bind privileged port");
+                    view.crash_pod(pod.name(), "cannot bind privileged port");
                 }
                 return Health::Down(format!(
                     "ring members crash binding privileged native port {port}"
                 ));
             }
             for pod in &pods {
-                view.clear_crash(&pod.name);
+                view.clear_crash(pod.name());
             }
         }
-        let ready = pods.iter().filter(|p| p.ready).count();
+        let ready = pods.iter().filter(|p| p.ready()).count();
         if ready == 0 {
             return Health::Down("no ring member ready".to_string());
         }
         let seeds_ready = pods
             .iter()
-            .filter(|p| p.labels.get("seed").map(String::as_str) == Some("true") && p.ready)
+            .filter(|p| p.label("seed") == Some("true") && p.ready())
             .count();
         if pods.len() > 1 && seeds_ready == 0 {
             return Health::Degraded("no seed node ready; new members cannot join".to_string());

@@ -32,15 +32,15 @@ impl SystemModel for CockroachModel {
         {
             if port < 1024 {
                 for pod in &pods {
-                    view.crash_pod(&pod.name, "cannot bind privileged port");
+                    view.crash_pod(pod.name(), "cannot bind privileged port");
                 }
                 return Health::Down(format!("nodes crash binding privileged SQL port {port}"));
             }
             for pod in &pods {
-                view.clear_crash(&pod.name);
+                view.clear_crash(pod.name());
             }
         }
-        let ready = pods.iter().filter(|p| p.ready).count();
+        let ready = pods.iter().filter(|p| p.ready()).count();
         if !SystemView::has_quorum(ready, pods.len()) {
             return Health::Down(format!(
                 "raft majority lost: {ready}/{} nodes ready",

@@ -15,6 +15,13 @@
 //! Every model implements [`SystemModel`] and reads the cluster through a
 //! [`SystemView`], which also carries the conventions operators follow
 //! (instance-labelled pods, an `{instance}-config` config map).
+//!
+//! A model ticks once per simulated second while the operator converges,
+//! so the view copies nothing it hands out for reading. Each pod is a
+//! [`PodView`]: a shared handle on the stored pod, read through accessors
+//! (`name()`, `ready()`, `phase()`, `labels()`, ...) that borrow from it.
+//! The config map is borrowed in place ([`SystemView::config_data`]); only
+//! [`SystemView::config_value`] clones, and only the one entry it returns.
 
 pub mod cassandra;
 pub mod cockroach;

@@ -28,40 +28,33 @@ impl SystemModel for MongoDbModel {
         if let Some(fcv) = view.config_value("featureCompatibilityVersion") {
             if !VALID_FCV.contains(&fcv.as_str()) {
                 for pod in &pods {
-                    view.crash_pod(&pod.name, "invalid featureCompatibilityVersion");
+                    view.crash_pod(pod.name(), "invalid featureCompatibilityVersion");
                 }
                 return Health::Down(format!("invalid featureCompatibilityVersion {fcv:?}"));
             }
             // Valid again: members may restart.
             for pod in &pods {
-                view.clear_crash(&pod.name);
+                view.clear_crash(pod.name());
             }
         }
         if let Some(engine) = view.config_value("storageEngine") {
             if !VALID_ENGINES.contains(&engine.as_str()) {
                 for pod in &pods {
-                    view.crash_pod(&pod.name, "unknown storage engine");
+                    view.crash_pod(pod.name(), "unknown storage engine");
                 }
                 return Health::Down(format!("unknown storage engine {engine:?}"));
             }
             for pod in &pods {
-                view.clear_crash(&pod.name);
+                view.clear_crash(pod.name());
             }
         }
         // Members must run the configuration currently declared; a stale
         // fingerprint means a config change never rolled the pods.
         {
-            let mut rendered = String::new();
-            for (k, v) in view.config() {
-                rendered.push_str(&k);
-                rendered.push('\0');
-                rendered.push_str(&v);
-                rendered.push('\0');
-            }
-            let expected = simkube::objects::fnv_fingerprint(&rendered);
+            let expected = view.config_fingerprint();
             if pods
                 .iter()
-                .any(|p| !p.config_hash.is_empty() && p.config_hash != expected)
+                .any(|p| !p.config_hash().is_empty() && p.config_hash() != expected)
             {
                 return Health::Degraded("members running stale configuration".to_string());
             }
@@ -72,12 +65,12 @@ impl SystemModel for MongoDbModel {
             .unwrap_or(0);
         let data_members: Vec<_> = pods
             .iter()
-            .filter(|p| p.labels.get("component").map(String::as_str) != Some("arbiter"))
+            .filter(|p| p.label("component") != Some("arbiter"))
             .collect();
         if arbiters >= data_members.len() && !data_members.is_empty() {
             return Health::Degraded("arbiters outnumber data-bearing members".to_string());
         }
-        let ready = pods.iter().filter(|p| p.ready).count();
+        let ready = pods.iter().filter(|p| p.ready()).count();
         if !SystemView::has_quorum(ready, pods.len()) {
             return Health::Down(format!(
                 "no primary electable: {ready}/{} voting members ready",

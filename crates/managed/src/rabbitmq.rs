@@ -28,12 +28,12 @@ impl SystemModel for RabbitMqModel {
         if let Some(backend) = view.config_value("backend") {
             if !VALID_BACKENDS.contains(&backend.as_str()) {
                 for pod in &pods {
-                    view.crash_pod(&pod.name, "unknown queue backend");
+                    view.crash_pod(pod.name(), "unknown queue backend");
                 }
                 return Health::Down(format!("unknown queue backend {backend:?}"));
             }
             for pod in &pods {
-                view.clear_crash(&pod.name);
+                view.clear_crash(pod.name());
             }
         }
         // Binding a privileged port fails: processes run unprivileged.
@@ -43,12 +43,12 @@ impl SystemModel for RabbitMqModel {
         {
             if port < 1024 {
                 for pod in &pods {
-                    view.crash_pod(&pod.name, "cannot bind privileged port");
+                    view.crash_pod(pod.name(), "cannot bind privileged port");
                 }
                 return Health::Down(format!("brokers crash binding privileged AMQP port {port}"));
             }
             for pod in &pods {
-                view.clear_crash(&pod.name);
+                view.clear_crash(pod.name());
             }
         }
         let ready = SystemView::ready_count(&pods);
@@ -58,17 +58,10 @@ impl SystemModel for RabbitMqModel {
         // Members must run the configuration currently declared; a stale
         // fingerprint means a config change never rolled the pods.
         {
-            let mut rendered = String::new();
-            for (k, v) in view.config() {
-                rendered.push_str(&k);
-                rendered.push('\0');
-                rendered.push_str(&v);
-                rendered.push('\0');
-            }
-            let expected = simkube::objects::fnv_fingerprint(&rendered);
+            let expected = view.config_fingerprint();
             if pods
                 .iter()
-                .any(|p| !p.config_hash.is_empty() && p.config_hash != expected)
+                .any(|p| !p.config_hash().is_empty() && p.config_hash() != expected)
             {
                 return Health::Degraded("members running stale configuration".to_string());
             }

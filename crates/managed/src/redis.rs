@@ -24,21 +24,20 @@ impl SystemModel for RedisModel {
         if let Some(mm) = view.config_value("maxmemory") {
             if mm.parse::<simkube::Quantity>().is_err() {
                 for pod in &pods {
-                    view.crash_pod(&pod.name, "invalid maxmemory");
+                    view.crash_pod(pod.name(), "invalid maxmemory");
                 }
                 return Health::Down("invalid maxmemory configuration".to_string());
             }
             // A corrected configuration lets instances restart.
             for pod in &pods {
-                view.clear_crash(&pod.name);
+                view.clear_crash(pod.name());
             }
         }
         let primary_name = format!("{}-0", view.instance);
         let is_primary = |p: &crate::view::PodView| {
-            p.name == primary_name
-                || p.labels.get("component").map(String::as_str) == Some("leader")
+            p.name() == primary_name || p.label("component") == Some("leader")
         };
-        let primary_ready = pods.iter().any(|p| is_primary(p) && p.ready);
+        let primary_ready = pods.iter().any(|p| is_primary(p) && p.ready());
         if !primary_ready {
             return Health::Down("primary not ready".to_string());
         }
@@ -46,7 +45,7 @@ impl SystemModel for RedisModel {
             .config_value("followers")
             .and_then(|s| s.parse::<usize>().ok())
             .unwrap_or(pods.len().saturating_sub(1));
-        let ready_followers = pods.iter().filter(|p| !is_primary(p) && p.ready).count();
+        let ready_followers = pods.iter().filter(|p| !is_primary(p) && p.ready()).count();
         if ready_followers < expected_followers {
             return Health::Degraded(format!(
                 "{ready_followers}/{expected_followers} followers ready"

@@ -30,7 +30,7 @@ impl SystemModel for TiDbModel {
         let pumps = view.component_pods("pump");
         if binlog_on && pumps.is_empty() {
             for pod in &tidb {
-                view.crash_pod(&pod.name, "binlog enabled but pump cluster missing");
+                view.crash_pod(pod.name(), "binlog enabled but pump cluster missing");
             }
             return Health::Down(
                 "tidb crash loop: binlog enabled without pump cluster".to_string(),
@@ -38,7 +38,7 @@ impl SystemModel for TiDbModel {
         }
         if !binlog_on || !pumps.is_empty() {
             for pod in &tidb {
-                view.clear_crash(&pod.name);
+                view.clear_crash(pod.name());
             }
         }
         let pd_ready = SystemView::ready_count(&pd);

@@ -1,8 +1,9 @@
 //! The interface between system models and the simulated cluster.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use simkube::objects::{Kind, ObjectData, PodPhase};
+use simkube::objects::{config_fingerprint, Kind, ObjectData, Pod, PodPhase, StoredObject};
 use simkube::store::ObjKey;
 use simkube::SimCluster;
 
@@ -33,25 +34,75 @@ impl Health {
     }
 }
 
-/// A model's view of one pod.
+/// A model's view of one pod: a shared handle to the stored pod, read
+/// through accessors.
+///
+/// A model ticks once per simulated second and only reads its pods, so the
+/// view copies nothing out of the store: cloning a `PodView` or taking one
+/// from [`SystemView::pods`] bumps a reference count, and every accessor
+/// borrows from the stored object. The handle pins the version it was
+/// taken from; a later write (say, [`SystemView::crash_pod`]) replaces the
+/// stored object and leaves this view as it was.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PodView {
+pub struct PodView(Arc<StoredObject>);
+
+impl PodView {
+    /// Wraps a stored object, if it is a pod.
+    fn of(obj: Arc<StoredObject>) -> Option<PodView> {
+        matches!(obj.data, ObjectData::Pod(_)).then_some(PodView(obj))
+    }
+
+    fn pod(&self) -> &Pod {
+        match &self.0.data {
+            ObjectData::Pod(p) => p,
+            _ => unreachable!("a PodView always holds a pod"),
+        }
+    }
+
     /// Pod name.
-    pub name: String,
+    pub fn name(&self) -> &str {
+        &self.0.meta.name
+    }
+
     /// Lifecycle phase.
-    pub phase: PodPhase,
+    pub fn phase(&self) -> PodPhase {
+        self.pod().phase
+    }
+
     /// Readiness.
-    pub ready: bool,
+    pub fn ready(&self) -> bool {
+        self.pod().ready
+    }
+
     /// Failure reason, when not running.
-    pub reason: String,
+    pub fn reason(&self) -> &str {
+        &self.pod().reason
+    }
+
     /// Pod labels.
-    pub labels: BTreeMap<String, String>,
+    pub fn labels(&self) -> &BTreeMap<String, String> {
+        &self.0.meta.labels
+    }
+
+    /// One label's value.
+    pub fn label(&self, key: &str) -> Option<&str> {
+        self.labels().get(key).map(String::as_str)
+    }
+
     /// Pod annotations.
-    pub annotations: BTreeMap<String, String>,
-    /// First container's image.
-    pub image: String,
-    /// First container's configuration hash.
-    pub config_hash: String,
+    pub fn annotations(&self) -> &BTreeMap<String, String> {
+        &self.0.meta.annotations
+    }
+
+    /// First container's image (empty without containers).
+    pub fn image(&self) -> &str {
+        self.pod().containers.first().map_or("", |c| &c.image)
+    }
+
+    /// First container's configuration hash (empty without containers).
+    pub fn config_hash(&self) -> &str {
+        self.pod().containers.first().map_or("", |c| &c.config_hash)
+    }
 }
 
 /// A managed system's window into the cluster, scoped to one application
@@ -68,6 +119,9 @@ pub struct SystemView<'a> {
     pub namespace: String,
     /// Instance (application) name.
     pub instance: String,
+    /// Key of the `{instance}-config` map, built once per view: a tick
+    /// reads several entries.
+    config_key: ObjKey,
 }
 
 impl<'a> SystemView<'a> {
@@ -77,6 +131,7 @@ impl<'a> SystemView<'a> {
             cluster,
             namespace: namespace.to_string(),
             instance: instance.to_string(),
+            config_key: ObjKey::new(Kind::ConfigMap, namespace, &format!("{instance}-config")),
         }
     }
 
@@ -87,47 +142,21 @@ impl<'a> SystemView<'a> {
 
     /// Pods of one component (`component={component}`), sorted by name.
     pub fn component_pods(&self, component: &str) -> Vec<PodView> {
-        self.pods()
-            .into_iter()
-            .filter(|p| p.labels.get("component").map(String::as_str) == Some(component))
-            .collect()
+        let mut pods = self.pods();
+        pods.retain(|p| p.label("component") == Some(component));
+        pods
     }
 
-    /// Pods matching an arbitrary label.
+    /// Pods matching an arbitrary label, sorted by name.
     pub fn pods_with(&self, key: &str, value: &str) -> Vec<PodView> {
         self.cluster
             .api()
             .store()
-            .list(&Kind::Pod, &self.namespace)
-            .iter()
+            .list_shared(&Kind::Pod, &self.namespace)
             .filter(|o| o.meta.labels.get(key).map(String::as_str) == Some(value))
-            .filter_map(|o| match &o.data {
-                ObjectData::Pod(p) => Some(PodView {
-                    name: o.meta.name.clone(),
-                    phase: p.phase,
-                    ready: p.ready,
-                    reason: p.reason.clone(),
-                    labels: o.meta.labels.clone(),
-                    annotations: o.meta.annotations.clone(),
-                    image: p
-                        .containers
-                        .first()
-                        .map(|c| c.image.clone())
-                        .unwrap_or_default(),
-                    config_hash: p
-                        .containers
-                        .first()
-                        .map(|c| c.config_hash.clone())
-                        .unwrap_or_default(),
-                }),
-                _ => None,
-            })
+            .cloned()
+            .filter_map(PodView::of)
             .collect()
-    }
-
-    /// Reads the instance's config map (`{instance}-config`).
-    pub fn config(&self) -> BTreeMap<String, String> {
-        self.config_data().cloned().unwrap_or_default()
     }
 
     /// Reads one config entry, cloning only that entry.
@@ -135,16 +164,22 @@ impl<'a> SystemView<'a> {
         self.config_data()?.get(key).cloned()
     }
 
-    /// The stored config map's data, borrowed in place.
-    fn config_data(&self) -> Option<&BTreeMap<String, String>> {
-        let key = ObjKey::new(
-            Kind::ConfigMap,
-            &self.namespace,
-            &format!("{}-config", self.instance),
-        );
-        match &self.cluster.api().get(&key)?.data {
+    /// The instance's config map (`{instance}-config`) data, borrowed in
+    /// place.
+    pub fn config_data(&self) -> Option<&BTreeMap<String, String>> {
+        match &self.cluster.api().get(&self.config_key)?.data {
             ObjectData::ConfigMap(c) => Some(&c.data),
             _ => None,
+        }
+    }
+
+    /// The fingerprint operators stamp into containers for the config map
+    /// as it stands ([`config_fingerprint`]), hashed from the borrowed map.
+    /// A missing map hashes as an empty one.
+    pub fn config_fingerprint(&self) -> String {
+        match self.config_data() {
+            Some(data) => config_fingerprint(data),
+            None => config_fingerprint(&BTreeMap::new()),
         }
     }
 
@@ -170,7 +205,7 @@ impl<'a> SystemView<'a> {
     /// Number of ready pods among `pods`.
     pub fn ready_count(pods: &[PodView]) -> usize {
         pods.iter()
-            .filter(|p| p.phase == PodPhase::Running && p.ready)
+            .filter(|p| p.phase() == PodPhase::Running && p.ready())
             .count()
     }
 

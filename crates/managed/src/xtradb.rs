@@ -37,12 +37,12 @@ impl SystemModel for XtraDbModel {
                 .any(|m| !VALID_SQL_MODES.contains(&m.trim()));
             if invalid {
                 for pod in &pods {
-                    view.crash_pod(&pod.name, "invalid sql_mode");
+                    view.crash_pod(pod.name(), "invalid sql_mode");
                 }
                 return Health::Down(format!("invalid sql_mode {mode:?}"));
             }
             for pod in &pods {
-                view.clear_crash(&pod.name);
+                view.clear_crash(pod.name());
             }
         }
         let ready = SystemView::ready_count(&pods);

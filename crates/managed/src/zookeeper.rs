@@ -23,7 +23,7 @@ impl SystemModel for ZooKeeperModel {
         }
         let leaders = pods
             .iter()
-            .filter(|p| p.annotations.get("zk-role").map(String::as_str) == Some("leader"))
+            .filter(|p| p.annotations().get("zk-role").map(String::as_str) == Some("leader"))
             .count();
         if leaders > 1 {
             return Health::Down("split brain: multiple leaders".to_string());
@@ -39,31 +39,31 @@ impl SystemModel for ZooKeeperModel {
         {
             if port < 1024 {
                 for pod in &pods {
-                    view.crash_pod(&pod.name, "cannot bind privileged client port");
+                    view.crash_pod(pod.name(), "cannot bind privileged client port");
                 }
                 return Health::Down(format!("members crash binding privileged port {port}"));
             }
             for pod in &pods {
-                view.clear_crash(&pod.name);
+                view.clear_crash(pod.name());
             }
         }
         // snapCount must be numeric; a bad value crashes members on load.
         if let Some(sc) = view.config_value("snapCount") {
             if sc.parse::<u64>().is_err() {
                 for pod in &pods {
-                    view.crash_pod(&pod.name, "invalid snapCount");
+                    view.crash_pod(pod.name(), "invalid snapCount");
                 }
                 return Health::Down(format!("invalid snapCount {sc:?}"));
             }
             for pod in &pods {
-                view.clear_crash(&pod.name);
+                view.clear_crash(pod.name());
             }
         }
         // A myid outside the ensemble range crashes that member.
         for pod in &pods {
-            match view.config_value(&format!("myid.{}", pod.name)) {
+            match view.config_value(&format!("myid.{}", pod.name())) {
                 Some(id) if id.parse::<usize>().map_or(true, |i| i >= ensemble_size) => {
-                    view.crash_pod(&pod.name, "myid out of ensemble range");
+                    view.crash_pod(pod.name(), "myid out of ensemble range");
                 }
                 _ => {}
             }

@@ -244,17 +244,9 @@ pub fn pod_template_at(
 }
 
 /// A compact fingerprint of a config map's content, stamped into container
-/// specs so config changes roll pods.
-pub fn config_hash(entries: &BTreeMap<String, String>) -> String {
-    let mut rendered = String::new();
-    for (k, v) in entries {
-        rendered.push_str(k);
-        rendered.push('\0');
-        rendered.push_str(v);
-        rendered.push('\0');
-    }
-    simkube::objects::fnv_fingerprint(&rendered)
-}
+/// specs so config changes roll pods; the managed-system models check pods
+/// against it.
+pub use simkube::objects::config_fingerprint as config_hash;
 
 /// Upserts a stateful set owned by the CR.
 pub fn apply_statefulset(

@@ -9,11 +9,14 @@
 //! reflects managed-system health into state objects, and implements the
 //! paper's reset-timer convergence.
 
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
+
 use crdspec::{Schema, Value};
 use managed::{Health, SystemModel, SystemView};
 use opdsl::IrModule;
 use simkube::cluster::LogLevel;
-use simkube::objects::Kind;
+use simkube::objects::{Kind, ObjectData};
 use simkube::platform::SHARED_OBJECT_PAYLOAD_LIMIT;
 use simkube::store::ObjKey;
 use simkube::{ApiError, ClusterConfig, Converge, PlatformBugs, SimCluster, WaitCursor};
@@ -28,6 +31,63 @@ pub enum OperatorError {
     Panic(String),
     /// A retriable error; reconciliation continues next tick.
     Transient(String),
+}
+
+/// One generation of the desired-state declaration, as a reconcile pass
+/// reads it: the CR spec, shared with the store rather than copied out of
+/// it, plus its compact-JSON length and FNV-1a digest.
+///
+/// The [`Instance`] harness builds one per CR generation (the generation
+/// moves exactly when the spec does), so a reconcile pass at an unchanged
+/// generation renders nothing. Building it renders the spec once for the
+/// length, which the PLAT-3 check reads on every generation. The digest
+/// is taken from a render of its own the first time it is asked for: only
+/// ZooKeeperOp's SEED-CRASH-1 marker asks, and hashing every declaration
+/// byte by byte up front would cost the other operators for nothing. It
+/// derefs to the spec [`Value`].
+#[derive(Debug, Clone)]
+pub struct Declaration {
+    spec: Arc<Value>,
+    json_len: usize,
+    digest: OnceLock<u64>,
+}
+
+impl Declaration {
+    /// Renders `spec` once to take its length.
+    pub fn new(spec: Arc<Value>) -> Declaration {
+        Declaration {
+            json_len: crdspec::json::to_string(&spec).len(),
+            spec,
+            digest: OnceLock::new(),
+        }
+    }
+
+    /// Byte length of the spec's compact JSON rendering (the payload size
+    /// PLAT-3 checks).
+    pub fn json_len(&self) -> usize {
+        self.json_len
+    }
+
+    /// FNV-1a digest of the spec's compact JSON rendering: a stable name
+    /// for the declaration, computed once.
+    pub fn digest(&self) -> u64 {
+        *self.digest.get_or_init(|| {
+            let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+            for b in crdspec::json::to_string(&self.spec).bytes() {
+                digest ^= u64::from(b);
+                digest = digest.wrapping_mul(0x0100_0000_01b3);
+            }
+            digest
+        })
+    }
+}
+
+impl Deref for Declaration {
+    type Target = Value;
+
+    fn deref(&self) -> &Value {
+        &self.spec
+    }
 }
 
 /// An operator under test.
@@ -60,6 +120,9 @@ pub trait Operator: Send {
     /// gate operations on it — the double-edged practice behind the
     /// paper's recovery-failure bugs).
     ///
+    /// `cr` is the declaration at the CR's current generation; it derefs
+    /// to the spec [`Value`].
+    ///
     /// Contract: a pass is a deterministic function of `cr`, `health`,
     /// `bugs` and the cluster state. It reads the clock only to stamp the
     /// writes it makes, and keeps no in-memory state that changes a later
@@ -68,7 +131,7 @@ pub trait Operator: Send {
     /// [`Instance::tick`]).
     fn reconcile(
         &mut self,
-        cr: &Value,
+        cr: &Declaration,
         health: &Health,
         cluster: &mut SimCluster,
         bugs: &BugToggles,
@@ -222,15 +285,13 @@ pub struct Instance {
     crash_log: Vec<CrashEvent>,
     /// Latest managed-system health.
     pub last_health: Health,
-    /// Rendered CR spec keyed by CR generation. Pure derived cache
-    /// (`spec_value` is a deterministic render and the generation bumps
-    /// exactly when the spec changes), so it is not checkpointed.
-    spec_cache: Option<(u64, Value)>,
-    /// Serialized length of the cached spec (the PLAT-3 payload check).
-    payload_len_cache: usize,
+    /// The declaration at the CR generation it was built for. Pure derived
+    /// state (the generation bumps exactly when the spec changes), so it
+    /// is not checkpointed.
+    declaration: Option<(u64, Declaration)>,
     /// The model-tick memo: the cluster fingerprint a model tick and health
     /// reflection left unchanged, and the health that tick returned. Like
-    /// `spec_cache` it is derived state, never checkpointed, and every
+    /// `declaration` it is derived state, never checkpointed, and every
     /// constructor starts it empty.
     observe_memo: Option<(simkube::ClusterFingerprint, Health)>,
     /// The reconcile memo: the inputs of the last reconcile pass that
@@ -305,8 +366,7 @@ impl Instance {
             operator_down_until: None,
             crash_log: Vec::new(),
             last_health: Health::Down("not yet deployed".to_string()),
-            spec_cache: None,
-            payload_len_cache: 0,
+            declaration: None,
             observe_memo: None,
             reconcile_memo: None,
         };
@@ -352,8 +412,7 @@ impl Instance {
             operator_down_until: None,
             crash_log: Vec::new(),
             last_health: Health::Down("not yet deployed".to_string()),
-            spec_cache: None,
-            payload_len_cache: 0,
+            declaration: None,
             observe_memo: None,
             reconcile_memo: None,
         })
@@ -397,8 +456,7 @@ impl Instance {
             operator_down_until: cp.operator_down_until,
             crash_log: cp.crash_log.clone(),
             last_health: cp.last_health.clone(),
-            spec_cache: None,
-            payload_len_cache: 0,
+            declaration: None,
             observe_memo: None,
             reconcile_memo: None,
         }
@@ -547,7 +605,7 @@ impl Instance {
             self.operator_down_until = None;
             self.operator.restart();
             self.operator_restarts += 1;
-            self.spec_cache = None;
+            self.declaration = None;
             self.reconcile_memo = None;
             self.cluster.log(
                 LogLevel::Warn,
@@ -575,21 +633,20 @@ impl Instance {
             self.crashed_generation = None;
             self.operator_restarts += 1;
         }
-        // The rendered spec is a pure function of the CR spec, and the
-        // generation bumps exactly when the spec changes — cache the render
-        // (and the PLAT-3 payload length) per generation instead of
-        // rebuilding the value tree every reconcile pass.
-        if self.spec_cache.as_ref().map(|(g, _)| *g) != Some(generation) {
-            let Some(obj) = self.cluster.api().get(&key) else {
-                return;
+        // The generation bumps exactly when the spec changes, so the
+        // declaration (a handle on the stored spec, rendered once for its
+        // length) is built once per generation.
+        if self.declaration.as_ref().map(|(g, _)| *g) != Some(generation) {
+            let spec = match self.cluster.api().get(&key).map(|obj| &obj.data) {
+                Some(ObjectData::Custom { spec, .. }) => Arc::clone(spec),
+                _ => return,
             };
-            let spec = obj.data.spec_value();
-            self.payload_len_cache = crdspec::json::to_string(&spec).len();
-            self.spec_cache = Some((generation, spec));
+            self.declaration = Some((generation, Declaration::new(spec)));
         }
+        let (_, declaration) = self.declaration.as_ref().expect("built above");
         // PLAT-3: oversized payloads crash the operator runtime itself.
         if self.cluster.api().bugs().shared_object_crash
-            && self.payload_len_cache > SHARED_OBJECT_PAYLOAD_LIMIT
+            && declaration.json_len() > SHARED_OBJECT_PAYLOAD_LIMIT
         {
             self.record_panic(
                 generation,
@@ -610,11 +667,11 @@ impl Instance {
             return;
         }
         self.reconcile_memo = None;
-        let spec = &self.spec_cache.as_ref().expect("populated above").1;
+        let (_, declaration) = self.declaration.as_ref().expect("built above");
         self.cluster.api_mut().begin_operator_pass();
         let result = self
             .operator
-            .reconcile(spec, &health, &mut self.cluster, &self.bugs);
+            .reconcile(declaration, &health, &mut self.cluster, &self.bugs);
         if let Some(down_for) = self.cluster.api_mut().end_operator_pass() {
             // An armed crash point fired mid-pass: the process is dead, so
             // the pass's outcome (transient error, panic) never surfaces.
@@ -951,7 +1008,7 @@ mod tests {
         }
         fn reconcile(
             &mut self,
-            cr: &Value,
+            cr: &Declaration,
             _health: &Health,
             cluster: &mut SimCluster,
             _bugs: &BugToggles,
@@ -1021,7 +1078,7 @@ mod tests {
         }
         fn reconcile(
             &mut self,
-            cr: &Value,
+            cr: &Declaration,
             health: &Health,
             cluster: &mut SimCluster,
             bugs: &BugToggles,
@@ -1453,5 +1510,41 @@ mod tests {
             assert!(v.get("spec").is_some());
             assert!(v.get("metadata").is_some());
         }
+    }
+
+    #[test]
+    fn declaration_digest_is_the_init_marker_fingerprint() {
+        // The formula ZooKeeperOp named its SEED-CRASH-1 init markers with
+        // before the digest moved into the declaration: FNV-1a over the
+        // compact JSON. Marker names are part of every seeded transcript.
+        fn spec_fingerprint(cr: &Value) -> u64 {
+            let json = crdspec::json::to_string(cr);
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            for b in json.as_bytes() {
+                h ^= u64::from(*b);
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+            h
+        }
+        let mut specs: Vec<Value> = crate::registry::operator_names()
+            .into_iter()
+            .map(|name| crate::operator_by_name(name).initial_cr())
+            .collect();
+        specs.extend([
+            Value::Null,
+            Value::empty_object(),
+            Value::object([("note", Value::from("é\"\\\n\u{1}日"))]),
+        ]);
+        for spec in specs {
+            let declaration = Declaration::new(Arc::new(spec.clone()));
+            assert_eq!(declaration.digest(), spec_fingerprint(&spec), "{spec:?}");
+            assert_eq!(
+                declaration.json_len(),
+                crdspec::json::to_string(&spec).len()
+            );
+            assert_eq!(*declaration, spec);
+        }
+        let zk = Declaration::new(Arc::new(crate::ops::zookeeper::ZooKeeperOp.initial_cr()));
+        assert_eq!(format!("{:016x}", zk.digest()), "12f80c233f31688b");
     }
 }

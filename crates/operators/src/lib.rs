@@ -20,7 +20,7 @@ pub mod registry;
 pub use bugs::{all_bugs, bug, bugs_of, BugCategory, BugSpec, BugToggles, Consequence};
 pub use compose::{member_namespace, Composition, CompositionCheckpoint, InterferenceEvent};
 pub use framework::{
-    BoundaryLog, CrashEvent, Instance, InstanceCheckpoint, Operator, OperatorError, WriteBoundary,
-    CONVERGE_MAX, CONVERGE_RESET, INSTANCE, NAMESPACE,
+    BoundaryLog, CrashEvent, Declaration, Instance, InstanceCheckpoint, Operator, OperatorError,
+    WriteBoundary, CONVERGE_MAX, CONVERGE_RESET, INSTANCE, NAMESPACE,
 };
 pub use registry::{operator_by_name, operator_names, try_operator_by_name, OperatorInfo};

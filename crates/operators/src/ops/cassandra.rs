@@ -19,7 +19,7 @@ use simkube::SimCluster;
 use crate::bugs::BugToggles;
 use crate::common::*;
 use crate::crd_parts::*;
-use crate::framework::{Operator, OperatorError, INSTANCE, NAMESPACE};
+use crate::framework::{Declaration, Operator, OperatorError, INSTANCE, NAMESPACE};
 
 /// The K8ssandra-style Cassandra operator.
 #[derive(Debug, Default)]
@@ -136,7 +136,7 @@ impl Operator for CassOp {
 
     fn reconcile(
         &mut self,
-        cr: &Value,
+        cr: &Declaration,
         _health: &Health,
         cluster: &mut SimCluster,
         bugs: &BugToggles,

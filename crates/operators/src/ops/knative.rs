@@ -20,7 +20,7 @@ use simkube::SimCluster;
 use crate::bugs::BugToggles;
 use crate::common::*;
 use crate::crd_parts::*;
-use crate::framework::{Operator, OperatorError, INSTANCE, NAMESPACE};
+use crate::framework::{Declaration, Operator, OperatorError, INSTANCE, NAMESPACE};
 
 /// The official Knative serving operator.
 #[derive(Debug, Default)]
@@ -207,7 +207,7 @@ impl Operator for KnativeOp {
 
     fn reconcile(
         &mut self,
-        cr: &Value,
+        cr: &Declaration,
         _health: &Health,
         cluster: &mut SimCluster,
         bugs: &BugToggles,

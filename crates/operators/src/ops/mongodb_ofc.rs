@@ -22,7 +22,7 @@ use simkube::SimCluster;
 use crate::bugs::BugToggles;
 use crate::common::*;
 use crate::crd_parts::*;
-use crate::framework::{Operator, OperatorError, INSTANCE, NAMESPACE};
+use crate::framework::{Declaration, Operator, OperatorError, INSTANCE, NAMESPACE};
 
 /// The official MongoDB community operator.
 #[derive(Debug, Default)]
@@ -167,7 +167,7 @@ impl Operator for MongoOfcOp {
 
     fn reconcile(
         &mut self,
-        cr: &Value,
+        cr: &Declaration,
         health: &Health,
         cluster: &mut SimCluster,
         bugs: &BugToggles,

@@ -20,7 +20,7 @@ use simkube::SimCluster;
 use crate::bugs::BugToggles;
 use crate::common::*;
 use crate::crd_parts::*;
-use crate::framework::{Operator, OperatorError, INSTANCE, NAMESPACE};
+use crate::framework::{Declaration, Operator, OperatorError, INSTANCE, NAMESPACE};
 
 /// The OT-CONTAINER-KIT-style Redis operator.
 #[derive(Debug, Default)]
@@ -187,7 +187,7 @@ impl Operator for RedisOckOp {
 
     fn reconcile(
         &mut self,
-        cr: &Value,
+        cr: &Declaration,
         _health: &Health,
         cluster: &mut SimCluster,
         bugs: &BugToggles,

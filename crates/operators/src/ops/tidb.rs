@@ -20,7 +20,7 @@ use simkube::SimCluster;
 use crate::bugs::BugToggles;
 use crate::common::*;
 use crate::crd_parts::*;
-use crate::framework::{Operator, OperatorError, INSTANCE, NAMESPACE};
+use crate::framework::{Declaration, Operator, OperatorError, INSTANCE, NAMESPACE};
 
 /// The official TiDB operator.
 #[derive(Debug, Default)]
@@ -179,7 +179,7 @@ impl Operator for TiDbOp {
 
     fn reconcile(
         &mut self,
-        cr: &Value,
+        cr: &Declaration,
         health: &Health,
         cluster: &mut SimCluster,
         bugs: &BugToggles,

@@ -21,7 +21,7 @@ use simkube::SimCluster;
 use crate::bugs::BugToggles;
 use crate::common::*;
 use crate::crd_parts::*;
-use crate::framework::{Operator, OperatorError, INSTANCE, NAMESPACE};
+use crate::framework::{Declaration, Operator, OperatorError, INSTANCE, NAMESPACE};
 
 /// The Percona XtraDB cluster operator.
 #[derive(Debug, Default)]
@@ -196,7 +196,7 @@ impl Operator for XtraDbOp {
 
     fn reconcile(
         &mut self,
-        cr: &Value,
+        cr: &Declaration,
         _health: &Health,
         cluster: &mut SimCluster,
         bugs: &BugToggles,

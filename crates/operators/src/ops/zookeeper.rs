@@ -24,7 +24,7 @@ use simkube::SimCluster;
 use crate::bugs::{BugToggles, SEEDED_NONIDEMPOTENT_CREATE};
 use crate::common::*;
 use crate::crd_parts::*;
-use crate::framework::{Operator, OperatorError, INSTANCE, NAMESPACE};
+use crate::framework::{Declaration, Operator, OperatorError, INSTANCE, NAMESPACE};
 
 /// The ZooKeeper operator.
 #[derive(Debug, Default)]
@@ -50,30 +50,19 @@ impl ZooKeeperOp {
             .is_some()
     }
 
-    /// Deterministic FNV-1a fingerprint of the canonical spec rendering,
-    /// naming the per-declaration init marker.
-    fn spec_fingerprint(cr: &Value) -> u64 {
-        let json = crdspec::json::to_string(cr);
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in json.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0100_0000_01b3);
-        }
-        h
-    }
-
     /// SEED-CRASH-1 ([`SEEDED_NONIDEMPOTENT_CREATE`]): per-declaration
     /// initialization modeled as a bare create followed by a separate
     /// completion stamp. The sequence is neither atomic nor idempotent: if
     /// the process dies between the two writes, the retry after restart
     /// blindly re-creates the marker, wedges on `AlreadyExists` forever, and
-    /// the declared change behind it is never applied.
+    /// the declared change behind it is never applied. The marker is named
+    /// by the declaration's digest, taken once per generation.
     fn seeded_init_marker(
         &self,
-        cr: &Value,
+        cr: &Declaration,
         cluster: &mut SimCluster,
     ) -> Result<(), OperatorError> {
-        let marker = format!("zk-init-{:016x}", Self::spec_fingerprint(cr));
+        let marker = format!("zk-init-{:016x}", cr.digest());
         let key = ObjKey::new(Kind::ConfigMap, NAMESPACE, &marker);
         let done = cluster
             .api()
@@ -268,7 +257,7 @@ impl Operator for ZooKeeperOp {
 
     fn reconcile(
         &mut self,
-        cr: &Value,
+        cr: &Declaration,
         _health: &Health,
         cluster: &mut SimCluster,
         bugs: &BugToggles,

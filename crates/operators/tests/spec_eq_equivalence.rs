@@ -15,6 +15,7 @@
 //! `spec_eq`; release builds have only this test.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use acto::campaign::{apply_op, plan_campaign};
 use acto::Mode;
@@ -358,7 +359,7 @@ fn perturbations(data: &ObjectData) -> Vec<ObjectData> {
             for v in value_variants(spec) {
                 out.push(ObjectData::Custom {
                     kind: kind.clone(),
-                    spec: v,
+                    spec: Arc::new(v),
                     status: status.clone(),
                 });
             }

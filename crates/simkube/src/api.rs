@@ -321,7 +321,7 @@ impl ApiServer {
                     ObjectMeta::named(namespace, name),
                     ObjectData::Custom {
                         kind: kind.to_string(),
-                        spec,
+                        spec: Arc::new(spec),
                         status: Value::empty_object(),
                     },
                     time,
@@ -356,7 +356,7 @@ impl ApiServer {
             self.store
                 .update_with(&key, time, |obj| {
                     if let ObjectData::Custom { spec: s, .. } = &mut obj.data {
-                        *s = spec;
+                        *s = Arc::new(spec);
                     }
                 })
                 .map_err(ApiError::NotFound)
@@ -492,8 +492,13 @@ impl ApiServer {
         preserve_status(&existing.data, &mut data);
         // Re-applying what is stored (the steady state of every reconcile
         // loop) is decided on the borrowed object, before `update_with`
-        // would copy it only to find the copy unchanged.
-        if existing.data == data && merge_is_noop(&existing.meta, &meta) {
+        // would copy it only to find the copy unchanged. `spec_eq` joins
+        // `==`, which compares quantities by amount only: a change of
+        // suffix family alone still renders differently, so it writes.
+        if existing.data == data
+            && existing.data.spec_eq(&data)
+            && merge_is_noop(&existing.meta, &meta)
+        {
             return Ok(key);
         }
         self.store
@@ -708,6 +713,33 @@ mod tests {
             .prop("size", Schema::integer().min(0).max(10))
             .prop("memory", Schema::string().format("quantity"))
             .prop("limits", Schema::map(Schema::string().format("quantity")))
+    }
+
+    #[test]
+    fn applying_a_suffix_family_change_alone_writes() {
+        use crate::objects::{ClaimPhase, PersistentVolumeClaim};
+        let mut api = ApiServer::new(PlatformBugs::none());
+        let pvc = |size: &str| {
+            ObjectData::PersistentVolumeClaim(PersistentVolumeClaim {
+                size: size.parse().unwrap(),
+                storage_class: "standard".to_string(),
+                phase: ClaimPhase::Pending,
+            })
+        };
+        let meta = ObjectMeta::named("ns", "data");
+        let key = api.apply_object(meta.clone(), pvc("1Gi"), 0).unwrap();
+        let before = api.store().revision();
+        api.apply_object(meta.clone(), pvc("1Gi"), 1).unwrap();
+        assert_eq!(api.store().revision(), before, "a re-apply wrote");
+        // Same amount, other suffix family: `==` holds, the render moves.
+        api.apply_object(meta, pvc("1073741824"), 2).unwrap();
+        let obj = api.get(&key).unwrap();
+        assert_eq!(api.store().revision(), before + 1);
+        assert_eq!(obj.meta.generation, 2);
+        assert_eq!(
+            obj.data.spec_value().get("size"),
+            Some(&Value::from("1073741824"))
+        );
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! oracles exploit (paper §2, §5.3).
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crdspec::Value;
 
@@ -379,6 +380,20 @@ pub fn fnv_fingerprint(input: &str) -> String {
         hash = hash.wrapping_mul(0x100_0000_01b3);
     }
     format!("{hash:016x}")
+}
+
+/// FNV-1a fingerprint of a config map's data (keys and values, each
+/// followed by a NUL): operators stamp it into the containers they
+/// configure, so a config change rolls the pods.
+pub fn config_fingerprint(entries: &BTreeMap<String, String>) -> String {
+    let mut rendered = String::new();
+    for (k, v) in entries {
+        rendered.push_str(k);
+        rendered.push('\0');
+        rendered.push_str(v);
+        rendered.push('\0');
+    }
+    fnv_fingerprint(&rendered)
 }
 
 /// Renders a toleration list as a [`Value`].
@@ -785,8 +800,10 @@ pub enum ObjectData {
     Custom {
         /// CRD kind name.
         kind: String,
-        /// Declared desired state.
-        spec: Value,
+        /// Declared desired state, shared by every stored version of the
+        /// object until a new declaration replaces it: a status write
+        /// copies the handle, not the tree.
+        spec: Arc<Value>,
         /// Controller-reported status.
         status: Value,
     },
@@ -821,9 +838,10 @@ impl ObjectData {
     /// `selector`, a container's `security`, every status field) are not
     /// compared, and quantities are compared as they render
     /// (`Quantity::renders_eq`), suffix family included. A custom
-    /// resource compares its spec in place. Only a pair of different kinds,
+    /// resource compares its spec in place, and answers at once when both
+    /// versions share one spec handle. Only a pair of different kinds,
     /// which never share a store key, is rendered. A debug assertion pins
-    /// every answer to the rendered comparison.
+    /// every typed answer to the rendered comparison.
     pub fn spec_eq(&self, other: &ObjectData) -> bool {
         let eq = match (self, other) {
             (ObjectData::Pod(a), ObjectData::Pod(b)) => {
@@ -874,7 +892,11 @@ impl ObjectData {
             (ObjectData::Node(a), ObjectData::Node(b)) => {
                 quantities_render_eq(&a.capacity, &b.capacity) && a.ready == b.ready
             }
-            (ObjectData::Custom { spec: a, .. }, ObjectData::Custom { spec: b, .. }) => a == b,
+            // A custom spec renders as itself, so there is no rendering to
+            // cross-check (and no copy of the declaration to make for it).
+            (ObjectData::Custom { spec: a, .. }, ObjectData::Custom { spec: b, .. }) => {
+                return Arc::ptr_eq(a, b) || a == b;
+            }
             _ => return self.spec_value() == other.spec_value(),
         };
         debug_assert_eq!(
@@ -926,7 +948,7 @@ impl ObjectData {
                 ),
                 ("ready", Value::from(n.ready)),
             ]),
-            ObjectData::Custom { spec, .. } => spec.clone(),
+            ObjectData::Custom { spec, .. } => Value::clone(spec),
         }
     }
 
@@ -1043,7 +1065,7 @@ mod tests {
         let spec = Value::object([("replicas", Value::from(3))]);
         let data = ObjectData::Custom {
             kind: "ZookeeperCluster".to_string(),
-            spec: spec.clone(),
+            spec: Arc::new(spec.clone()),
             status: Value::empty_object(),
         };
         assert_eq!(data.kind().name(), "ZookeeperCluster");

@@ -18,6 +18,8 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use crdspec::Value;
+
 use crate::meta::ObjectMeta;
 use crate::objects::{Kind, ObjectData, StoredObject};
 use crate::pmap::PMap;
@@ -277,9 +279,16 @@ impl ObjectStore {
     /// restored afterwards. A closure that leaves the object unchanged
     /// records no event and touches neither map, so a no-op keeps every
     /// tree node and handle shared with snapshots (`Arc::ptr_eq`-based
-    /// pruning stays exact). A changing write takes the next resource
-    /// version, and bumps `generation` exactly when the rendered spec
-    /// changed, decided by [`ObjectData::spec_eq`] without rendering.
+    /// pruning stays exact). "Unchanged" also asks [`ObjectData::spec_eq`]:
+    /// the derived `==` compares quantities by amount, so a write that only
+    /// moves a quantity's suffix family (`1Gi` to `1073741824`) changes the
+    /// rendered spec although `==` holds. A changing write takes the next
+    /// resource version, and bumps `generation` exactly when the rendered
+    /// spec changed, decided by [`ObjectData::spec_eq`] without rendering.
+    ///
+    /// The copy the closure edits is shallow where the store shares: a
+    /// custom resource's spec is an `Arc`, so a status write copies the
+    /// handle and leaves the declaration where it is.
     pub fn update_with<F: FnOnce(&mut StoredObject)>(
         &mut self,
         key: &ObjKey,
@@ -303,7 +312,7 @@ impl ObjectStore {
         obj.meta.resource_version = before.meta.resource_version;
         obj.meta.generation = before.meta.generation;
         obj.meta.creation_timestamp = before.meta.creation_timestamp;
-        if obj.data == before.data && obj.meta == before.meta {
+        if obj.data == before.data && obj.meta == before.meta && obj.data.spec_eq(&before.data) {
             return Ok(());
         }
         obj.meta.resource_version = self.revision + 1;
@@ -349,12 +358,25 @@ impl ObjectStore {
 
     /// Lists objects of a kind within a namespace, sorted by name.
     pub fn list(&self, kind: &Kind, namespace: &str) -> Vec<&StoredObject> {
+        self.list_shared(kind, namespace)
+            .map(|obj| &**obj)
+            .collect()
+    }
+
+    /// [`ObjectStore::list`] as shared handles, which a caller may clone to
+    /// keep an object past its borrow of the store without copying it.
+    /// The namespace resolves through the alias as for every keyed
+    /// operation.
+    pub fn list_shared<'s: 'q, 'q>(
+        &'s self,
+        kind: &'q Kind,
+        namespace: &'q str,
+    ) -> impl Iterator<Item = &'s Arc<StoredObject>> + 'q {
         let namespace = self.resolve_ns(namespace);
         self.objects
-            .range_from_by(|k| k.cmp_parts(kind, namespace, ""))
-            .take_while(|(k, _)| &k.kind == kind && k.namespace == namespace)
-            .map(|(_, obj)| &**obj)
-            .collect()
+            .range_from_by(move |k| k.cmp_parts(kind, namespace, ""))
+            .take_while(move |(k, _)| &k.kind == kind && k.namespace == namespace)
+            .map(|(_, obj)| obj)
     }
 
     /// Lists objects of a kind across all namespaces.
@@ -476,14 +498,24 @@ impl ObjectStore {
         self.clone()
     }
 
-    /// Materializes a fully independent deep copy: every object payload and
-    /// the event log are re-allocated, sharing nothing with `self`. Only
-    /// used as the pre-CoW baseline in benchmarks.
+    /// Materializes a fully independent deep copy: every object payload
+    /// (a custom resource's shared spec included) and the event log are
+    /// re-allocated, sharing nothing with `self`. Only used as the pre-CoW
+    /// baseline in benchmarks.
     pub fn deep_clone(&self) -> ObjectStore {
+        // `StoredObject::clone` shares a custom resource's spec handle; the
+        // baseline must copy that tree too.
+        fn unshared(obj: &StoredObject) -> Arc<StoredObject> {
+            let mut copy = obj.clone();
+            if let ObjectData::Custom { spec, .. } = &mut copy.data {
+                *spec = Arc::new(Value::clone(spec));
+            }
+            Arc::new(copy)
+        }
         let mut objects = PMap::new();
         let mut index = PMap::new();
         for (key, obj) in self.objects.iter() {
-            let obj = Arc::new((**obj).clone());
+            let obj = unshared(obj);
             if state::visible(key) {
                 index.insert(
                     state::object_id(key),
@@ -506,7 +538,7 @@ impl ObjectStore {
                         Some(cur) if Arc::ptr_eq(cur, o) => {
                             Arc::clone(objects.get(&event.key).expect("key is live"))
                         }
-                        _ => Arc::new((**o).clone()),
+                        _ => unshared(o),
                     });
                 WatchEvent {
                     revision: event.revision,
@@ -613,7 +645,7 @@ mod tests {
                 ObjectMeta::named("ns", "c"),
                 ObjectData::Custom {
                     kind: "Demo".to_string(),
-                    spec: Value::object([("replicas", Value::from(1))]),
+                    spec: Arc::new(Value::object([("replicas", Value::from(1))])),
                     status: Value::empty_object(),
                 },
                 0,
@@ -660,11 +692,44 @@ mod tests {
         store
             .update_with(&cr, 4, |o| {
                 if let ObjectData::Custom { spec, .. } = &mut o.data {
-                    spec.set_path(&"replicas".parse().unwrap(), Value::from(3));
+                    Arc::make_mut(spec).set_path(&"replicas".parse().unwrap(), Value::from(3));
                 }
             })
             .unwrap();
         assert_eq!(generation(&store, &cr), 2);
+    }
+
+    #[test]
+    fn a_suffix_family_change_alone_is_a_write() {
+        use crate::objects::{ClaimPhase, PersistentVolumeClaim};
+        let mut store = ObjectStore::new();
+        let key = store
+            .create(
+                ObjectMeta::named("ns", "data"),
+                ObjectData::PersistentVolumeClaim(PersistentVolumeClaim {
+                    size: "1Gi".parse().unwrap(),
+                    storage_class: "standard".to_string(),
+                    phase: ClaimPhase::Pending,
+                }),
+                0,
+            )
+            .unwrap();
+        let before = store.revision();
+        // Same amount, other suffix family: `==` holds, the render moves.
+        store
+            .update_with(&key, 1, |o| {
+                if let ObjectData::PersistentVolumeClaim(p) = &mut o.data {
+                    p.size = "1073741824".parse().unwrap();
+                }
+            })
+            .unwrap();
+        let obj = store.get(&key).unwrap();
+        assert_eq!(store.revision(), before + 1);
+        assert_eq!(obj.meta.generation, 2);
+        assert_eq!(
+            obj.data.spec_value().get("size"),
+            Some(&crdspec::Value::from("1073741824"))
+        );
     }
 
     #[test]
@@ -880,13 +945,49 @@ mod tests {
         let mut store = ObjectStore::new();
         let (meta, data) = cm("a");
         let key = store.create(meta, data, 0).unwrap();
+        let cr = store
+            .create(
+                ObjectMeta::named("ns", "c"),
+                ObjectData::Custom {
+                    kind: "Demo".to_string(),
+                    spec: Arc::new(Value::object([("replicas", Value::from(1))])),
+                    status: Value::empty_object(),
+                },
+                0,
+            )
+            .unwrap();
+        // A status write leaves the spec shared between the two versions,
+        // one of which only the event log still holds.
+        store
+            .update_with(&cr, 1, |o| {
+                if let ObjectData::Custom { status, .. } = &mut o.data {
+                    status.set_path(&"ready".parse().unwrap(), Value::from(true));
+                }
+            })
+            .unwrap();
         let deep = store.deep_clone();
-        assert!(!Arc::ptr_eq(
-            store.get_shared(&key).unwrap(),
-            deep.get_shared(&key).unwrap()
-        ));
+        for key in [&key, &cr] {
+            assert!(!Arc::ptr_eq(
+                store.get_shared(key).unwrap(),
+                deep.get_shared(key).unwrap()
+            ));
+        }
+        let spec = |obj: &StoredObject| match &obj.data {
+            ObjectData::Custom { spec, .. } => Arc::clone(spec),
+            other => panic!("unexpected payload {other:?}"),
+        };
+        let ours = spec(store.get(&cr).unwrap());
+        let theirs = spec(deep.get(&cr).unwrap());
+        assert_eq!(ours, theirs);
+        assert!(!Arc::ptr_eq(&ours, &theirs), "the clone shares a CR spec");
+        // The superseded version in the clone's event log has its own spec.
+        for event in deep.events_since(0) {
+            if let Some(obj) = event.obj.as_deref().filter(|_| event.key == cr) {
+                assert!(!Arc::ptr_eq(&spec(obj), &ours));
+            }
+        }
         assert_eq!(deep.revision(), store.revision());
         assert_eq!(deep.events_len(), store.events_len());
-        assert_eq!(store.sharing_stats(), (0, 1));
+        assert_eq!(store.sharing_stats(), (0, 2));
     }
 }

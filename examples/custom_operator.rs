@@ -19,8 +19,8 @@ use acto_repro::operators::common::{
     write_cr_status,
 };
 use acto_repro::operators::{
-    BugToggles, Instance, Operator, OperatorError, CONVERGE_MAX, CONVERGE_RESET, INSTANCE,
-    NAMESPACE,
+    BugToggles, Declaration, Instance, Operator, OperatorError, CONVERGE_MAX, CONVERGE_RESET,
+    INSTANCE, NAMESPACE,
 };
 use acto_repro::simkube::objects::{Container, Kind, ObjectData};
 use acto_repro::simkube::store::ObjKey;
@@ -90,7 +90,7 @@ impl Operator for KvOperator {
     }
     fn reconcile(
         &mut self,
-        cr: &Value,
+        cr: &Declaration,
         _health: &Health,
         cluster: &mut SimCluster,
         _bugs: &BugToggles,

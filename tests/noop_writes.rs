@@ -7,10 +7,16 @@
 //! stored `Arc`, the store revision and the watch-event log as they were,
 //! and must not copy the object to find that out.
 //!
+//! The same holds for what the per-tick path only reads: a custom-resource
+//! status write leaves the declared spec shared, a managed-system model
+//! reads its pods through shared handles, and a reconcile pass at an
+//! unchanged generation does not render the declaration again.
+//!
 //! Copies are counted by this binary's global allocator, per thread: every
 //! object under test carries a marker string of a length nothing else here
 //! allocates, so a copy of the object is an allocation of exactly that
-//! size.
+//! size, and a render of it (the marker inside a longer buffer) one of
+//! more.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -29,15 +35,20 @@ const MARKER_LEN: usize = 7919;
 
 thread_local! {
     static MARKER_ALLOCS: Cell<usize> = const { Cell::new(0) };
+    static LARGER_ALLOCS: Cell<usize> = const { Cell::new(0) };
 }
 
-/// Counts, per thread, the allocations of exactly [`MARKER_LEN`] bytes.
+/// Counts, per thread, the allocations of exactly [`MARKER_LEN`] bytes and
+/// those of more.
 struct MarkerCounting;
 
 fn note(size: usize) {
-    if size == MARKER_LEN {
-        let _ = MARKER_ALLOCS.try_with(|n| n.set(n.get() + 1));
-    }
+    let counter = match size {
+        MARKER_LEN => &MARKER_ALLOCS,
+        n if n > MARKER_LEN => &LARGER_ALLOCS,
+        _ => return,
+    };
+    let _ = counter.try_with(|n| n.set(n.get() + 1));
 }
 
 // SAFETY: every call forwards to `System` with the caller's arguments; the
@@ -74,6 +85,14 @@ fn copies_during<R>(f: impl FnOnce() -> R) -> (R, usize) {
     let before = MARKER_ALLOCS.with(Cell::get);
     let result = f();
     (result, MARKER_ALLOCS.with(Cell::get) - before)
+}
+
+/// Runs `f`, returning its result and the allocations larger than the
+/// marker (renders of a marked object) it made on this thread.
+fn renders_during<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    let before = LARGER_ALLOCS.with(Cell::get);
+    let result = f();
+    (result, LARGER_ALLOCS.with(Cell::get) - before)
 }
 
 /// What a write that changes nothing must leave alone.
@@ -271,4 +290,149 @@ fn a_controller_pass_with_nothing_to_change_copies_nothing() {
     assert!(!changed);
     assert_eq!(copies, 0, "a pass with nothing to change copied an object");
     seen.check(&store, &keys);
+}
+
+#[test]
+fn a_changing_custom_status_write_copies_none_of_the_spec() {
+    let mut api = ApiServer::new(PlatformBugs::none());
+    api.register_crd(
+        "Widget",
+        Schema::object()
+            .prop("size", Schema::integer())
+            .prop("note", Schema::string()),
+    );
+    let spec = Value::object([("size", Value::from(3i64)), ("note", Value::from(marker()))]);
+    let key = api.create_custom("acto", "w", "Widget", spec, 1).unwrap();
+    let before = Arc::clone(api.store().get_shared(&key).unwrap());
+
+    let status = Value::object([("phase", Value::from("Ready"))]);
+    let (result, copies) = copies_during(|| api.update_custom_status(&key, status, 2));
+    result.unwrap();
+    assert_eq!(copies, 0, "a status write copied the declared spec");
+
+    // It was a real write: a new version, the same generation, and the
+    // spec shared between the two versions.
+    let after = api.store().get_shared(&key).unwrap();
+    assert!(!Arc::ptr_eq(after, &before));
+    assert_eq!(after.meta.generation, before.meta.generation);
+    assert_eq!(
+        after.data.status_field("phase"),
+        Some(&Value::from("Ready"))
+    );
+    match (&before.data, &after.data) {
+        (ObjectData::Custom { spec: old, .. }, ObjectData::Custom { spec: new, .. }) => {
+            assert!(Arc::ptr_eq(old, new), "the spec was not shared");
+        }
+        other => panic!("unexpected payloads {other:?}"),
+    }
+}
+
+#[test]
+fn a_model_tick_copies_no_pod_labels_or_annotations() {
+    use managed::testkit::{add_running_pods, test_cluster};
+    use managed::{model_for, SystemView};
+
+    for system in [
+        "zookeeper",
+        "redis",
+        "mongodb",
+        "cassandra",
+        "cockroachdb",
+        "tidb",
+        "rabbitmq",
+        "xtradb",
+        "knative",
+    ] {
+        let mut cluster = test_cluster();
+        add_running_pods(&mut cluster, "acto", "app", 3);
+        for i in 0..3 {
+            let key = ObjKey::new(Kind::Pod, "acto", &format!("app-{i}"));
+            cluster
+                .api_mut()
+                .store_mut()
+                .update_with(&key, 0, |o| {
+                    o.meta.labels.insert("note".to_string(), marker());
+                    o.meta.annotations.insert("note".to_string(), marker());
+                })
+                .unwrap();
+        }
+        let revision = cluster.api().store().revision();
+        let mut model = model_for(system);
+        let (health, copies) = copies_during(|| {
+            let mut view = SystemView::new(&mut cluster, "acto", "app");
+            let pods = view.pods();
+            assert_eq!(pods.len(), 3);
+            assert_eq!(pods[0].labels()["note"].len(), MARKER_LEN);
+            model.tick(&mut view)
+        });
+        assert_eq!(
+            copies, 0,
+            "a {system} tick copied pod labels or annotations"
+        );
+        // The tick only read: no pod was written, so nothing else copied.
+        assert_eq!(
+            cluster.api().store().revision(),
+            revision,
+            "{system}: {health:?}"
+        );
+    }
+}
+
+#[test]
+fn reconcile_passes_at_one_generation_render_the_declaration_once() {
+    use operators::bugs::SEEDED_NONIDEMPOTENT_CREATE;
+    use operators::{operator_by_name, BugToggles, Instance};
+
+    /// Restores the thread's engine selection even if an assertion panics.
+    struct TickedEngine;
+    impl Drop for TickedEngine {
+        fn drop(&mut self) {
+            simkube::set_ticked_engine(false);
+        }
+    }
+
+    // SEED-CRASH-1 names an init marker by the declaration's digest on
+    // every pass.
+    let mut bugs = BugToggles::all_fixed();
+    bugs.seed(SEEDED_NONIDEMPOTENT_CREATE);
+    let operator = operator_by_name("ZooKeeperOp");
+    let mut spec = operator.initial_cr();
+    spec.set_path(&"domainName".parse().unwrap(), Value::from(marker()));
+    let mut instance = Instance::deploy(operator, bugs, PlatformBugs::none()).unwrap();
+    instance.submit(spec).unwrap();
+    let (converged, renders) = renders_during(|| instance.converge(15, 600));
+    assert!(converged);
+    assert!(renders >= 1, "the new generation's render went uncounted");
+    let generation = instance
+        .cluster
+        .api()
+        .get(&instance.cr_key())
+        .unwrap()
+        .meta
+        .generation;
+
+    // The ticked engine runs every reconcile pass instead of reusing a
+    // quiet one.
+    let _engine = TickedEngine;
+    simkube::set_ticked_engine(true);
+    let (_, renders) = renders_during(|| {
+        for _ in 0..5 {
+            instance.tick();
+        }
+    });
+    assert!(!instance.operator_crashed() && !instance.operator_down());
+    assert_eq!(
+        instance
+            .cluster
+            .api()
+            .get(&instance.cr_key())
+            .unwrap()
+            .meta
+            .generation,
+        generation
+    );
+    assert_eq!(
+        renders, 0,
+        "reconcile passes at one generation rendered the declaration"
+    );
 }
