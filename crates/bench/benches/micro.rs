@@ -73,10 +73,6 @@ fn bench_analysis(c: &mut Criterion) {
     c.bench_function("opdsl/control-dependencies", |b| {
         b.iter(|| opdsl::control_dependencies(black_box(&ir)))
     });
-    let spec = operator_by_name("ZooKeeperOp").initial_cr();
-    c.bench_function("opdsl/interpret", |b| {
-        b.iter(|| opdsl::run(black_box(&ir), black_box(&spec)).expect("run"))
-    });
 }
 
 fn bench_planning(c: &mut Criterion) {

@@ -8,9 +8,10 @@
 //! - [`Scheduler`]: one claim-by-cursor work-stealing loop behind the
 //!   work-stealing and fuzz runners, with one call, [`Scheduler::run`].
 //!   Every worker runs its own first item (worker `w` claims item `w`),
-//!   and every in-flight item is supervised; a panicking item is retried
-//!   once and then quarantined when the caller supplies a placeholder,
-//!   and aborts the run when it does not. Every campaign runs through
+//!   claims from the cursor until it runs dry, and hands its results back
+//!   through its join; a panicking item is retried once and then
+//!   quarantined when the caller supplies a placeholder, and aborts the
+//!   run when it does not. Every campaign runs through
 //!   [`run_segmented`]: the sequential runs ([`crate::run_campaign`],
 //!   [`crate::run_composed_campaign`]) are its one-worker, one-segment
 //!   case, and [`crate::CampaignResult`] is only the single-operator
@@ -46,7 +47,7 @@
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::ops::AddAssign;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -93,9 +94,6 @@ pub struct WorkerStats {
     /// Crash boundaries replayed by this worker's segments (0 with the
     /// crash-point sweep off).
     pub crash_points_swept: u64,
-    /// Overdue items this worker reclaimed from stuck workers through the
-    /// supervision watchdog (0 without supervision).
-    pub reclaims: usize,
     /// Real time from worker start to running out of segments.
     pub wall: Duration,
 }
@@ -116,7 +114,6 @@ impl WorkerStats {
             restored_objects_shared: 0,
             restored_objects_owned: 0,
             crash_points_swept: 0,
-            reclaims: 0,
             wall: Duration::ZERO,
         }
     }
@@ -146,7 +143,6 @@ impl AddAssign<&WorkerStats> for WorkerStats {
         self.restored_objects_shared += other.restored_objects_shared;
         self.restored_objects_owned += other.restored_objects_owned;
         self.crash_points_swept += other.crash_points_swept;
-        self.reclaims += other.reclaims;
         self.wall += other.wall;
     }
 }
@@ -171,37 +167,6 @@ pub struct FailedSegment {
     /// Whether the retry also failed and the segment was quarantined.
     pub quarantined: bool,
 }
-
-/// One watchdog intervention: an in-flight item exceeded the supervision
-/// deadline and an idle worker re-executed it.
-///
-/// Reclaims are deterministic where it matters: they only happen after the
-/// claim cursor is exhausted (the batch barrier — no pending item is ever
-/// skipped to serve a reclaim), and the re-execution starts from the same
-/// canonical inputs as the original claim (segments restore the canonical
-/// prefix checkpoint), so the result is identical whichever execution
-/// finishes first — the first result wins and the transcript stays
-/// byte-identical. If the stuck worker later completes, its duplicate sink
-/// call is benign: the journal replay dedupes by item index. A worker that
-/// is truly hung (never returns) still blocks the final thread join, but
-/// its item's result has already been assembled by the reclaimer, so the
-/// transcript is unaffected once it is eventually killed.
-#[derive(Debug, Clone)]
-pub struct SupervisionEvent {
-    /// Item index — remapped to the plan segment index by
-    /// [`run_segmented`].
-    pub segment: usize,
-    /// Worker that held the item past the deadline.
-    pub stuck_worker: usize,
-    /// Idle worker that reclaimed and re-executed it.
-    pub reclaimed_by: usize,
-    /// How long the item had been in flight when it was reclaimed.
-    pub overdue: Duration,
-}
-
-/// The per-item supervision deadline: generous enough that reclaims fire
-/// only for genuinely stuck workers, never for slow-but-progressing ones.
-const SEGMENT_DEADLINE: Duration = Duration::from_secs(300);
 
 /// Copy-on-write checkpoints that can report their structural-sharing
 /// accounting. Implemented by the single-operator [`InstanceCheckpoint`]
@@ -330,15 +295,14 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 ///
 /// Worker `w` is pre-assigned item `w` (the cursor hands out the rest), so
 /// every spawned worker executes at least one item even when items finish
-/// faster than threads spawn. In-flight items are supervised: a worker
-/// that runs out of cursor work stays on duty until every result is in,
-/// reclaiming and re-executing any item another worker has held past
-/// the supervision deadline (a fixed 300 s). See [`SupervisionEvent`]
-/// for why neither can change a transcript.
+/// faster than threads spawn. A worker exits as soon as the cursor runs
+/// dry and returns its results and statistics through its join handle.
+/// There is no watchdog: the scope joins every worker anyway, so a hung
+/// item hangs the run whoever runs it, and re-running a slow item would
+/// only repeat the same deterministic computation.
 #[derive(Debug, Clone, Copy)]
 pub struct Scheduler {
     workers: usize,
-    deadline: Duration,
 }
 
 /// What one [`Scheduler`] pass produced.
@@ -349,11 +313,10 @@ pub struct ScheduleRun<R> {
     pub results: Vec<R>,
     /// Per-worker statistics, sorted by worker index.
     pub worker_stats: Vec<WorkerStats>,
-    /// Items whose execution panicked (empty without a placeholder). The
-    /// scheduler knows no plan windows: `skip` and `take` are 0.
+    /// Items whose execution panicked, sorted by item index (empty
+    /// without a placeholder). The scheduler knows no plan windows:
+    /// `skip` and `take` are 0.
     pub failures: Vec<FailedSegment>,
-    /// Watchdog reclaims of overdue items, sorted by item index.
-    pub supervision: Vec<SupervisionEvent>,
 }
 
 /// How [`Scheduler::run`] builds the result standing in for a quarantined
@@ -363,18 +326,15 @@ type Placeholder<'a, T, R> = &'a (dyn Fn(&T, &str) -> R + Sync);
 impl Scheduler {
     /// A scheduler over `workers` threads.
     pub fn new(workers: usize) -> Scheduler {
-        Scheduler {
-            workers,
-            deadline: SEGMENT_DEADLINE,
-        }
+        Scheduler { workers }
     }
 
     /// Runs `f` over every item. Without a `placeholder` a panic
-    /// propagates out of the scope and aborts the run: fuzz batches run
-    /// this way, since execution is a pure function of the input and a
-    /// panic is a harness bug. With one, a panicking item is retried once
-    /// (its closure must be restartable — segment execution always begins
-    /// from the canonical prefix snapshot); a second panic quarantines the
+    /// propagates out of the run and aborts it: fuzz batches run this
+    /// way, since execution is a pure function of the input and a panic
+    /// is a harness bug. With one, a panicking item is retried once (its
+    /// closure must be restartable — segment execution always begins from
+    /// the canonical prefix snapshot); a second panic quarantines the
     /// item, recording a [`FailedSegment`] and substituting the
     /// placeholder's result so the loss stays visible instead of sinking
     /// the whole run.
@@ -393,152 +353,67 @@ impl Scheduler {
         // Worker `w` runs item `w` first; the cursor therefore starts past
         // the pre-assigned block.
         let cursor = AtomicUsize::new(workers);
-        let results: Mutex<BTreeMap<usize, R>> = Mutex::new(BTreeMap::new());
-        let stats: Mutex<Vec<WorkerStats>> = Mutex::new(Vec::new());
-        let failed: Mutex<Vec<FailedSegment>> = Mutex::new(Vec::new());
-        // Items currently executing, item -> (holder, claim time); the
-        // supervisor scans this for overdue claims.
-        let in_flight: Mutex<BTreeMap<usize, (usize, Instant)>> = Mutex::new(BTreeMap::new());
-        let supervision: Mutex<Vec<SupervisionEvent>> = Mutex::new(Vec::new());
         // A worker's static share under even chunking; claims outside it
         // are counted as steals.
         let static_chunk = items.len().div_ceil(workers).max(1);
         // The step-engine selection is per thread; workers inherit the
         // caller's.
         let ticked = simkube::ticked_engine();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for w in 0..workers {
-                let (cursor, results, stats, failed, f) = (&cursor, &results, &stats, &failed, &f);
-                let (in_flight, supervision) = (&in_flight, &supervision);
-                handles.push(scope.spawn(move || {
-                    simkube::set_ticked_engine(ticked);
-                    let worker_start = Instant::now();
-                    let mut my = WorkerStats::new(w);
-                    let mut preassigned = Some(w);
-                    let execute = |i: usize, my: &mut WorkerStats| {
-                        in_flight
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .insert(i, (w, Instant::now()));
-                        let r = match placeholder {
-                            None => f(&items[i], my),
-                            Some(placeholder) => attempt(i, &items[i], f, placeholder, failed, my),
-                        };
-                        my.segments_executed += 1;
-                        // First result wins: a reclaimed item can finish
-                        // twice, but both executions start from the same
-                        // canonical inputs, so the results are identical
-                        // and keeping the first preserves determinism.
-                        results
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .entry(i)
-                            .or_insert(r);
-                        in_flight
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .remove(&i);
-                    };
-                    loop {
-                        let i = match preassigned.take() {
-                            Some(i) => i,
-                            None => cursor.fetch_add(1, Ordering::SeqCst),
-                        };
-                        if i >= items.len() {
-                            break;
-                        }
-                        if i / static_chunk != w {
-                            my.steals += 1;
-                        }
-                        execute(i, &mut my);
-                    }
-                    // Cursor exhausted — the batch barrier. An idle worker
-                    // stays on duty until every result is in, reclaiming
-                    // items held past the deadline.
-                    loop {
-                        if results.lock().unwrap_or_else(|e| e.into_inner()).len() >= items.len() {
-                            break;
-                        }
-                        match claim_overdue(in_flight, w, self.deadline) {
-                            Some((i, holder, elapsed)) => {
-                                my.reclaims += 1;
-                                supervision.lock().unwrap_or_else(|e| e.into_inner()).push(
-                                    SupervisionEvent {
-                                        segment: i,
-                                        stuck_worker: holder,
-                                        reclaimed_by: w,
-                                        overdue: elapsed,
-                                    },
-                                );
-                                execute(i, &mut my);
+        let joined: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|w| {
+                    let (cursor, f) = (&cursor, &f);
+                    scope.spawn(move || {
+                        simkube::set_ticked_engine(ticked);
+                        let worker_start = Instant::now();
+                        let mut my = WorkerStats::new(w);
+                        let mut done = Vec::new();
+                        let mut failed = Vec::new();
+                        let mut i = w;
+                        while i < items.len() {
+                            if i / static_chunk != w {
+                                my.steals += 1;
                             }
-                            None => std::thread::sleep(Duration::from_millis(1)),
+                            let r = match placeholder {
+                                None => f(&items[i], &mut my),
+                                Some(placeholder) => {
+                                    attempt(i, &items[i], f, placeholder, &mut failed, &mut my)
+                                }
+                            };
+                            my.segments_executed += 1;
+                            done.push((i, r));
+                            i = cursor.fetch_add(1, Ordering::SeqCst);
                         }
-                    }
-                    my.wall = worker_start.elapsed();
-                    stats.lock().unwrap_or_else(|e| e.into_inner()).push(my);
-                }));
-            }
-            if placeholder.is_some() {
-                for h in handles {
-                    if h.join().is_err() {
-                        // Item panics are captured inside the worker loop,
-                        // so a join error means the bookkeeping itself
-                        // died; note it and let the remaining workers
-                        // finish.
-                        failed
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .push(FailedSegment {
-                                segment: usize::MAX,
-                                skip: 0,
-                                take: 0,
-                                panic: "worker thread aborted outside segment execution"
-                                    .to_string(),
-                                quarantined: true,
-                            });
-                    }
-                }
-            }
+                        my.wall = worker_start.elapsed();
+                        (done, failed, my)
+                    })
+                })
+                .collect();
+            // Item panics are caught inside `attempt` when there is a
+            // placeholder, so a join error is either a fuzz batch's harness
+            // bug or dead bookkeeping: both abort the run.
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|e| resume_unwind(e)))
+                .collect()
         });
-        let mut worker_stats = stats.into_inner().unwrap_or_else(|e| e.into_inner());
-        worker_stats.sort_by_key(|s| s.worker);
-        let results = results
-            .into_inner()
-            .unwrap_or_else(|e| e.into_inner())
-            .into_values()
-            .collect();
-        let failures = failed.into_inner().unwrap_or_else(|e| e.into_inner());
-        let mut supervision = supervision.into_inner().unwrap_or_else(|e| e.into_inner());
-        supervision.sort_by_key(|e| e.segment);
+        let mut done = Vec::with_capacity(items.len());
+        let mut failures = Vec::new();
+        let mut worker_stats = Vec::with_capacity(workers);
+        for (results, failed, my) in joined {
+            done.extend(results);
+            failures.extend(failed);
+            worker_stats.push(my);
+        }
+        done.sort_by_key(|&(i, _)| i);
+        failures.sort_by_key(|f| f.segment);
         ScheduleRun {
             workers,
-            results,
+            results: done.into_iter().map(|(_, r)| r).collect(),
             worker_stats,
             failures,
-            supervision,
         }
     }
-}
-
-/// Claims the first in-flight item another worker has held past
-/// `deadline`: returns it with its holder and how long it was held. The
-/// claim happens under the lock, so two idle workers never reclaim the
-/// same item.
-fn claim_overdue(
-    in_flight: &Mutex<BTreeMap<usize, (usize, Instant)>>,
-    w: usize,
-    deadline: Duration,
-) -> Option<(usize, usize, Duration)> {
-    let mut guard = in_flight.lock().unwrap_or_else(|e| e.into_inner());
-    let found = guard.iter().find_map(|(&i, &(holder, since))| {
-        (holder != w && since.elapsed() >= deadline).then_some((i, holder, since.elapsed()))
-    });
-    if let Some((i, _, _)) = found {
-        guard.remove(&i);
-    }
-    found
 }
 
 /// Runs item `i` under the quarantine discipline: one retry after a
@@ -548,24 +423,21 @@ fn attempt<T, R, F>(
     item: &T,
     f: &F,
     placeholder: Placeholder<'_, T, R>,
-    failed: &Mutex<Vec<FailedSegment>>,
+    failed: &mut Vec<FailedSegment>,
     my: &mut WorkerStats,
 ) -> R
 where
     F: Fn(&T, &mut WorkerStats) -> R + Sync,
 {
     let mut once = || catch_unwind(AssertUnwindSafe(|| f(item, &mut *my)));
-    let fail = |panic: String, quarantined: bool| {
-        failed
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(FailedSegment {
-                segment: i,
-                skip: 0,
-                take: 0,
-                panic,
-                quarantined,
-            });
+    let mut fail = |panic: String, quarantined: bool| {
+        failed.push(FailedSegment {
+            segment: i,
+            skip: 0,
+            take: 0,
+            panic,
+            quarantined,
+        });
     };
     match once() {
         Ok(r) => r,
@@ -776,17 +648,11 @@ pub fn run_segmented<D: Driver>(
         |seg: &Segment, panic: &str| sunk(seg, vec![D::Trial::worker_panic(config, *seg, panic)]);
     let run = Scheduler::new(workers).run(&pending, work, Some(&placeholder));
 
-    // Failures and reclaims carry pending-list indices; map them back to
-    // plan segments (join errors keep their usize::MAX marker).
+    // Failures carry pending-list indices; map them back to plan segments.
     let mut failed_segments = run.failures;
     for f in &mut failed_segments {
-        if let Some(seg) = pending.get(f.segment) {
-            (f.segment, f.skip, f.take) = (seg.index, seg.skip, seg.take);
-        }
-    }
-    let mut supervision_events = run.supervision;
-    for e in &mut supervision_events {
-        e.segment = pending[e.segment].index;
+        let seg = pending[f.segment];
+        (f.segment, f.skip, f.take) = (seg.index, seg.skip, seg.take);
     }
 
     // Assemble trials in plan order, splicing journaled segments.
@@ -813,7 +679,6 @@ pub fn run_segmented<D: Driver>(
         wall: run_start.elapsed(),
         worker_stats: run.worker_stats,
         failed_segments,
-        supervision_events,
         depot_snapshots: depot.len(),
         depot_shared_objects,
         depot_owned_objects,
@@ -874,34 +739,26 @@ mod tests {
     }
 
     #[test]
-    fn supervisor_reclaims_overdue_items_without_changing_results() {
-        let items: Vec<usize> = (0..4).collect();
-        let scheduler = Scheduler {
-            deadline: Duration::from_millis(5),
-            ..Scheduler::new(2)
-        };
-        let run = scheduler.run(
+    fn a_worker_stops_its_clock_when_the_cursor_runs_dry() {
+        let items: Vec<u64> = vec![200, 0];
+        let run = Scheduler::new(2).run(
             &items,
-            |&x, _| {
-                if x == 0 {
-                    // Simulate a stuck worker: held far past the deadline,
-                    // but it does eventually return — the reclaimer's
-                    // duplicate is identical and first-wins keeps the
-                    // transcript stable.
-                    std::thread::sleep(Duration::from_millis(60));
-                }
-                x * 10
+            |&ms, _| {
+                std::thread::sleep(Duration::from_millis(ms));
+                ms
             },
             None,
         );
-        assert_eq!(run.results, vec![0, 10, 20, 30]);
+        assert_eq!(run.results, items);
+        // Worker 1 finishes its instant item and finds the cursor dry; it
+        // does not wait for worker 0's slow item.
+        let idle = &run.worker_stats[1];
         assert!(
-            !run.supervision.is_empty(),
-            "the overdue item was never reclaimed"
+            idle.wall < Duration::from_millis(100),
+            "worker 1 ran {:?}",
+            idle.wall
         );
-        assert_eq!(run.supervision[0].segment, 0);
-        let reclaims: usize = run.worker_stats.iter().map(|s| s.reclaims).sum();
-        assert_eq!(reclaims, run.supervision.len());
+        assert!(run.worker_stats[0].wall >= Duration::from_millis(200));
     }
 
     #[test]

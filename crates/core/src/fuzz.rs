@@ -1235,26 +1235,11 @@ pub fn run_random(config: &FuzzConfig) -> Result<FuzzResult, String> {
     run_fuzz_hooked(config, Guidance::Random, None, FuzzHooks::default())
 }
 
-/// Resumes a fuzzing campaign from a saved corpus: every saved entry is
-/// replayed first (rebuilding the coverage map and seeding the population;
-/// replays are not charged to `config.execs`), then the guided loop
-/// continues for the configured budget. Errors like [`run_fuzz`], and when
-/// the corpus was grown against another operator.
-pub fn run_fuzz_resumed(config: &FuzzConfig, saved: &Corpus) -> Result<FuzzResult, String> {
-    ensure_same_operator(config, saved)?;
-    run_fuzz_hooked(
-        config,
-        Guidance::Coverage,
-        Some(saved),
-        FuzzHooks::default(),
-    )
-}
-
 /// Replays exactly the saved corpus entries — no mutation, no budget —
 /// and returns the resulting records, coverage, and rebuilt corpus.
 /// Deterministic for any worker count; the round-trip check in CI compares
 /// transcripts of replays at different worker counts. Errors like
-/// [`run_fuzz_resumed`].
+/// [`run_fuzz`], and when the corpus was grown against another operator.
 pub fn replay_corpus(config: &FuzzConfig, saved: &Corpus) -> Result<FuzzResult, String> {
     ensure_same_operator(config, saved)?;
     // The corpus is the loop's replay batch and there is no exec budget, so
@@ -1802,14 +1787,9 @@ mod tests {
             operator: "ZooKeeperOp".to_string(),
             entries: Vec::new(),
         };
-        let cfg = FuzzConfig::new("RabbitMQOp");
-        for err in [
-            replay_corpus(&cfg, &saved).unwrap_err(),
-            run_fuzz_resumed(&cfg, &saved).unwrap_err(),
-        ] {
-            assert!(err.contains("ZooKeeperOp"), "names its operator: {err}");
-            assert!(err.contains("RabbitMQOp"), "names the config's: {err}");
-        }
+        let err = replay_corpus(&FuzzConfig::new("RabbitMQOp"), &saved).unwrap_err();
+        assert!(err.contains("ZooKeeperOp"), "names its operator: {err}");
+        assert!(err.contains("RabbitMQOp"), "names the config's: {err}");
     }
 
     fn corpus_json_with(version: i64, new_features: Option<Value>) -> String {

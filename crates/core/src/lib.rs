@@ -94,10 +94,10 @@ pub use compose::{
 };
 pub use deps::{infer_dependencies, Dependency};
 pub use durability::{persist_sweep, DurabilitySweep, SweepOptions};
-pub use exec::{run_segmented, Driver, Scheduler, Segment, SupervisionEvent, TrialRecord};
+pub use exec::{run_segmented, Driver, Scheduler, Segment, TrialRecord};
 pub use fuzz::{
-    replay_corpus, run_fuzz, run_fuzz_resumed, run_random, Corpus, CorpusEntry, CoverageFeature,
-    CoverageMap, ExecRecord, FuzzConfig, FuzzInput, FuzzResult,
+    replay_corpus, run_fuzz, run_random, Corpus, CorpusEntry, CoverageFeature, CoverageMap,
+    ExecRecord, FuzzConfig, FuzzInput, FuzzResult,
 };
 pub use gen::{generator_catalog, scenarios_for, GenContext, Scenario};
 pub use model::{Expectation, Mode, PlannedOp, Trial, TrialOutcome};

@@ -30,9 +30,7 @@ use crdspec::Value;
 use operators::{operator_by_name, InstanceCheckpoint, CONVERGE_MAX, CONVERGE_RESET};
 
 use crate::exec::{run_segmented, Driver, Segment, SegmentSink, TrialRecord};
-pub use crate::exec::{
-    CheckpointSharing, FailedSegment, SnapshotDepot, SupervisionEvent, WorkerStats,
-};
+pub use crate::exec::{CheckpointSharing, FailedSegment, SnapshotDepot, WorkerStats};
 
 use crate::campaign::{
     apply_op, capped_len, deploy_base, plan_operator, restore, run_window, CampaignConfig,
@@ -83,9 +81,6 @@ pub struct ParallelResult<T = Trial> {
     pub worker_stats: Vec<WorkerStats>,
     /// Segments whose execution panicked.
     pub failed_segments: Vec<FailedSegment>,
-    /// Watchdog reclaims of segments held past the supervision deadline
-    /// (scheduling accounting — never part of the transcript).
-    pub supervision_events: Vec<SupervisionEvent>,
     /// Prefix snapshots resident in the depot when the run finished.
     pub depot_snapshots: usize,
     /// Objects across resident depot snapshots shared with other

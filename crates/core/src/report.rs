@@ -344,11 +344,11 @@ pub fn render_summary(operator: &str, summary: &CampaignSummary) -> String {
 fn render_worker_stats(stats: &[crate::parallel::WorkerStats]) -> String {
     let mut out = String::new();
     out.push_str(
-        "worker  segments  steals  depot-hits  ref-hits  ref-misses  sim-seconds  conv-waits  objs-shared  objs-owned  crash-swept  reclaims  wall\n",
+        "worker  segments  steals  depot-hits  ref-hits  ref-misses  sim-seconds  conv-waits  objs-shared  objs-owned  crash-swept  wall\n",
     );
     for s in stats {
         out.push_str(&format!(
-            "{:>6}  {:>8}  {:>6}  {:>10}  {:>8}  {:>10}  {:>11}  {:>10}  {:>11}  {:>10}  {:>11}  {:>8}  {:.2?}\n",
+            "{:>6}  {:>8}  {:>6}  {:>10}  {:>8}  {:>10}  {:>11}  {:>10}  {:>11}  {:>10}  {:>11}  {:.2?}\n",
             s.worker,
             s.segments_executed,
             s.steals,
@@ -360,7 +360,6 @@ fn render_worker_stats(stats: &[crate::parallel::WorkerStats]) -> String {
             s.restored_objects_shared,
             s.restored_objects_owned,
             s.crash_points_swept,
-            s.reclaims,
             s.wall
         ));
     }
@@ -439,12 +438,6 @@ pub fn render_parallel<T: TrialRecord>(result: &ParallelResult<T>) -> String {
                 f.segment, f.skip, f.take, f.panic
             ));
         }
-    }
-    for e in &result.supervision_events {
-        out.push_str(&format!(
-            "reclaimed segment {} from stuck worker {} by worker {} after {:.2?}\n",
-            e.segment, e.stuck_worker, e.reclaimed_by, e.overdue
-        ));
     }
     out
 }

@@ -277,9 +277,9 @@ impl IrModule {
         out
     }
 
-    /// Basic structural validation: terminator targets in range, variables
-    /// defined before use along every path is not checked (the interpreter
-    /// treats undefined as `Null`), single assignment is checked.
+    /// Basic structural validation: terminator targets in range and single
+    /// assignment are checked; definition before use along every path is
+    /// not (a path through the CFG may skip a definition).
     pub fn validate(&self) -> Result<(), String> {
         if self.entry.0 as usize >= self.blocks.len() {
             return Err("entry block out of range".to_string());

@@ -68,28 +68,4 @@ proptest! {
             prop_assert_eq!(d.predicate, Cmp::Eq);
         }
     }
-
-    #[test]
-    fn interpreter_respects_guards(guards in prop::collection::vec((any::<bool>(), 0u8..3), 1..6), values in prop::collection::vec(0i64..3, 6)) {
-        let m = arb_module(guards.clone());
-        // Build a spec satisfying guard i iff values[i] == depth.
-        let mut spec = Value::empty_object();
-        for (i, (_, depth)) in guards.iter().enumerate() {
-            let v = values.get(i).copied().unwrap_or(0);
-            spec.set_path(&format!("guard{i}").parse().unwrap(), Value::from(v));
-            spec.set_path(&format!("p{i}").parse().unwrap(), Value::from(i64::from(*depth)));
-            let _ = depth;
-        }
-        let out = opdsl::run(&m, &spec).expect("execution succeeds");
-        for (i, (use_eq, depth)) in guards.iter().enumerate() {
-            let sink = format!("s{i}");
-            let guard_satisfied = values.get(i).copied().unwrap_or(0) == i64::from(*depth);
-            let written = out.last(&sink).is_some();
-            if *use_eq {
-                prop_assert_eq!(written, guard_satisfied, "sink {} gating", sink);
-            } else {
-                prop_assert!(written, "unguarded sink {} always written", sink);
-            }
-        }
-    }
 }

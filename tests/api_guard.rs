@@ -1,4 +1,4 @@
-//! Compile-time guard: the seventeen public run entry points (sequential,
+//! Compile-time guard: the sixteen public run entry points (sequential,
 //! work-stealing, persistent, fuzz and composed families, plus the
 //! segmented core and the persist sweep) keep their public signatures, and
 //! every run returns one of the three result types: `CampaignResult`,
@@ -22,9 +22,7 @@ use acto_repro::acto::compose::{
 };
 use acto_repro::acto::durability::{persist_sweep, DurabilitySweep, SweepOptions};
 use acto_repro::acto::exec::{run_segmented, Driver, SegmentSink};
-use acto_repro::acto::fuzz::{
-    replay_corpus, run_fuzz, run_fuzz_resumed, run_random, Corpus, FuzzConfig, FuzzResult,
-};
+use acto_repro::acto::fuzz::{replay_corpus, run_fuzz, run_random, Corpus, FuzzConfig, FuzzResult};
 use acto_repro::acto::parallel::{
     run_work_stealing, run_work_stealing_with, ParallelResult, SnapshotDepot,
 };
@@ -73,7 +71,6 @@ fn legacy_entry_point_signatures_still_compile() {
     // Fuzz family, plain and persistent.
     let _: fn(&FuzzConfig) -> Result<FuzzResult, String> = run_fuzz;
     let _: fn(&FuzzConfig) -> Result<FuzzResult, String> = run_random;
-    let _: fn(&FuzzConfig, &Corpus) -> Result<FuzzResult, String> = run_fuzz_resumed;
     let _: fn(&FuzzConfig, &Corpus) -> Result<FuzzResult, String> = replay_corpus;
     let _: fn(&FuzzConfig, &Path, bool, StoreIo) -> Result<FuzzResult, PersistError> =
         run_fuzz_persistent_io;
