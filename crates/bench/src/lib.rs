@@ -1,9 +1,14 @@
 //! Shared plumbing for the evaluation harnesses.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the paper;
-//! this library holds the campaign runner (parallel across operators) and
-//! the plain-text table renderer they share. See `EXPERIMENTS.md` at the
-//! repository root for the paper-vs-measured record.
+//! Each paper binary in `src/bin/` regenerates one table or figure of the
+//! paper; the `bench` binary runs the [`studies`] through the one
+//! [`harness`] that writes every `BENCH_*.json`. This library holds both,
+//! the campaign runner (parallel across operators) and the plain-text
+//! table renderer they share. See `EXPERIMENTS.md` at the repository root
+//! for the paper-vs-measured record.
+
+pub mod harness;
+pub mod studies;
 
 use std::fs;
 use std::path::Path;
@@ -41,7 +46,7 @@ pub fn run_all_campaigns(mode: Mode, quick: bool) -> Vec<CampaignResult> {
 
 /// Returns `true` when either the `ACTO_QUICK` environment variable or a
 /// `--quick` command-line flag requests a reduced-budget run — the one
-/// sniffing path shared by every bench binary.
+/// sniffing path shared by every binary in this crate.
 pub fn quick() -> bool {
     std::env::var("ACTO_QUICK").is_ok() || std::env::args().any(|a| a == "--quick")
 }
@@ -49,7 +54,7 @@ pub fn quick() -> bool {
 /// Version of the `BENCH_*.json` emission format, stamped into every
 /// bench artifact as `schema_version` so downstream consumers can detect
 /// layout changes.
-pub const BENCH_SCHEMA_VERSION: u64 = 1;
+pub const BENCH_SCHEMA_VERSION: i64 = 1;
 
 /// Worker threads the host offers, recorded beside every wall-clock
 /// figure.

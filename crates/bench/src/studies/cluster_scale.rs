@@ -4,16 +4,17 @@
 //! 1k-node / 20k-pod cluster must beat the pre-index ticked path by a wide
 //! wall-clock margin while producing a byte-identical transcript.
 //!
-//! Usage: `cluster_scale [--quick]` (or `ACTO_QUICK=1`). Writes
-//! `BENCH_cluster_scale.json` into the working directory and exits nonzero
-//! when the per-step flatness bound or the campaign speedup floor is
-//! violated.
+//! Fails when the per-step flatness bound or the campaign speedup floor
+//! is violated, or on big-cluster transcript drift.
 
 use std::time::{Duration, Instant};
 
 use acto::{run_campaign, CampaignConfig, Mode};
-use acto_bench::{git_rev, nproc, quick, render_table, BENCH_SCHEMA_VERSION};
+use crdspec::Value;
 use simkube::{set_ticked_engine, ClusterConfig, NodeTopology, SimCluster, BACKGROUND_NAMESPACE};
+
+use super::{int, ms, round, timed};
+use crate::harness::Outcome;
 
 /// Largest-vs-smallest per-step cost ratio allowed across the population
 /// sweep ("flat within 2x").
@@ -26,15 +27,13 @@ const CAMPAIGN_SPEEDUP_QUICK: f64 = 5.0;
 /// Background-pod populations for the step-cost sweep.
 const SIZES_FULL: [usize; 4] = [100, 1_000, 10_000, 100_000];
 const SIZES_QUICK: [usize; 3] = [100, 1_000, 10_000];
+/// Steps per measured window.
+const STEPS: u64 = 16_384;
 
-fn big_cluster(background_pods: usize) -> ClusterConfig {
-    // ~100 pods per node keeps every topology comfortably schedulable.
-    let mut topology = NodeTopology::new((background_pods / 100).max(4));
-    topology.background_pods = background_pods;
-    ClusterConfig {
-        topology: Some(topology),
-        ..ClusterConfig::default()
-    }
+/// Nodes for a population: ~100 pods per node keeps every topology
+/// comfortably schedulable.
+fn nodes_for(background_pods: usize) -> usize {
+    (background_pods / 100).max(4)
 }
 
 /// Steady-state per-step cost on a settled cluster of `background_pods`
@@ -42,7 +41,12 @@ fn big_cluster(background_pods: usize) -> ClusterConfig {
 /// steps) so each step has O(1) real work to do. Returns the mean
 /// per-step cost.
 fn measure_step_cost(background_pods: usize, steps: u64) -> Duration {
-    let mut cluster = SimCluster::new(big_cluster(background_pods));
+    let mut topology = NodeTopology::new(nodes_for(background_pods));
+    topology.background_pods = background_pods;
+    let mut cluster = SimCluster::new(ClusterConfig {
+        topology: Some(topology),
+        ..ClusterConfig::default()
+    });
     let settled = cluster.run_until_converged(5, 120);
     assert!(
         settled,
@@ -74,47 +78,22 @@ fn churn_steps(cluster: &mut SimCluster, steps: u64) {
     }
 }
 
-fn main() {
-    let quick = quick();
+pub(super) fn run(quick: bool) -> Outcome {
     let sizes: &[usize] = if quick { &SIZES_QUICK } else { &SIZES_FULL };
-    let steps: u64 = 16_384;
     let speedup_floor = if quick {
         CAMPAIGN_SPEEDUP_QUICK
     } else {
         CAMPAIGN_SPEEDUP_FULL
     };
-    let mut failures: Vec<String> = Vec::new();
+    let mut failures = Vec::new();
 
     // Part 1: per-step cost across background populations.
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    let mut step_entries: Vec<String> = Vec::new();
-    let mut costs: Vec<(usize, Duration)> = Vec::new();
-    for &size in sizes {
-        let cost = measure_step_cost(size, steps);
-        println!("step cost at {size} background pods: {cost:.2?}");
-        rows.push(vec![
-            size.to_string(),
-            ((size / 100).max(4)).to_string(),
-            format!("{cost:.2?}"),
-        ]);
-        step_entries.push(format!(
-            "    {{\"background_pods\": {}, \"nodes\": {}, \"step_ns\": {}}}",
-            size,
-            (size / 100).max(4),
-            cost.as_nanos()
-        ));
-        costs.push((size, cost));
-    }
-    let (min_size, min_cost) = costs
+    let costs: Vec<(usize, Duration)> = sizes
         .iter()
-        .min_by_key(|(_, c)| *c)
-        .copied()
-        .expect("at least one size");
-    let (max_size, max_cost) = costs
-        .iter()
-        .max_by_key(|(_, c)| *c)
-        .copied()
-        .expect("at least one size");
+        .map(|&size| (size, measure_step_cost(size, STEPS)))
+        .collect();
+    let (min_size, min_cost) = *costs.iter().min_by_key(|(_, c)| *c).expect("a size");
+    let (max_size, max_cost) = *costs.iter().max_by_key(|(_, c)| *c).expect("a size");
     let flatness = max_cost.as_secs_f64() / min_cost.as_secs_f64().max(1e-12);
     if flatness > STEP_FLATNESS_BOUND {
         failures.push(format!(
@@ -122,15 +101,6 @@ fn main() {
              the {min_cost:.2?} at {min_size} pods (bound {STEP_FLATNESS_BOUND}x)"
         ));
     }
-    println!(
-        "{}",
-        render_table(
-            "steady-state step cost vs background population",
-            &["background pods", "nodes", "per-step"],
-            &rows,
-        )
-    );
-    println!("flatness: {flatness:.2}x across {min_size} -> {max_size} pods (bound {STEP_FLATNESS_BOUND}x)");
 
     // Part 2: campaign wall-clock on a 1k-node / 20k-pod cluster, event
     // engine vs the pre-index ticked path, with byte-identical transcripts.
@@ -146,15 +116,12 @@ fn main() {
     config.topology = Some(topology);
 
     set_ticked_engine(true);
-    let start = Instant::now();
-    let ticked = run_campaign(&config);
-    let ticked_wall = start.elapsed();
+    let (ticked, ticked_wall) = timed(|| run_campaign(&config));
     set_ticked_engine(false);
-    let start = Instant::now();
-    let event = run_campaign(&config);
-    let event_wall = start.elapsed();
+    let (event, event_wall) = timed(|| run_campaign(&config));
 
-    if ticked.transcript() != event.transcript() {
+    let identical = ticked.transcript() == event.transcript();
+    if !identical {
         failures.push(
             "transcript drift between ticked and event engines on the big cluster".to_string(),
         );
@@ -166,48 +133,33 @@ fn main() {
              (ticked {ticked_wall:.2?}, event {event_wall:.2?})"
         ));
     }
-    println!(
-        "campaign at 1k nodes / 20k pods: ticked {ticked_wall:.2?} -> event {event_wall:.2?} \
-         ({speedup:.2}x, floor {speedup_floor}x), {} trials, transcripts identical: {}",
-        event.trials.len(),
-        ticked.transcript() == event.transcript(),
-    );
 
-    let json = format!(
-        concat!(
-            "{{\n  \"bench\": \"cluster_scale\",\n  \"schema_version\": {},\n  \"nproc\": {},\n  \"git_rev\": \"{}\",\n  \"quick\": {},\n",
-            "  \"step_flatness_bound\": {:.1},\n  \"step_flatness\": {:.4},\n",
-            "  \"step_costs\": [\n{}\n  ],\n",
-            "  \"campaign\": {{\"nodes\": 1000, \"background_pods\": 20000, ",
-            "\"ticked_ms\": {}, \"event_ms\": {}, \"speedup\": {:.4}, ",
-            "\"speedup_floor\": {:.1}, \"transcripts_identical\": {}}}\n}}\n"
-        ),
-        BENCH_SCHEMA_VERSION,
-        nproc(),
-        git_rev(),
-        quick,
-        STEP_FLATNESS_BOUND,
-        flatness,
-        step_entries.join(",\n"),
-        ticked_wall.as_millis(),
-        event_wall.as_millis(),
-        speedup,
-        speedup_floor,
-        ticked.transcript() == event.transcript(),
-    );
-    let path = "BENCH_cluster_scale.json";
-    if let Err(err) = std::fs::write(path, &json) {
-        eprintln!("warning: could not write {path}: {err}");
-    } else {
-        println!("wrote {path}");
-    }
-
-    if failures.is_empty() {
-        println!("cluster scale: per-step cost flat, campaign speedup above floor");
-    } else {
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
-        std::process::exit(1);
+    let step_costs = costs.iter().map(|&(size, cost)| {
+        Value::object([
+            ("background_pods", Value::from(size)),
+            ("nodes", nodes_for(size).into()),
+            ("step_ns", int(cost.as_nanos())),
+        ])
+    });
+    Outcome {
+        artifact: Value::object([
+            ("step_flatness_bound", Value::from(STEP_FLATNESS_BOUND)),
+            ("step_flatness", round(flatness, 4)),
+            ("step_costs", Value::array(step_costs)),
+            (
+                "campaign",
+                Value::object([
+                    ("nodes", Value::from(1000)),
+                    ("background_pods", 20000.into()),
+                    ("trials", event.trials.len().into()),
+                    ("ticked_ms", ms(ticked_wall)),
+                    ("event_ms", ms(event_wall)),
+                    ("speedup", round(speedup, 4)),
+                    ("speedup_floor", speedup_floor.into()),
+                    ("transcripts_identical", identical.into()),
+                ]),
+            ),
+        ]),
+        failures,
     }
 }

@@ -630,7 +630,10 @@ pub fn run_segmented<D: Driver>(
         }
         trials
     };
+    // Each segment also hands back its sim cost (its jump on a depot miss
+    // plus its window) for the makespan replay below.
     let work = |seg: &Segment, my: &mut WorkerStats| {
+        let sim_before = my.sim_seconds;
         // Segment `k` starts from the canonical prefix state, served from
         // the depot or built once and deposited for every later claim.
         let (start, hit) = match depot.get(&seg.skip) {
@@ -642,10 +645,13 @@ pub fn run_segmented<D: Driver>(
             }
         };
         my.restored(&*start, hit);
-        sunk(seg, driver.run_segment(*seg, &base, &start, my))
+        let trials = sunk(seg, driver.run_segment(*seg, &base, &start, my));
+        (trials, my.sim_seconds - sim_before)
     };
-    let placeholder =
-        |seg: &Segment, panic: &str| sunk(seg, vec![D::Trial::worker_panic(config, *seg, panic)]);
+    let placeholder = |seg: &Segment, panic: &str| {
+        let trials = sunk(seg, vec![D::Trial::worker_panic(config, *seg, panic)]);
+        (trials, 0)
+    };
     let run = Scheduler::new(workers).run(&pending, work, Some(&placeholder));
 
     // Failures carry pending-list indices; map them back to plan segments.
@@ -656,13 +662,15 @@ pub fn run_segmented<D: Driver>(
     }
 
     // Assemble trials in plan order, splicing journaled segments.
-    for (seg, trials) in pending.iter().zip(run.results) {
+    let mut costs = Vec::with_capacity(pending.len());
+    for (seg, (trials, cost)) in pending.iter().zip(run.results) {
         completed.insert(seg.index, trials);
+        costs.push(cost);
     }
     let trials: Vec<D::Trial> = completed.into_values().flatten().collect();
-    let worker_sim = run.worker_stats.iter().map(|s| s.sim_seconds);
-    let total_sim_seconds = base_sim_seconds + worker_sim.clone().sum::<u64>();
-    let makespan_sim_seconds = worker_sim.max().unwrap_or(0);
+    let worker_sim: u64 = run.worker_stats.iter().map(|s| s.sim_seconds).sum();
+    let total_sim_seconds = base_sim_seconds + worker_sim;
+    let makespan_sim_seconds = replay_makespan(&costs, run.workers);
     let (depot_shared_objects, depot_owned_objects) = depot.sharing_stats();
     ParallelResult {
         operator: D::Trial::target(config),
@@ -683,6 +691,25 @@ pub fn run_segmented<D: Driver>(
         depot_shared_objects,
         depot_owned_objects,
     }
+}
+
+/// The makespan of items with sim costs `costs` under the scheduler's
+/// claim rule: worker `w` runs item `w` first, then each next item goes to
+/// the worker that frees up earliest, ties to the lowest worker index. A
+/// pure function of the costs, so it does not depend on which thread won
+/// a claim race on this host.
+pub(crate) fn replay_makespan(costs: &[u64], workers: usize) -> u64 {
+    let mut free_at = vec![0u64; workers.clamp(1, costs.len().max(1))];
+    for (i, &cost) in costs.iter().enumerate() {
+        let w = if i < free_at.len() {
+            i
+        } else {
+            // `min_by_key` keeps the first of equal minima: the lowest index.
+            (0..free_at.len()).min_by_key(|&w| free_at[w]).unwrap_or(0)
+        };
+        free_at[w] += cost;
+    }
+    free_at.into_iter().max().unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -759,6 +786,19 @@ mod tests {
             idle.wall
         );
         assert!(run.worker_stats[0].wall >= Duration::from_millis(200));
+    }
+
+    #[test]
+    fn makespan_replays_the_claim_rule() {
+        // Two workers: 0 and 1 are pre-assigned (free at 5 and 3); item 2
+        // goes to worker 1 (free at 7), item 3 to worker 0 (free at 7), and
+        // item 4 to the tied lowest index, worker 0, which ends at 13.
+        assert_eq!(replay_makespan(&[5, 3, 4, 2, 6], 2), 13);
+        // Three workers: the long item 3 goes to worker 1, the first free.
+        assert_eq!(replay_makespan(&[4, 1, 2, 9], 3), 10);
+        assert_eq!(replay_makespan(&[5, 3, 4, 2, 6], 1), 20);
+        assert_eq!(replay_makespan(&[5, 3], 8), 5);
+        assert_eq!(replay_makespan(&[], 4), 0);
     }
 
     #[test]

@@ -69,7 +69,12 @@ pub struct ParallelResult<T = Trial> {
     /// Total simulated machine-seconds across base deployment, jump
     /// building, and all segments (compute cost).
     pub total_sim_seconds: u64,
-    /// Maximum simulated seconds of any single worker (wall-clock bound).
+    /// Simulated seconds until the last worker finishes, replayed from the
+    /// per-segment sim costs through the scheduler's claim rule (worker `w`
+    /// runs pending segment `w` first, then the earliest-free worker takes
+    /// the next, ties to the lowest index), so it is the same on every host
+    /// and every repeat. Each worker's measured sum, which follows the
+    /// real claim race, stays in [`WorkerStats::sim_seconds`].
     pub makespan_sim_seconds: u64,
     /// Simulated seconds spent deploying the shared base checkpoint.
     pub base_sim_seconds: u64,

@@ -399,7 +399,9 @@ pub fn render_fuzz<T: TrialRecord>(result: &FuzzResult<T>) -> String {
 }
 
 /// Renders a parallel run: headline speedup numbers plus one line per
-/// worker with its scheduling statistics.
+/// worker with its scheduling statistics. The makespan is the claim-rule
+/// replay of [`ParallelResult::makespan_sim_seconds`]; each worker line
+/// carries the sim-seconds that worker measured.
 pub fn render_parallel<T: TrialRecord>(result: &ParallelResult<T>) -> String {
     let mut out = String::new();
     out.push_str(&format!(

@@ -35,8 +35,9 @@ fn main() {
     }
     println!(
         "All worker counts produced byte-identical transcripts.\n\n\
-         The makespan (the busiest worker's sim-seconds) is what bounds \
-         the campaign wall-clock; the paper runs 8-16 workers per machine \
+         The makespan (the segments' sim costs replayed through the \
+         claim rule, so the same on every host) is what bounds the \
+         campaign wall-clock; the paper runs 8-16 workers per machine \
          so all eleven campaigns finish overnight."
     );
 }

@@ -54,6 +54,24 @@ fn transcripts_identical_across_worker_counts() {
     }
 }
 
+/// The makespan is replayed from per-segment sim costs through the claim
+/// rule, so which thread wins a claim race on this host cannot move it:
+/// two 4-worker runs, each from a fresh depot, report the same number.
+#[test]
+fn makespan_is_identical_across_repeats() {
+    let config = config("ZooKeeperOp", 24);
+    let runs: Vec<_> = (0..2)
+        .map(|_| run_work_stealing_with(&config, 4, 2, &SnapshotDepot::new()))
+        .collect();
+    for run in &runs {
+        assert!(run.failed_segments.is_empty());
+        assert_eq!((run.workers, run.segments), (4, 12));
+        assert!(run.total_sim_seconds >= run.makespan_sim_seconds);
+        assert!(run.makespan_sim_seconds > 0);
+    }
+    assert_eq!(runs[0].makespan_sim_seconds, runs[1].makespan_sim_seconds);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
     #[test]
