@@ -16,7 +16,7 @@ use crdspec::{json, Value};
 use crate::{git_rev, nproc, render_table, BENCH_SCHEMA_VERSION};
 
 /// One study; its artifact is `BENCH_<name>.json`.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 pub struct Study {
     /// The study's name, which is also its artifact's.
     pub name: &'static str,
@@ -25,7 +25,7 @@ pub struct Study {
 }
 
 /// What a study produced.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Outcome {
     /// The artifact's fields, an object; the harness adds the stamps.
     pub artifact: Value,
@@ -34,7 +34,7 @@ pub struct Outcome {
 }
 
 /// Exit code for a command line naming an unknown study.
-pub const USAGE_EXIT: i32 = 2;
+const USAGE_EXIT: i32 = 2;
 
 /// Runs the studies `args` names (all of them when it names none) and
 /// writes their artifacts into `out_dir`; returns the process exit code.
