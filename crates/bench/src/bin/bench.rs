@@ -2,7 +2,7 @@
 //! writes each one's `BENCH_<study>.json` into the working directory.
 //!
 //! Usage: `bench [--quick] [study…]` (or `ACTO_QUICK=1`). With no study
-//! named it runs all nine. Exits 1 when any gate fails, any study panics
+//! named it runs all ten. Exits 1 when any gate fails, any study panics
 //! or any artifact cannot be written, and 2 on an unknown study name.
 
 use std::path::Path;

@@ -13,35 +13,28 @@ pub mod studies;
 use std::fs;
 use std::path::Path;
 
-use acto::{CampaignConfig, CampaignResult, Mode};
+use acto::exec::WorkerStats;
+use acto::{CampaignConfig, CampaignResult, Mode, Scheduler};
 use operators::registry::all_operators;
 
 /// Runs the evaluation campaign for every operator in the given mode,
-/// in parallel across operators (each campaign owns its clusters).
+/// claimed by [`nproc`] scheduler workers (each campaign owns its
+/// clusters); results come back in registry order, and a panicking
+/// campaign aborts the run.
 ///
 /// `quick` caps each campaign at a small operation budget for smoke runs
 /// (set by the `ACTO_QUICK` environment variable in the binaries).
 pub fn run_all_campaigns(mode: Mode, quick: bool) -> Vec<CampaignResult> {
     let names: Vec<&'static str> = all_operators().iter().map(|o| o.name).collect();
-    let mut results: Vec<(usize, CampaignResult)> = Vec::new();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (i, name) in names.iter().enumerate() {
-            handles.push(scope.spawn(move || {
-                let mut config = CampaignConfig::evaluation(name, mode);
-                if quick {
-                    config.max_ops = Some(12);
-                    config.differential = false;
-                }
-                (i, acto::run_campaign(&config))
-            }));
+    let campaign = |name: &&str, _: &mut WorkerStats| {
+        let mut config = CampaignConfig::evaluation(name, mode);
+        if quick {
+            config.max_ops = Some(12);
+            config.differential = false;
         }
-        for h in handles {
-            results.push(h.join().expect("campaign thread"));
-        }
-    });
-    results.sort_by_key(|(i, _)| *i);
-    results.into_iter().map(|(_, r)| r).collect()
+        acto::run_campaign(&config)
+    };
+    Scheduler::new(nproc()).run(&names, campaign, None).results
 }
 
 /// Returns `true` when either the `ACTO_QUICK` environment variable or a

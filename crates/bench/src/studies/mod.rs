@@ -1,4 +1,4 @@
-//! The nine studies behind the `bench` binary, one module each, named
+//! The ten studies behind the `bench` binary, one module each, named
 //! after the artifact it writes. Each runs its measurement, checks its
 //! gates and returns a [`crate::harness::Outcome`]: the artifact's fields
 //! as a [`Value`] object plus every gate it failed. The harness does the
@@ -19,13 +19,14 @@ mod compose;
 mod crash_points;
 mod durability;
 mod fuzz;
+mod micro;
 mod parallel_scaling;
 mod resume;
 mod snapshot_cow;
 mod step_engine;
 
 /// Every study, in the order `bench` runs them when none is named.
-pub const STUDIES: [Study; 9] = [
+pub const STUDIES: [Study; 10] = [
     Study {
         name: "parallel_scaling",
         run: parallel_scaling::run,
@@ -61,6 +62,10 @@ pub const STUDIES: [Study; 9] = [
     Study {
         name: "durability",
         run: durability::run,
+    },
+    Study {
+        name: "micro",
+        run: micro::run,
     },
 ];
 

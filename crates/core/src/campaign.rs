@@ -479,6 +479,24 @@ pub(crate) fn resolve_operator(name: &str) -> Result<Box<dyn operators::Operator
     })
 }
 
+/// Resolves the one operator a single-operator run deploys. Two or more
+/// names make a composition, which only the `run_composed_*` runners
+/// execute, so such a config is refused rather than silently testing its
+/// first member.
+pub(crate) fn single_operator(
+    config: &CampaignConfig,
+) -> Result<Box<dyn operators::Operator>, String> {
+    if config.operators.len() > 1 {
+        return Err(format!(
+            "{} names {} operators, a composition: run it with `run_composed_campaign`, \
+             `run_composed_work_stealing_with` or `run_composed_fuzz`",
+            config.operators_label(),
+            config.operators.len()
+        ));
+    }
+    resolve_operator(config.operator())
+}
+
 /// Deploys the campaign's base system from scratch and checkpoints it once
 /// it has converged: every run, fuzz execution, reset and differential
 /// reference starts from a restore of it. Returns the checkpoint and the

@@ -41,7 +41,7 @@ use operators::{InstanceCheckpoint, CONVERGE_MAX, CONVERGE_RESET};
 use simkube::{FaultPlan, FaultProfile, ObjKey, SimCluster, SplitMix64};
 
 use crate::campaign::{
-    apply_op, collapse, deploy_base, normalized, plan_operator, resolve_operator, restore,
+    apply_op, collapse, deploy_base, normalized, plan_operator, restore, single_operator,
     CampaignConfig, FreshRefCache,
 };
 use crate::exec::{Memo, Scheduler, TrialRecord};
@@ -1298,7 +1298,7 @@ pub(crate) struct ExecState<'a> {
 
 impl ExecState<'_> {
     fn new(cfg: &FuzzConfig) -> Result<ExecState<'_>, String> {
-        let operator = resolve_operator(cfg.campaign.operator())?;
+        let operator = single_operator(&cfg.campaign)?;
         let pool = plan_operator(&*operator, cfg.campaign.mode);
         ensure_pool(&pool)?;
         let (base, base_sim_seconds) = deploy_base(&cfg.campaign)?;

@@ -71,7 +71,7 @@ use std::time::Duration;
 use crdspec::Value;
 use simkube::SplitMix64;
 
-use crate::campaign::{plan_operator, resolve_operator, CampaignConfig};
+use crate::campaign::{plan_operator, single_operator, CampaignConfig};
 use crate::fuzz::{
     run_fuzz_hooked, Corpus, CorpusEntry, CoverageFeature, CoverageMap, ExecRecord, FuzzConfig,
     FuzzHooks, FuzzResult, Guidance, RestoredFuzz,
@@ -143,11 +143,11 @@ impl PersistError {
     }
 }
 
-/// Resolves a run's operator before its store is created or reopened, so
-/// an unknown name fails as a [`PersistErrorKind::Run`] and leaves no run
-/// directory behind.
-fn registered(name: &str) -> Result<Box<dyn operators::Operator>, PersistError> {
-    resolve_operator(name).map_err(|e| PersistError::new(PersistErrorKind::Run, e))
+/// Resolves a run's one operator before its store is created or reopened,
+/// so an unknown name or a composition fails as a
+/// [`PersistErrorKind::Run`] and leaves no run directory behind.
+fn registered(config: &CampaignConfig) -> Result<Box<dyn operators::Operator>, PersistError> {
+    single_operator(config).map_err(|e| PersistError::new(PersistErrorKind::Run, e))
 }
 
 impl std::fmt::Display for PersistError {
@@ -1176,7 +1176,7 @@ pub fn run_work_stealing_persistent_io(
     dir: &Path,
     io: StoreIo,
 ) -> Result<ParallelResult, PersistError> {
-    registered(config.operator())?;
+    registered(config)?;
     let manifest = campaign_manifest(config, segment_ops);
     let store = RunStore::create_io(dir, &manifest, io)?;
     run_campaign_against(config, workers, segment_ops, &store, BTreeMap::new())
@@ -1195,7 +1195,7 @@ pub fn resume_work_stealing_with(
     policy: RecoveryPolicy,
     io: StoreIo,
 ) -> Result<ParallelResult, PersistError> {
-    registered(config.operator())?;
+    registered(config)?;
     let expected = |stored: &Manifest| campaign_manifest(config, stored.segment_ops);
     let segment = |line: &Value| -> Result<(usize, Vec<Trial>), String> {
         let index = req_usize(line, "segment")?;
@@ -1305,7 +1305,7 @@ pub fn run_fuzz_persistent_io(
     minimize_alarms: bool,
     io: StoreIo,
 ) -> Result<FuzzResult, PersistError> {
-    registered(cfg.campaign.operator())?;
+    registered(&cfg.campaign)?;
     let manifest = fuzz_manifest(cfg, minimize_alarms);
     let store = RunStore::create_io(dir, &manifest, io)?;
     run_fuzz_against(cfg, &store, &manifest, None)
@@ -1437,7 +1437,7 @@ pub fn write_minimized(
     result: &FuzzResult,
 ) -> Result<usize, PersistError> {
     let name = cfg.campaign.operator();
-    let operator = registered(name)?;
+    let operator = registered(&cfg.campaign)?;
     let pool = plan_operator(&*operator, cfg.campaign.mode);
     let initial_cr = operator.initial_cr();
     let mut shrunk = Vec::new();

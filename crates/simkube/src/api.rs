@@ -1,9 +1,9 @@
 //! The API server: validated, versioned access to the object store.
 //!
 //! Operators and Acto interact with the cluster exclusively through this
-//! layer, which enforces name rules, CRD schema validation, declaration
-//! admission, and selector immutability — and hosts two of the simulated
-//! platform bugs (PLAT-2 validation mismatch, PLAT-5 selector mutation).
+//! layer, which enforces name rules, CRD schema validation and selector
+//! immutability — and hosts two of the simulated platform bugs (PLAT-2
+//! validation mismatch, PLAT-5 selector mutation).
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -24,8 +24,6 @@ pub enum ApiError {
     InvalidName(String),
     /// The declaration failed schema validation.
     ValidationFailed(Vec<String>),
-    /// An admission rule rejected the request.
-    AdmissionDenied(String),
     /// The target object does not exist.
     NotFound(String),
     /// An object with the same key already exists.
@@ -50,7 +48,6 @@ impl fmt::Display for ApiError {
             ApiError::ValidationFailed(errs) => {
                 write!(f, "validation failed: {}", errs.join("; "))
             }
-            ApiError::AdmissionDenied(m) => write!(f, "admission denied: {m}"),
             ApiError::NotFound(m) => write!(f, "not found: {m}"),
             ApiError::AlreadyExists(m) => write!(f, "already exists: {m}"),
             ApiError::UnknownKind(m) => write!(f, "unknown kind: {m}"),
@@ -62,10 +59,6 @@ impl fmt::Display for ApiError {
 }
 
 impl std::error::Error for ApiError {}
-
-/// An admission webhook: inspects a custom-resource declaration before it is
-/// persisted. Returning `Err` rejects the request.
-pub type AdmissionHook = fn(&Value) -> Result<(), String>;
 
 /// The API server.
 ///
@@ -89,8 +82,6 @@ pub struct ApiServer {
     /// Registered CRD schemas; shared between snapshots (registration after
     /// deployment is rare, so the whole map is copy-on-write).
     crds: Arc<BTreeMap<String, Schema>>,
-    /// Admission webhooks, shared between snapshots like `crds`.
-    admission: Arc<BTreeMap<String, Vec<AdmissionHook>>>,
     bugs: PlatformBugs,
     /// Writes remaining that will fail with [`ApiError::Conflict`]
     /// (armed by fault injection).
@@ -119,7 +110,6 @@ impl ApiServer {
         ApiServer {
             store: ObjectStore::new(),
             crds: Arc::new(BTreeMap::new()),
-            admission: Arc::new(BTreeMap::new()),
             bugs,
             injected_conflicts: 0,
             in_operator_pass: false,
@@ -210,7 +200,7 @@ impl ApiServer {
 
     /// Copy-on-write snapshot of the API server, built on
     /// [`ObjectStore::snapshot`]: the versioned store plus registered CRDs,
-    /// admission hooks, bug configuration, pending injected conflicts, and
+    /// bug configuration, pending injected conflicts, and
     /// the crash-point interposer state. All of it is shared handles or
     /// scalars — the snapshot costs a few refcount bumps, not a traversal
     /// of cluster state.
@@ -218,7 +208,6 @@ impl ApiServer {
         ApiServer {
             store: self.store.snapshot(),
             crds: Arc::clone(&self.crds),
-            admission: Arc::clone(&self.admission),
             bugs: self.bugs,
             injected_conflicts: self.injected_conflicts,
             in_operator_pass: self.in_operator_pass,
@@ -242,14 +231,6 @@ impl ApiServer {
     /// Registers a CRD kind with its spec schema.
     pub fn register_crd(&mut self, kind: &str, schema: Schema) {
         Arc::make_mut(&mut self.crds).insert(kind.to_string(), schema);
-    }
-
-    /// Registers an admission webhook for a CRD kind.
-    pub fn register_admission(&mut self, kind: &str, hook: AdmissionHook) {
-        Arc::make_mut(&mut self.admission)
-            .entry(kind.to_string())
-            .or_default()
-            .push(hook);
     }
 
     /// Validates a CR spec against the registered schema, including
@@ -313,9 +294,6 @@ impl ApiServer {
         let result = (|| {
             validate_name(name).map_err(ApiError::InvalidName)?;
             self.validate_cr(kind, &spec)?;
-            for hook in self.admission.get(kind).into_iter().flatten() {
-                hook(&spec).map_err(ApiError::AdmissionDenied)?;
-            }
             self.store
                 .create(
                     ObjectMeta::named(namespace, name),
@@ -346,9 +324,6 @@ impl ApiServer {
         let rev = self.store.revision();
         let result = (|| {
             self.validate_cr(kind, &spec)?;
-            for hook in self.admission.get(kind).into_iter().flatten() {
-                hook(&spec).map_err(ApiError::AdmissionDenied)?;
-            }
             let key = ObjKey::new(Kind::Custom(kind.to_string()), namespace, name);
             if self.store.get(&key).is_none() {
                 return Err(ApiError::NotFound(format!("{kind} {namespace}/{name}")));
@@ -845,38 +820,6 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, ApiError::ValidationFailed(_)));
-    }
-
-    #[test]
-    fn admission_hooks_run() {
-        fn deny_large(spec: &Value) -> Result<(), String> {
-            match spec.get("size").and_then(Value::as_i64) {
-                Some(s) if s > 5 => Err("too large".to_string()),
-                _ => Ok(()),
-            }
-        }
-        let mut api = ApiServer::new(PlatformBugs::none());
-        api.register_crd("Widget", widget_schema());
-        api.register_admission("Widget", deny_large);
-        assert!(matches!(
-            api.create_custom(
-                "ns",
-                "w",
-                "Widget",
-                Value::object([("size", Value::from(7))]),
-                0
-            ),
-            Err(ApiError::AdmissionDenied(_))
-        ));
-        assert!(api
-            .create_custom(
-                "ns",
-                "w",
-                "Widget",
-                Value::object([("size", Value::from(3))]),
-                0
-            )
-            .is_ok());
     }
 
     #[test]

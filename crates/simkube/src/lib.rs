@@ -8,8 +8,8 @@
 //!   sections, resource versions, and owner references ([`objects`],
 //!   [`store`]), plus the operator-visible state index whose O(1) clones
 //!   are the oracles' snapshots ([`state`]).
-//! - An **API server** with validation, optimistic-concurrency conflicts, and
-//!   admission webhooks ([`api`]).
+//! - An **API server** with name and schema validation and
+//!   optimistic-concurrency conflicts ([`api`]).
 //! - A **scheduler** honouring resources, node selectors, affinity rules, and
 //!   taints/tolerations ([`scheduler`]).
 //! - Built-in **controllers** for stateful sets, deployments, services,

@@ -10,7 +10,7 @@
 
 use std::path::PathBuf;
 
-use acto_repro::acto::fuzz::{run_fuzz, FuzzConfig};
+use acto_repro::acto::fuzz::{replay_corpus, run_fuzz, run_random, Corpus, FuzzConfig};
 use acto_repro::acto::parallel::{run_work_stealing_with, SnapshotDepot};
 use acto_repro::acto::persist::{
     resume_fuzz_with, resume_work_stealing_with, run_fuzz_persistent_io,
@@ -19,6 +19,48 @@ use acto_repro::acto::persist::{
 use acto_repro::acto::{CampaignConfig, Mode, Strategy};
 use acto_repro::operators::BugToggles;
 use acto_repro::simkube::PlatformBugs;
+
+#[test]
+fn a_composition_is_refused_by_the_single_operator_runners() {
+    let campaign_dir = fresh_dir("composed-campaign");
+    let fuzz_dir = fresh_dir("composed-fuzz");
+    let mut campaign = config("ZooKeeperOp", 4);
+    campaign.operators.push("RabbitMQOp".to_string());
+    let mut fuzz = fuzz_config(7, 1);
+    fuzz.campaign = campaign.clone();
+    let corpus = Corpus {
+        operator: "ZooKeeperOp".to_string(),
+        entries: Vec::new(),
+    };
+    let in_memory = [
+        run_fuzz(&fuzz).map(drop),
+        run_random(&fuzz).map(drop),
+        replay_corpus(&fuzz, &corpus).map(drop),
+    ];
+    for err in in_memory.map(|r| r.expect_err("a composition is refused")) {
+        assert!(err.contains("run_composed_"), "{err}");
+    }
+    let stored = [
+        run_fuzz_persistent_io(&fuzz, &fuzz_dir, false, StoreIo::clean()).map(drop),
+        run_work_stealing_persistent_io(&campaign, 2, 4, &campaign_dir, StoreIo::clean()).map(drop),
+        resume_work_stealing_with(
+            &campaign,
+            2,
+            &campaign_dir,
+            RecoveryPolicy::Refuse,
+            StoreIo::clean(),
+        )
+        .map(drop),
+    ];
+    for result in stored {
+        let err = result.expect_err("a composition is refused");
+        assert_eq!(err.kind, PersistErrorKind::Run);
+        assert!(err.detail.contains("run_composed_"), "{}", err.detail);
+    }
+    for dir in [&campaign_dir, &fuzz_dir] {
+        assert!(!dir.exists(), "{} was created", dir.display());
+    }
+}
 
 fn config(operator: &str, max_ops: usize) -> CampaignConfig {
     CampaignConfig {
