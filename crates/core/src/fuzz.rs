@@ -1221,8 +1221,9 @@ impl GuidedGen {
 /// Runs a coverage-guided fuzzing campaign.
 ///
 /// Errors at the configuration boundary: an operator name outside the
-/// registry (the message lists the valid names) or an empty operation
-/// pool.
+/// registry (the message lists the valid names), two or more operators
+/// (a composition, which [`crate::compose::run_composed_fuzz`] runs) or an
+/// empty operation pool.
 pub fn run_fuzz(config: &FuzzConfig) -> Result<FuzzResult, String> {
     run_fuzz_hooked(config, Guidance::Coverage, None, FuzzHooks::default())
 }
