@@ -7,7 +7,7 @@
 //! work-stealing runner drifts across worker counts.
 
 use acto::compose::{run_composed_campaign, run_composed_work_stealing_with};
-use acto::parallel::{SnapshotDepot, DEFAULT_SEGMENT_OPS};
+use acto::parallel::DEFAULT_SEGMENT_OPS;
 use acto::{run_campaign, CampaignConfig, Mode};
 use crdspec::Value;
 use operators::bugs;
@@ -80,24 +80,18 @@ pub(super) fn run(quick: bool) -> Outcome {
     }
 
     // Determinism gate: the composed work-stealing runner at 1/2/4 workers,
-    // sharing one depot so later runs fork checkpoints instead of
-    // rebuilding prefixes.
-    let depot = SnapshotDepot::new();
+    // each run building its own prefixes.
     let mut parallel = Vec::new();
     let mut reference_transcript: Option<String> = None;
     for workers in WORKER_COUNTS {
-        let run = match run_composed_work_stealing_with(
-            &composed_config,
-            workers,
-            DEFAULT_SEGMENT_OPS,
-            &depot,
-        ) {
-            Ok(run) => run,
-            Err(e) => {
-                failures.push(format!("composed work stealing at {workers} workers: {e}"));
-                continue;
-            }
-        };
+        let run =
+            match run_composed_work_stealing_with(&composed_config, workers, DEFAULT_SEGMENT_OPS) {
+                Ok(run) => run,
+                Err(e) => {
+                    failures.push(format!("composed work stealing at {workers} workers: {e}"));
+                    continue;
+                }
+            };
         let transcript = run.transcript();
         match &reference_transcript {
             None => reference_transcript = Some(transcript),
@@ -113,9 +107,6 @@ pub(super) fn run(quick: bool) -> Outcome {
             ("trials", run.trials.len().into()),
             ("total_sim_seconds", int(run.total_sim_seconds)),
             ("depot_hits", depot_hits.into()),
-            ("depot_snapshots", run.depot_snapshots.into()),
-            ("depot_shared_objects", run.depot_shared_objects.into()),
-            ("depot_owned_objects", run.depot_owned_objects.into()),
             ("wall_ms", ms(run.wall)),
         ]));
     }

@@ -8,7 +8,7 @@
 //! record carries the deterministic makespan (the claim-rule replay)
 //! beside the measured busiest worker's sim-seconds.
 
-use acto::parallel::{run_work_stealing_with, ParallelResult, SnapshotDepot, DEFAULT_SEGMENT_OPS};
+use acto::parallel::{run_work_stealing_with, ParallelResult, DEFAULT_SEGMENT_OPS};
 use acto::{CampaignConfig, Mode};
 use crdspec::Value;
 
@@ -30,12 +30,11 @@ pub(super) fn run(quick: bool) -> Outcome {
         if quick {
             config.max_ops = Some(24);
         }
-        // One depot per operator: runs after the first restore every
-        // prefix state instead of recomputing jumps.
-        let depot = SnapshotDepot::new();
+        // Every run builds its own prefixes, so the worker counts are
+        // measured alike.
         let runs: Vec<ParallelResult> = WORKER_COUNTS
             .iter()
-            .map(|&w| run_work_stealing_with(&config, w, DEFAULT_SEGMENT_OPS, &depot))
+            .map(|&w| run_work_stealing_with(&config, w, DEFAULT_SEGMENT_OPS))
             .collect();
 
         let reference = runs[0].transcript();

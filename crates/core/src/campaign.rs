@@ -23,7 +23,7 @@ use operators::{
 use simkube::PlatformBugs;
 
 use crate::deps::{infer_dependencies, satisfy};
-use crate::exec::{run_segmented, Driver, Memo, SnapshotDepot, TrialRecord, WorkerStats};
+use crate::exec::{run_segmented, Driver, Memo, TrialRecord, WorkerStats};
 use crate::gen::{mutate, scenarios_for, GenContext};
 use crate::model::{Expectation, Mode, PlannedOp, Trial, TrialOutcome};
 use crate::oracles::{
@@ -558,14 +558,9 @@ pub fn run_campaign_with(
     let local_cache = FreshRefCache::new();
     let ref_cache = ref_cache.unwrap_or(&local_cache);
     let start_fields = OnceLock::new();
-    let driver = CampaignDriver::new(config, plan, base, ref_cache, Some(&start_fields));
-    let depot = SnapshotDepot::new();
-    if let Some(start) = start {
-        // Deposited before `run_segmented` deposits the base at entry 0:
-        // the first insert wins, so segment 0 starts from `start`.
-        depot.put(0, Arc::new(start.clone()));
-    }
-    let run = run_segmented(&driver, 1, driver.plan_len(), &depot, BTreeMap::new(), None);
+    let mut driver = CampaignDriver::new(config, plan, base, ref_cache, Some(&start_fields));
+    driver.start = start;
+    let run = run_segmented(&driver, 1, driver.plan_len(), BTreeMap::new(), None);
 
     let mut tally = WorkerStats::new(0);
     for row in &run.worker_stats {
@@ -898,8 +893,7 @@ pub struct CachedReference {
 /// (paper §5.4): a reference run depends only on the submitted declaration
 /// (reference clusters always start from the same deploy-converged state),
 /// so it is keyed by the declaration's canonical JSON rendering — shared
-/// across trials of one campaign and across parallel workers, alongside
-/// [`crate::parallel::SnapshotDepot`].
+/// across trials of one campaign and across parallel workers.
 ///
 /// A hit replays the stored accounting verbatim, so results — transcripts
 /// included — are invariant to cache state, sharing, and worker count.

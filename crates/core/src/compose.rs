@@ -15,8 +15,8 @@
 //!
 //! The runners ride the single-operator plumbing and supply only what is
 //! composed: [`run_composed_work_stealing_with`] is a [`Driver`] whose
-//! segments are windows of the interleaved plan started from
-//! whole-composition checkpoints in a [`SnapshotDepot`], and
+//! segments are windows of the interleaved plan, each started from a
+//! whole-composition prefix checkpoint it builds itself, and
 //! [`run_composed_campaign`] is its one-worker, one-segment case.
 //! [`run_composed_fuzz`] is an executor for the one fuzz loop
 //! ([`crate::fuzz`]) that explores op-sequence interleavings over snapshot
@@ -57,7 +57,7 @@ use crate::fuzz::{
 };
 use crate::model::{PlannedOp, Trial, TrialOutcome};
 use crate::oracles;
-use crate::parallel::{declaration_after_prefix, ParallelResult, SnapshotDepot, WorkerStats};
+use crate::parallel::{declaration_after_prefix, ParallelResult, WorkerStats};
 use crate::report::{merge_summaries, summarize, Alarm, CampaignSummary};
 use crate::step;
 
@@ -428,26 +428,24 @@ pub type ComposedParallelResult = ParallelResult<ComposedTrial>;
 /// spans the whole plan (cut to [`CampaignConfig::max_ops`] ops) and
 /// starts from the deploy-converged base.
 pub fn run_composed_campaign(config: &CampaignConfig) -> Result<ComposedParallelResult, String> {
-    run_composed(config, 1, None, &SnapshotDepot::new())
+    run_composed(config, 1, None)
 }
 
 /// Runs a composed campaign across `workers` threads, claiming
 /// `segment_ops`-sized slices of the interleaved plan through
-/// [`crate::exec::run_segmented`] and reusing whole-composition prefix
-/// checkpoints from `depot`.
+/// [`crate::exec::run_segmented`].
 ///
 /// Determinism mirrors the single-operator runner: segment `k`'s start
 /// state is always the canonical prefix state — restore the
 /// deploy-converged base, submit every member's folded jump declaration,
-/// converge once — whether served from the depot or rebuilt, so trials and
-/// transcripts are byte-identical for every worker count.
+/// converge once — whichever worker builds it, so trials and transcripts
+/// are byte-identical for every worker count.
 pub fn run_composed_work_stealing_with(
     config: &CampaignConfig,
     workers: usize,
     segment_ops: usize,
-    depot: &SnapshotDepot<CompositionCheckpoint>,
 ) -> Result<ComposedParallelResult, String> {
-    run_composed(config, workers, Some(segment_ops), depot)
+    run_composed(config, workers, Some(segment_ops))
 }
 
 /// The composed runners' one body; `segment_ops: None` cuts the capped
@@ -456,7 +454,6 @@ fn run_composed(
     config: &CampaignConfig,
     workers: usize,
     segment_ops: Option<usize>,
-    depot: &SnapshotDepot<CompositionCheckpoint>,
 ) -> Result<ComposedParallelResult, String> {
     let start = Instant::now();
     let plan = plan_composed(config)?;
@@ -468,7 +465,7 @@ fn run_composed(
     let segment_ops = segment_ops.unwrap_or(plan_len);
 
     // Deploy the shared base composition once; every segment start and
-    // depot miss restores this snapshot instead of redeploying N systems.
+    // prefix build restores this snapshot instead of redeploying N systems.
     let mut base_comp = deploy_composition(config, &names)?;
     let base_sim_seconds = base_comp.now();
     let base = Arc::new(base_comp.checkpoint());
@@ -483,7 +480,7 @@ fn run_composed(
         base,
         base_sim_seconds,
     };
-    let run = run_segmented(&driver, workers, segment_ops, depot, BTreeMap::new(), None);
+    let run = run_segmented(&driver, workers, segment_ops, BTreeMap::new(), None);
     Ok(ParallelResult {
         gen_duration,
         wall: start.elapsed(),
@@ -546,7 +543,7 @@ impl Driver for ComposedDriver<'_> {
             my.convergence_waits += 1;
         }
         // Prefix-building interference is not window-local: discard it so
-        // the checkpoint matches the state a depot hit would serve.
+        // the checkpoint is the canonical prefix state.
         let _ = comp.drain_interference();
         my.sim_seconds += comp.now() - t0;
         comp.checkpoint()

@@ -2,7 +2,7 @@
 //!
 //! Before this module existed the runner logic lived in six near-copies —
 //! sequential, work-stealing, and fuzz runners, each with a composed twin —
-//! so every new capability (crash sweeps, depot counters, quarantine) had
+//! so every new capability (crash sweeps, worker counters, quarantine) had
 //! to be hand-ported six ways. `exec` collapses them onto these pieces:
 //!
 //! - [`Scheduler`]: one claim-by-cursor work-stealing loop behind the
@@ -24,19 +24,19 @@
 //!   multi-operator [`operators::Composition`] — the trial record, how
 //!   the shared base is deployed, how the canonical prefix state of a
 //!   segment is built, and how the segment executes from it. The
-//!   segmentation, depot lookup and deposit, claim loop,
-//!   retry-then-quarantine of a panicking segment, and in-order assembly
-//!   of the [`ParallelResult`] in [`run_segmented`] are shared by every
-//!   driver.
+//!   segmentation, claim loop, retry-then-quarantine of a panicking
+//!   segment, and in-order assembly of the [`ParallelResult`] in
+//!   [`run_segmented`] are shared by every driver. A segment at skip 0
+//!   starts from the shared base; every other segment builds its own
+//!   prefix with one jump (paper §5.5) and keeps it only while it runs.
 //! - [`TrialRecord`]: what the run-shape types need from the trial record
 //!   they carry (transcript lines, summary, the worker-panic placeholder),
 //!   so one `ParallelResult`, `FuzzResult`, trial renderer and fuzz loop
 //!   serve both the single-operator and the composed trial; the
 //!   sequential campaign's transcript renders its trials the same way.
 //! - [`Memo`]: the one content-addressed, first-insert-wins cache shared
-//!   across workers: the [`SnapshotDepot`] of prefix checkpoints, the
-//!   differential oracle's [`crate::FreshRefCache`] and the fuzzer's
-//!   crash-consistency references.
+//!   across workers: the differential oracle's [`crate::FreshRefCache`]
+//!   and the fuzzer's crash-consistency references.
 //!
 //! Determinism is the core's contract: results are always assembled in
 //! item order (never completion order), so transcripts are byte-identical
@@ -68,8 +68,8 @@ pub struct WorkerStats {
     /// Claims outside the worker's static share — the segments it would
     /// *not* have run under even `(skip, take)` chunking.
     pub steals: usize,
-    /// Segment starts served from the snapshot depot instead of being
-    /// rebuilt via the jump declaration.
+    /// Segment starts restored from the shared base rather than built by
+    /// a jump declaration.
     pub depot_hits: usize,
     /// Simulated seconds this worker consumed (jump building plus segment
     /// execution).
@@ -119,7 +119,8 @@ impl WorkerStats {
     }
 
     /// Counts one start restored from `start`: its structural-sharing
-    /// accounting, plus a depot hit when it was served rather than built.
+    /// accounting, plus a depot hit when it is the shared base rather than
+    /// a built prefix.
     pub(crate) fn restored(&mut self, start: &impl CheckpointSharing, depot_hit: bool) {
         let (shared, owned) = start.sharing_stats();
         self.depot_hits += usize::from(depot_hit);
@@ -170,8 +171,8 @@ pub struct FailedSegment {
 
 /// Copy-on-write checkpoints that can report their structural-sharing
 /// accounting. Implemented by the single-operator [`InstanceCheckpoint`]
-/// and the composed [`operators::CompositionCheckpoint`], so one
-/// [`SnapshotDepot`] serves both runner families.
+/// and the composed [`operators::CompositionCheckpoint`], so
+/// [`WorkerStats`] counts the segment starts of both runner families.
 pub trait CheckpointSharing {
     /// Objects shared with at least one other snapshot versus uniquely
     /// owned.
@@ -193,11 +194,11 @@ impl CheckpointSharing for operators::CompositionCheckpoint {
 /// A content-addressed memo shared across workers: a mutex-guarded map
 /// from key to a shared value, where the first insert of a key wins.
 ///
-/// Every value stored under a key is the same canonical result (a prefix
-/// state, a reference run), so which worker's insert wins cannot change
-/// anything a run reports. A panic while the lock is held cannot leave a
-/// half-written entry behind (entries go in whole), so a poisoned lock is
-/// simply taken over.
+/// Every value stored under a key is the same canonical result (a
+/// reference run), so which worker's insert wins cannot change anything a
+/// run reports. A panic while the lock is held cannot leave a half-written
+/// entry behind (entries go in whole), so a poisoned lock is simply taken
+/// over.
 #[derive(Debug)]
 pub struct Memo<K, V> {
     slots: Mutex<BTreeMap<K, Arc<V>>>,
@@ -233,46 +234,6 @@ impl<K: Ord, V> Memo<K, V> {
     /// insert is already canonical).
     pub fn put(&self, key: K, value: Arc<V>) {
         self.slots().entry(key).or_insert(value);
-    }
-
-    /// Number of memoized entries.
-    pub fn len(&self) -> usize {
-        self.slots().len()
-    }
-
-    /// Whether the memo holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Memoized canonical prefix checkpoints, keyed by plan prefix length.
-///
-/// Entries are *canonical*: always the state produced by restoring the
-/// deploy-converged base and converging the jump declaration, never a
-/// worker's private end state — so serving a hit cannot change any trial.
-/// Share one depot across runs over the same configuration (the scaling
-/// bench runs 1/2/4/8 workers) to pay each jump once.
-///
-/// Generic over the checkpoint type: single-operator runs store
-/// [`InstanceCheckpoint`]s (the default), composed runs store whole
-/// [`operators::CompositionCheckpoint`]s.
-pub type SnapshotDepot<T = InstanceCheckpoint> = Memo<usize, T>;
-
-impl<T: CheckpointSharing> Memo<usize, T> {
-    /// Sharing accounting over every resident snapshot: objects shared
-    /// with at least one other snapshot versus uniquely owned, summed
-    /// across slots. With the CoW store, resident snapshots that differ
-    /// only in a few objects keep almost everything in the shared column.
-    pub fn sharing_stats(&self) -> (usize, usize) {
-        let mut shared = 0;
-        let mut owned = 0;
-        for cp in self.slots().values() {
-            let (s, o) = cp.sharing_stats();
-            shared += s;
-            owned += o;
-        }
-        (shared, owned)
     }
 }
 
@@ -479,10 +440,10 @@ pub type SegmentSink<'s, T> = &'s (dyn Fn(Segment, &[T]) + Sync);
 /// What differs between the single-operator and composed segment runners:
 /// the trial record, base deployment, the canonical prefix state a segment
 /// starts from, and the segment body. Everything else — segmentation, the
-/// depot lookup and deposit, the claim loop, quarantine, in-order assembly
-/// of the [`ParallelResult`] — is [`run_segmented`].
+/// claim loop, quarantine, in-order assembly of the [`ParallelResult`] —
+/// is [`run_segmented`].
 pub trait Driver: Sync {
-    /// Checkpoint type the snapshot depot stores for this target.
+    /// Checkpoint type of the shared base and of every segment start.
     type Checkpoint: CheckpointSharing + Send + Sync;
     /// The trial record a segment produces.
     type Trial: TrialRecord;
@@ -500,8 +461,9 @@ pub trait Driver: Sync {
 
     /// Builds the canonical state after the first `skip` planned
     /// operations: restore `base`, submit the single jump declaration
-    /// `S_0 → S_skip`, converge, checkpoint. Called only on a depot miss;
-    /// the jump's accounting is folded into `my`.
+    /// `S_0 → S_skip`, converge, checkpoint. Called once per segment with
+    /// `skip > 0`, again if that segment is retried; the jump's accounting
+    /// is folded into `my`.
     fn build_prefix(
         &self,
         base: &Self::Checkpoint,
@@ -595,7 +557,6 @@ pub fn run_segmented<D: Driver>(
     driver: &D,
     workers: usize,
     segment_ops: usize,
-    depot: &SnapshotDepot<D::Checkpoint>,
     mut completed: BTreeMap<usize, Vec<D::Trial>>,
     sink: Option<SegmentSink<'_, D::Trial>>,
 ) -> ParallelResult<D::Trial> {
@@ -622,7 +583,6 @@ pub fn run_segmented<D: Driver>(
     // differential reference in every segment restores this snapshot
     // instead of paying for a redeployment.
     let (base, base_sim_seconds) = driver.deploy_base();
-    depot.put(0, Arc::clone(&base));
 
     let sunk = |seg: &Segment, trials: Vec<D::Trial>| {
         if let Some(sink) = sink {
@@ -630,22 +590,21 @@ pub fn run_segmented<D: Driver>(
         }
         trials
     };
-    // Each segment also hands back its sim cost (its jump on a depot miss
-    // plus its window) for the makespan replay below.
+    // Each segment also hands back its sim cost (its jump plus its window)
+    // for the makespan replay below.
     let work = |seg: &Segment, my: &mut WorkerStats| {
         let sim_before = my.sim_seconds;
-        // Segment `k` starts from the canonical prefix state, served from
-        // the depot or built once and deposited for every later claim.
-        let (start, hit) = match depot.get(&seg.skip) {
-            Some(cp) => (cp, true),
-            None => {
-                let cp = Arc::new(driver.build_prefix(&base, seg.skip, my));
-                depot.put(seg.skip, Arc::clone(&cp));
-                (cp, false)
-            }
+        // Segment `k` starts from the canonical prefix state: the base at
+        // skip 0, else its own jump. A retry rebuilds the same state.
+        let built;
+        let start = if seg.skip == 0 {
+            &*base
+        } else {
+            built = driver.build_prefix(&base, seg.skip, my);
+            &built
         };
-        my.restored(&*start, hit);
-        let trials = sunk(seg, driver.run_segment(*seg, &base, &start, my));
+        my.restored(start, seg.skip == 0);
+        let trials = sunk(seg, driver.run_segment(*seg, &base, start, my));
         (trials, my.sim_seconds - sim_before)
     };
     let placeholder = |seg: &Segment, panic: &str| {
@@ -671,7 +630,6 @@ pub fn run_segmented<D: Driver>(
     let worker_sim: u64 = run.worker_stats.iter().map(|s| s.sim_seconds).sum();
     let total_sim_seconds = base_sim_seconds + worker_sim;
     let makespan_sim_seconds = replay_makespan(&costs, run.workers);
-    let (depot_shared_objects, depot_owned_objects) = depot.sharing_stats();
     ParallelResult {
         operator: D::Trial::target(config),
         mode: config.mode,
@@ -687,9 +645,6 @@ pub fn run_segmented<D: Driver>(
         wall: run_start.elapsed(),
         worker_stats: run.worker_stats,
         failed_segments,
-        depot_snapshots: depot.len(),
-        depot_shared_objects,
-        depot_owned_objects,
     }
 }
 
@@ -879,7 +834,7 @@ mod tests {
             sunk.lock().unwrap().extend(scenarios);
         };
         let stub = Stub(CampaignConfig::fuzz("ZooKeeperOp", Mode::Whitebox));
-        let run = run_segmented(&stub, 2, 2, &SnapshotDepot::new(), completed, Some(&sink));
+        let run = run_segmented(&stub, 2, 2, completed, Some(&sink));
 
         assert_eq!(run.segments, 4);
         let scenarios: Vec<_> = run

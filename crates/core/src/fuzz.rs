@@ -452,7 +452,7 @@ pub struct FuzzResult<T = Trial> {
     pub total_sim_seconds: u64,
     /// Simulated seconds spent deploying the shared base checkpoint.
     pub base_sim_seconds: u64,
-    /// Per-worker scheduling statistics (depot hits, reference-cache
+    /// Per-worker scheduling statistics (base restores, reference-cache
     /// hits/misses, sim seconds), accumulated across batches.
     pub worker_stats: Vec<WorkerStats>,
     /// Real time the run took.
@@ -1006,7 +1006,8 @@ fn execute_sequence(
 /// is armed and no faults interfere — the crash-consistency comparison
 /// against the uninterrupted reference run of the same sequence.
 fn execute_input(ctx: &ExecState<'_>, input: &FuzzInput, my: &mut WorkerStats) -> FuzzExec {
-    // Every execution forks the deploy-converged base: one depot hit.
+    // Every execution forks the deploy-converged base: one depot hit
+    // (a start from the shared base).
     my.restored(&*ctx.base, true);
     let mut run = execute_sequence(ctx, &input.ops, &input.faults, input.crash);
     *my += &run.stats;

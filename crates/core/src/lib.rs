@@ -38,16 +38,17 @@
 //!   [`exec::run_segmented`], which every campaign runs through (both
 //!   sequential runs are its one-worker, one-segment case, and
 //!   [`CampaignResult`] is only the single-operator sequential view of its
-//!   result) and which owns the snapshot depot, quarantine and the
-//!   assembly of the one [`ParallelResult`], the [`exec::Driver`]
-//!   abstraction over single-operator and composed targets (a driver
-//!   supplies only its trial type, prefix build and segment body), the one
+//!   result) and which owns quarantine and the assembly of the one
+//!   [`ParallelResult`], the [`exec::Driver`] abstraction over
+//!   single-operator and composed targets (a driver supplies only its
+//!   trial type, prefix build and segment body), the one
 //!   [`WorkerStats`] fold (`+=`) every counter goes through, the
 //!   [`exec::Memo`] behind every cross-worker cache, and the
 //!   [`exec::TrialRecord`] trait that lets one result type, one report,
 //!   one trial renderer and one fuzz loop carry either kind of trial.
 //! - [`parallel`]: work-stealing test partitioning across workers with a
-//!   shared plan and checkpoint-based jump-state reuse (§5.5).
+//!   shared plan; each segment starts from one jump `S_0 → S_k` built on
+//!   the shared base checkpoint (§5.5).
 //! - [`persist`]: the versioned, crash-hardened on-disk run store
 //!   (atomic manifest + CRC-framed append-only journal, all IO behind the
 //!   fault-injectable [`persist::StoreIo`]) behind persistent, kill-safe,
@@ -104,7 +105,7 @@ pub use model::{Expectation, Mode, PlannedOp, Trial, TrialOutcome};
 pub use oracles::{AlarmKind, CustomOracle, OracleContext};
 pub use parallel::{
     declaration_after_prefix, run_work_stealing, run_work_stealing_with, FailedSegment,
-    ParallelResult, SnapshotDepot, WorkerStats, DEFAULT_SEGMENT_OPS,
+    ParallelResult, WorkerStats, DEFAULT_SEGMENT_OPS,
 };
 pub use persist::{
     load_corpus, resume_fuzz_with, resume_work_stealing_with, run_fuzz_persistent_io,

@@ -6,20 +6,20 @@
 //! campaign would have reached), then executes its slice.
 //!
 //! The scheduling machinery — the claim-by-cursor loop, quarantine,
-//! snapshot depot, per-worker statistics and result assembly — lives in
-//! [`crate::exec`]; this module contributes the [`ParallelResult`], the
-//! single-operator trial's [`TrialRecord`] impl and the single-operator
-//! [`Driver`]: how the shared base deploys and how one plan segment
-//! executes from its canonical prefix checkpoint (restore base, submit the
-//! jump declaration, converge). The entry points ([`run_work_stealing`],
+//! per-worker statistics and result assembly — lives in [`crate::exec`];
+//! this module contributes the [`ParallelResult`], the single-operator
+//! trial's [`TrialRecord`] impl and the single-operator [`Driver`]: how
+//! the shared base deploys, how a segment builds its canonical prefix
+//! checkpoint (restore base, submit the jump declaration, converge) and
+//! how it executes from there. The entry points ([`run_work_stealing`],
 //! [`run_work_stealing_with`]) are thin wrappers over
 //! [`crate::exec::run_segmented`], and the sequential
 //! [`crate::run_campaign`] runs the same driver at one worker over one
 //! segment.
 //!
 //! Determinism: segment `k`'s start state is always the *canonical* prefix
-//! state — restore(base), submit jump `J_k`, converge — whether it comes
-//! from the depot or is rebuilt, so alarms, trials, and transcripts are
+//! state — restore(base), submit jump `J_k`, converge — whichever worker
+//! builds it and however often, so alarms, trials, and transcripts are
 //! byte-identical for every worker count.
 
 use std::collections::BTreeMap;
@@ -30,7 +30,7 @@ use crdspec::Value;
 use operators::{operator_by_name, InstanceCheckpoint, CONVERGE_MAX, CONVERGE_RESET};
 
 use crate::exec::{run_segmented, Driver, Segment, SegmentSink, TrialRecord};
-pub use crate::exec::{CheckpointSharing, FailedSegment, SnapshotDepot, WorkerStats};
+pub use crate::exec::{CheckpointSharing, FailedSegment, WorkerStats};
 
 use crate::campaign::{
     apply_op, capped_len, deploy_base, plan_operator, restore, run_window, CampaignConfig,
@@ -86,13 +86,6 @@ pub struct ParallelResult<T = Trial> {
     pub worker_stats: Vec<WorkerStats>,
     /// Segments whose execution panicked.
     pub failed_segments: Vec<FailedSegment>,
-    /// Prefix snapshots resident in the depot when the run finished.
-    pub depot_snapshots: usize,
-    /// Objects across resident depot snapshots shared with other
-    /// snapshots (structural sharing kept them deduplicated).
-    pub depot_shared_objects: usize,
-    /// Objects across resident depot snapshots that are uniquely owned.
-    pub depot_owned_objects: usize,
     /// Attributed findings over all trials.
     pub summary: CampaignSummary,
 }
@@ -210,19 +203,18 @@ pub fn declaration_after_prefix<'a>(
 /// Runs a campaign across `workers` threads with work stealing and
 /// [`DEFAULT_SEGMENT_OPS`]-operation segments.
 pub fn run_work_stealing(config: &CampaignConfig, workers: usize) -> ParallelResult {
-    run_work_stealing_with(config, workers, DEFAULT_SEGMENT_OPS, &SnapshotDepot::new())
+    run_work_stealing_with(config, workers, DEFAULT_SEGMENT_OPS)
 }
 
 /// Runs a campaign across `workers` threads, claiming `segment_ops`-sized
-/// plan segments through a shared cursor and reusing prefix states from
-/// `depot`.
+/// plan segments through a shared cursor; each segment builds its own
+/// prefix state.
 pub fn run_work_stealing_with(
     config: &CampaignConfig,
     workers: usize,
     segment_ops: usize,
-    depot: &SnapshotDepot,
 ) -> ParallelResult {
-    run_work_stealing_core(config, workers, segment_ops, depot, BTreeMap::new(), None)
+    run_work_stealing_core(config, workers, segment_ops, BTreeMap::new(), None)
 }
 
 /// The single-operator [`Driver`]: plan shared immutably across workers,
@@ -234,6 +226,8 @@ pub(crate) struct CampaignDriver<'a> {
     plan_len: usize,
     initial_cr: Value,
     base: Option<&'a InstanceCheckpoint>,
+    /// The caller's state segment 0 starts from in place of the base.
+    pub(crate) start: Option<&'a InstanceCheckpoint>,
     ref_cache: &'a FreshRefCache,
     /// Receives the §6.1.3 field counts of segment 0's start state.
     start_fields: Option<&'a OnceLock<(usize, usize)>>,
@@ -244,7 +238,7 @@ impl<'a> CampaignDriver<'a> {
     /// operations. Applying the cap before segmentation keeps it
     /// worker-count-agnostic. `base` replaces the deployment when given;
     /// `ref_cache` serves every worker's differential references, which
-    /// depend only on the declaration, like depot snapshots.
+    /// depend only on the declaration, like prefix checkpoints.
     /// `start_fields`, when given, receives the field counts of the state
     /// segment 0 starts from, taken while that segment restores it.
     pub(crate) fn new(
@@ -260,6 +254,7 @@ impl<'a> CampaignDriver<'a> {
             plan_len: capped_len(config, plan.len()),
             initial_cr: operator_by_name(config.operator()).initial_cr(),
             base,
+            start: None,
             ref_cache,
             start_fields,
         }
@@ -312,6 +307,7 @@ impl Driver for CampaignDriver<'_> {
     ) -> Vec<Trial> {
         let window = (seg.skip, seg.take);
         let fields = self.start_fields.filter(|_| seg.skip == 0);
+        let start = self.start.filter(|_| seg.skip == 0).unwrap_or(start);
         let (trials, tally) = run_window(
             self.config,
             self.plan,
@@ -333,7 +329,6 @@ pub(crate) fn run_work_stealing_core(
     config: &CampaignConfig,
     workers: usize,
     segment_ops: usize,
-    depot: &SnapshotDepot,
     completed: BTreeMap<usize, Vec<Trial>>,
     sink: Option<SegmentSink<'_, Trial>>,
 ) -> ParallelResult {
@@ -343,7 +338,7 @@ pub(crate) fn run_work_stealing_core(
 
     let ref_cache = FreshRefCache::new();
     let driver = CampaignDriver::new(config, &plan, None, &ref_cache, None);
-    let run = run_segmented(&driver, workers, segment_ops, depot, completed, sink);
+    let run = run_segmented(&driver, workers, segment_ops, completed, sink);
     ParallelResult {
         gen_duration,
         wall: start.elapsed(),
@@ -403,8 +398,7 @@ mod tests {
         // chunking would have spawned a zero-work worker here.
         let mut config = quick_config();
         config.max_ops = Some(10);
-        let depot = SnapshotDepot::new();
-        let result = run_work_stealing_with(&config, 5, 4, &depot);
+        let result = run_work_stealing_with(&config, 5, 4);
         assert_eq!(result.segments, 3);
         assert_eq!(result.workers, 3, "workers clamp to the segment count");
         for s in &result.worker_stats {
@@ -434,16 +428,18 @@ mod tests {
     }
 
     #[test]
-    fn depot_serves_repeat_runs() {
+    fn every_run_builds_its_own_prefixes() {
         let mut config = quick_config();
-        config.max_ops = Some(16);
-        let depot = SnapshotDepot::new();
-        let first = run_work_stealing_with(&config, 2, 8, &depot);
-        assert_eq!(depot.len(), first.segments, "every prefix is deposited");
-        let second = run_work_stealing_with(&config, 2, 8, &depot);
-        let hits: usize = second.worker_stats.iter().map(|s| s.depot_hits).sum();
-        assert_eq!(hits, second.segments, "repeat runs restore every prefix");
+        config.max_ops = Some(24);
+        let first = run_work_stealing_with(&config, 2, 8);
+        let second = run_work_stealing_with(&config, 2, 8);
+        for run in [&first, &second] {
+            assert_eq!(run.segments, 3);
+            let hits: usize = run.worker_stats.iter().map(|s| s.depot_hits).sum();
+            assert_eq!(hits, 1, "only segment 0 starts from the base");
+        }
         assert_eq!(first.transcript(), second.transcript());
+        assert_eq!(first.total_sim_seconds, second.total_sim_seconds);
     }
 
     #[test]
@@ -523,5 +519,63 @@ mod tests {
             .iter()
             .all(|t| t.op.scenario != "worker-panic"));
         assert!(!result.trials.is_empty());
+    }
+
+    #[test]
+    fn flaky_segment_after_the_base_rebuilds_its_prefix_on_retry() {
+        /// Counts its calls and panics once, at call `fire_at`.
+        #[derive(Debug)]
+        struct CountingBomb {
+            calls: std::sync::atomic::AtomicUsize,
+            fire_at: Option<usize>,
+        }
+        impl crate::oracles::CustomOracle for CountingBomb {
+            fn name(&self) -> &str {
+                "counting-bomb"
+            }
+            fn check(
+                &self,
+                _ctx: &crate::oracles::OracleContext<'_>,
+                _instance: &Instance,
+            ) -> Vec<Alarm> {
+                let call = self.calls.fetch_add(1, Ordering::SeqCst);
+                if Some(call) == self.fire_at {
+                    panic!("transient oracle failure");
+                }
+                Vec::new()
+            }
+        }
+        let run = |max_ops, fire_at| {
+            let bomb = std::sync::Arc::new(CountingBomb {
+                calls: Default::default(),
+                fire_at,
+            });
+            let mut config = quick_config();
+            config.max_ops = Some(max_ops);
+            config.custom_oracles = vec![bomb.clone()];
+            let result = run_work_stealing_with(&config, 1, 8);
+            (result, bomb.calls.load(Ordering::SeqCst))
+        };
+        // Segment 0 alone makes `first_of_segment_1` oracle calls, so the
+        // call with that number is the first one in segment 1 (skip 8).
+        let (_, first_of_segment_1) = run(8, None);
+        let (clean, total_calls) = run(16, None);
+        assert!(
+            total_calls > first_of_segment_1,
+            "segment 1 consults the oracle"
+        );
+        let (flaky, _) = run(16, Some(first_of_segment_1));
+
+        assert_eq!(flaky.segments, 2);
+        assert_eq!(flaky.failed_segments.len(), 1);
+        let failed = &flaky.failed_segments[0];
+        assert_eq!((failed.segment, failed.skip, failed.take), (1, 8, 8));
+        assert!(!failed.quarantined, "the retry recovers");
+        assert!(failed.panic.contains("transient oracle failure"));
+        // The retry rebuilt the canonical prefix: the same trials as a run
+        // that never panicked, at the cost of the jump built twice.
+        assert_eq!(format!("{:?}", flaky.trials), format!("{:?}", clean.trials));
+        assert_eq!(flaky.transcript(), clean.transcript());
+        assert!(flaky.total_sim_seconds > clean.total_sim_seconds);
     }
 }

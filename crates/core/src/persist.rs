@@ -79,7 +79,7 @@ use crate::fuzz::{
 use crate::minimize::minimize;
 use crate::model::{Expectation, Mode, PlannedOp, Trial, TrialOutcome};
 use crate::oracles::AlarmKind;
-use crate::parallel::{run_work_stealing_core, ParallelResult, SnapshotDepot};
+use crate::parallel::{run_work_stealing_core, ParallelResult};
 use crate::report::Alarm;
 
 // ---------------------------------------------------------------------------
@@ -1262,7 +1262,6 @@ fn run_campaign_against(
         config,
         workers,
         segment_ops,
-        &SnapshotDepot::new(),
         completed,
         Some(&sink),
     ))
@@ -1529,10 +1528,10 @@ fn mode_from_name(name: &str) -> Result<Mode, String> {
     }
 }
 
-/// Interns a string, leaking each distinct value once. Journal vocabulary
-/// (scenario names, outcome classes) is a small closed set in practice, so
-/// the leak is bounded; the pool exists because [`PlannedOp::scenario`]
-/// and [`CoverageFeature`] hold `&'static str` for zero-cost in-run use.
+/// Interns a scenario name, leaking each distinct value once. Scenario
+/// names are a small set in practice, so the leak is bounded; the pool
+/// exists because [`PlannedOp::scenario`] holds a `&'static str` for
+/// zero-cost in-run use.
 fn intern(s: &str) -> &'static str {
     use std::sync::OnceLock;
     static POOL: OnceLock<Mutex<BTreeSet<&'static str>>> = OnceLock::new();
@@ -1546,8 +1545,8 @@ fn intern(s: &str) -> &'static str {
     leaked
 }
 
-/// The payload-free outcome classes, for re-pinning parsed features to
-/// the statics the running process uses.
+/// The payload-free outcome classes ([`TrialOutcome::class_name`]): a
+/// decoded `outcome:` feature must name one of them.
 const OUTCOME_CLASSES: &[&str] = &[
     "rejected-by-api",
     "rejected-by-operator",
@@ -1558,15 +1557,8 @@ const OUTCOME_CLASSES: &[&str] = &[
     "stuck",
 ];
 
+/// The crash-boundary verdicts a decoded `crash:<k>:` feature may name.
 const CRASH_VERDICTS: &[&str] = &["consistent", "diverged", "unfired"];
-
-fn pin_static(s: &str, catalog: &[&'static str]) -> &'static str {
-    catalog
-        .iter()
-        .find(|&&c| c == s)
-        .copied()
-        .unwrap_or_else(|| intern(s))
-}
 
 fn expectation_name(e: Expectation) -> &'static str {
     match e {
@@ -1632,16 +1624,13 @@ fn planned_op_from_value(v: &Value) -> Result<PlannedOp, String> {
 }
 
 fn outcome_to_value(o: &TrialOutcome) -> Value {
-    let (class, detail) = match o {
-        TrialOutcome::RejectedByApi(d) => ("rejected-by-api", Some(d)),
-        TrialOutcome::RejectedByOperator => ("rejected-by-operator", None),
-        TrialOutcome::Converged => ("converged", None),
-        TrialOutcome::ErrorState(d) => ("error-state", Some(d)),
-        TrialOutcome::OperatorCrash(d) => ("operator-crash", Some(d)),
-        TrialOutcome::Livelock => ("livelock", None),
-        TrialOutcome::Stuck => ("stuck", None),
+    let detail = match o {
+        TrialOutcome::RejectedByApi(d)
+        | TrialOutcome::ErrorState(d)
+        | TrialOutcome::OperatorCrash(d) => Some(d),
+        _ => None,
     };
-    let mut fields = vec![("class", Value::String(class.to_string()))];
+    let mut fields = vec![("class", Value::String(o.class_name().to_string()))];
     if let Some(d) = detail {
         fields.push(("detail", Value::String(d.clone())));
     }
@@ -1749,14 +1738,19 @@ fn feature_from_render(s: &str) -> Result<CoverageFeature, String> {
         let b = u64::from_str_radix(b, 16).map_err(|_| format!("bad edge feature {s:?}"))?;
         return Ok(CoverageFeature::Edge(a, b));
     }
+    // The named classes are closed vocabularies: an unknown name is a
+    // damaged journal, as it is in `outcome_from_value`/`alarm_from_value`.
     if let Some(rest) = s.strip_prefix("outcome:") {
-        return Ok(CoverageFeature::Outcome(pin_static(rest, OUTCOME_CLASSES)));
+        return OUTCOME_CLASSES
+            .iter()
+            .find(|&&c| c == rest)
+            .map(|&c| CoverageFeature::Outcome(c))
+            .ok_or_else(|| format!("unknown outcome class {rest:?}"));
     }
     if let Some(rest) = s.strip_prefix("alarm:") {
-        let pinned = AlarmKind::from_name(rest)
-            .map(|k| k.name())
-            .unwrap_or_else(|| intern(rest));
-        return Ok(CoverageFeature::Alarm(pinned));
+        return AlarmKind::from_name(rest)
+            .map(|k| CoverageFeature::Alarm(k.name()))
+            .ok_or_else(|| format!("unknown alarm kind {rest:?}"));
     }
     if let Some(rest) = s.strip_prefix("crash:") {
         let (k, verdict) = rest
@@ -1765,10 +1759,11 @@ fn feature_from_render(s: &str) -> Result<CoverageFeature, String> {
         let k = k
             .parse::<u32>()
             .map_err(|_| format!("bad crash feature {s:?}"))?;
-        return Ok(CoverageFeature::CrashBoundary(
-            k,
-            pin_static(verdict, CRASH_VERDICTS),
-        ));
+        return CRASH_VERDICTS
+            .iter()
+            .find(|&&c| c == verdict)
+            .map(|&v| CoverageFeature::CrashBoundary(k, v))
+            .ok_or_else(|| format!("unknown crash verdict {verdict:?}"));
     }
     Err(format!("unknown coverage feature {s:?}"))
 }
@@ -1890,6 +1885,43 @@ mod tests {
             let parsed = feature_from_render(&f.render()).expect("parses");
             assert_eq!(parsed, *f);
         }
+    }
+
+    #[test]
+    fn feature_decoding_refuses_names_outside_the_vocabulary() {
+        for bogus in ["outcome:exploded", "alarm:exploded", "crash:3:exploded"] {
+            let err = feature_from_render(bogus).expect_err(bogus);
+            assert!(err.contains("\"exploded\""), "{bogus}: {err}");
+        }
+    }
+
+    #[test]
+    fn every_outcome_class_is_in_the_decoding_vocabulary() {
+        let outcomes = [
+            TrialOutcome::RejectedByApi(String::new()),
+            TrialOutcome::RejectedByOperator,
+            TrialOutcome::Converged,
+            TrialOutcome::ErrorState(String::new()),
+            TrialOutcome::OperatorCrash(String::new()),
+            TrialOutcome::Livelock,
+            TrialOutcome::Stuck,
+        ];
+        for o in &outcomes {
+            // Exhaustive: a new variant fails to compile here until listed.
+            match o {
+                TrialOutcome::RejectedByApi(_)
+                | TrialOutcome::RejectedByOperator
+                | TrialOutcome::Converged
+                | TrialOutcome::ErrorState(_)
+                | TrialOutcome::OperatorCrash(_)
+                | TrialOutcome::Livelock
+                | TrialOutcome::Stuck => {}
+            }
+            assert!(OUTCOME_CLASSES.contains(&o.class_name()), "{o:?}");
+            let feature = CoverageFeature::Outcome(o.class_name());
+            assert_eq!(feature_from_render(&feature.render()), Ok(feature));
+        }
+        assert_eq!(OUTCOME_CLASSES.len(), outcomes.len());
     }
 
     fn test_manifest(kind: RunKind) -> Manifest {

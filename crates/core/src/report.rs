@@ -423,10 +423,6 @@ pub fn render_parallel<T: TrialRecord>(result: &ParallelResult<T>) -> String {
         result.wall,
         result.gen_duration
     ));
-    out.push_str(&format!(
-        "depot: {} resident snapshots; objects shared {} / uniquely owned {}\n",
-        result.depot_snapshots, result.depot_shared_objects, result.depot_owned_objects
-    ));
     out.push_str(&render_worker_stats(&result.worker_stats));
     for f in &result.failed_segments {
         if f.quarantined {

@@ -23,9 +23,7 @@ use acto_repro::acto::compose::{
 use acto_repro::acto::durability::{persist_sweep, DurabilitySweep, SweepOptions};
 use acto_repro::acto::exec::{run_segmented, Driver, SegmentSink};
 use acto_repro::acto::fuzz::{replay_corpus, run_fuzz, run_random, Corpus, FuzzConfig, FuzzResult};
-use acto_repro::acto::parallel::{
-    run_work_stealing, run_work_stealing_with, ParallelResult, SnapshotDepot,
-};
+use acto_repro::acto::parallel::{run_work_stealing, run_work_stealing_with, ParallelResult};
 use acto_repro::acto::persist::{
     resume_fuzz_with, resume_work_stealing_with, run_fuzz_persistent_io,
     run_work_stealing_persistent_io, PersistError, RecoveryPolicy, StoreIo,
@@ -33,7 +31,7 @@ use acto_repro::acto::persist::{
 use acto_repro::acto::{
     run_campaign, run_campaign_with, CampaignConfig, CampaignResult, FreshRefCache, PlannedOp,
 };
-use acto_repro::operators::{CompositionCheckpoint, InstanceCheckpoint};
+use acto_repro::operators::InstanceCheckpoint;
 
 #[test]
 #[allow(clippy::type_complexity)] // spelling out the full signature IS the test
@@ -51,8 +49,7 @@ fn legacy_entry_point_signatures_still_compile() {
 
     // Work-stealing family, plain and persistent.
     let _: fn(&CampaignConfig, usize) -> ParallelResult = run_work_stealing;
-    let _: fn(&CampaignConfig, usize, usize, &SnapshotDepot) -> ParallelResult =
-        run_work_stealing_with;
+    let _: fn(&CampaignConfig, usize, usize) -> ParallelResult = run_work_stealing_with;
     let _: fn(
         &CampaignConfig,
         usize,
@@ -80,12 +77,8 @@ fn legacy_entry_point_signatures_still_compile() {
     // Composed family: the generic result types over composed trials.
     let _: fn(&CampaignConfig) -> Result<ParallelResult<ComposedTrial>, String> =
         run_composed_campaign;
-    let _: fn(
-        &CampaignConfig,
-        usize,
-        usize,
-        &SnapshotDepot<CompositionCheckpoint>,
-    ) -> Result<ParallelResult<ComposedTrial>, String> = run_composed_work_stealing_with;
+    let _: fn(&CampaignConfig, usize, usize) -> Result<ParallelResult<ComposedTrial>, String> =
+        run_composed_work_stealing_with;
     let _: fn(&FuzzConfig) -> Result<FuzzResult<ComposedTrial>, String> = run_composed_fuzz;
 
     // The persist sweep.
@@ -100,7 +93,6 @@ fn segmented_core_signature<D: Driver>() {
         &D,
         usize,
         usize,
-        &SnapshotDepot<D::Checkpoint>,
         BTreeMap<usize, Vec<D::Trial>>,
         Option<SegmentSink<'_, D::Trial>>,
     ) -> ParallelResult<D::Trial> = run_segmented::<D>;

@@ -9,7 +9,7 @@ use acto_repro::acto::compose::{
 };
 use acto_repro::acto::fuzz::FuzzConfig;
 use acto_repro::acto::oracles::{CustomOracle, OracleContext};
-use acto_repro::acto::parallel::{SnapshotDepot, DEFAULT_SEGMENT_OPS};
+use acto_repro::acto::parallel::DEFAULT_SEGMENT_OPS;
 use acto_repro::acto::{Alarm, AlarmKind, CampaignConfig, Mode};
 use acto_repro::operators::{bugs, Instance};
 use acto_repro::simkube::Fault;
@@ -101,18 +101,11 @@ fn composed_campaign_is_deterministic_across_repeats() {
 #[test]
 fn composed_parallel_transcript_is_worker_count_invariant() {
     let config = CampaignConfig::composed(&["ZooKeeperOp", "RabbitMQOp"], Mode::Whitebox);
-    let reference =
-        run_composed_work_stealing_with(&config, 1, DEFAULT_SEGMENT_OPS, &SnapshotDepot::new())
-            .expect("runs");
+    let reference = run_composed_work_stealing_with(&config, 1, DEFAULT_SEGMENT_OPS).expect("runs");
     assert!(!reference.trials.is_empty());
     for workers in [2, 4] {
-        let run = run_composed_work_stealing_with(
-            &config,
-            workers,
-            DEFAULT_SEGMENT_OPS,
-            &SnapshotDepot::new(),
-        )
-        .expect("runs");
+        let run =
+            run_composed_work_stealing_with(&config, workers, DEFAULT_SEGMENT_OPS).expect("runs");
         assert_eq!(
             reference.transcript(),
             run.transcript(),
@@ -197,11 +190,7 @@ fn composed_runners_refuse_single_instance_settings() {
         };
         named(plan_composed(&config).expect_err(field));
         named(run_composed_campaign(&config).expect_err(field));
-        let depot = SnapshotDepot::new();
-        named(
-            run_composed_work_stealing_with(&config, 2, DEFAULT_SEGMENT_OPS, &depot)
-                .expect_err(field),
-        );
+        named(run_composed_work_stealing_with(&config, 2, DEFAULT_SEGMENT_OPS).expect_err(field));
         let mut fuzz = FuzzConfig::new("ZooKeeperOp");
         fuzz.campaign = config;
         fuzz.execs = 2;

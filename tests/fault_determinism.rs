@@ -7,7 +7,7 @@
 
 mod common;
 
-use acto_repro::acto::parallel::{run_work_stealing_with, SnapshotDepot};
+use acto_repro::acto::parallel::run_work_stealing_with;
 use acto_repro::acto::{run_campaign, CampaignConfig, Mode, Strategy};
 use acto_repro::operators::BugToggles;
 use acto_repro::simkube::{FaultPlan, FaultProfile, PlatformBugs};
@@ -88,7 +88,7 @@ proptest! {
 fn work_stealing_transcripts_carry_the_fault_burst() {
     let mut config = faulted_config(FaultPlan::generate(7, &FaultProfile::default()));
     config.max_ops = Some(8);
-    let run = |workers| run_work_stealing_with(&config, workers, 4, &SnapshotDepot::new());
+    let run = |workers| run_work_stealing_with(&config, workers, 4);
     let reference = run(1);
     assert_eq!(reference.segments, 2);
     let burst = &reference.trials[0];

@@ -55,7 +55,7 @@ fn fuzz_is_deterministic_across_repeats_and_worker_counts() {
 
 #[test]
 fn fuzz_report_threads_cache_counters_through() {
-    // Every exec forks the base checkpoint from the depot, so the
+    // Every exec forks the shared base checkpoint (a depot hit), so the
     // worker-stats table under fuzz must show real depot activity — the
     // regression here was rendering all-zero cache columns because the
     // fuzz loop never filled the counters the parallel report reads.
@@ -63,7 +63,7 @@ fn fuzz_report_threads_cache_counters_through() {
     let depot_hits: usize = result.worker_stats.iter().map(|s| s.depot_hits).sum();
     assert!(
         depot_hits >= result.execs,
-        "each of the {} execs forks from the depot; saw {depot_hits} hits",
+        "each of the {} execs forks the base; saw {depot_hits} hits",
         result.execs
     );
     let rendered = render_fuzz(&result);

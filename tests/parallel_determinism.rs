@@ -13,7 +13,7 @@ use std::collections::BTreeSet;
 use acto_repro::acto::compose::{
     run_composed_campaign, run_composed_work_stealing_with, ComposedParallelResult,
 };
-use acto_repro::acto::parallel::{run_work_stealing, run_work_stealing_with, SnapshotDepot};
+use acto_repro::acto::parallel::{run_work_stealing, run_work_stealing_with};
 use acto_repro::acto::{run_campaign, CampaignConfig, Mode, Strategy, Trial};
 use acto_repro::operators::BugToggles;
 use acto_repro::simkube::{Fault, FaultPlan, PlatformBugs};
@@ -56,12 +56,13 @@ fn transcripts_identical_across_worker_counts() {
 
 /// The makespan is replayed from per-segment sim costs through the claim
 /// rule, so which thread wins a claim race on this host cannot move it:
-/// two 4-worker runs, each from a fresh depot, report the same number.
+/// two 4-worker runs, each building its own prefixes, report the same
+/// number.
 #[test]
 fn makespan_is_identical_across_repeats() {
     let config = config("ZooKeeperOp", 24);
     let runs: Vec<_> = (0..2)
-        .map(|_| run_work_stealing_with(&config, 4, 2, &SnapshotDepot::new()))
+        .map(|_| run_work_stealing_with(&config, 4, 2))
         .collect();
     for run in &runs {
         assert!(run.failed_segments.is_empty());
@@ -79,9 +80,9 @@ proptest! {
         // Worker count must never matter; segment size is part of the
         // campaign's identity, so compare equal segment sizes only.
         let config = config("ZooKeeperOp", 14);
-        let depot = SnapshotDepot::new();
-        let a = run_work_stealing_with(&config, 1, segment_ops, &depot);
-        let b = run_work_stealing_with(&config, workers, segment_ops, &depot);
+        // Each run builds every prefix itself, so `b` cannot replay `a`'s.
+        let a = run_work_stealing_with(&config, 1, segment_ops);
+        let b = run_work_stealing_with(&config, workers, segment_ops);
         prop_assert!(a.failed_segments.is_empty());
         prop_assert!(b.failed_segments.is_empty());
         prop_assert_eq!(a.transcript(), b.transcript());
@@ -126,8 +127,7 @@ fn max_ops_caps_planned_ops_in_every_runner() {
         planned.map(|t| t.trial.op.index).collect()
     };
     let one = run_composed_campaign(&composed).expect("composed campaign runs");
-    let two = run_composed_work_stealing_with(&composed, 2, 4, &SnapshotDepot::new())
-        .expect("composed campaign runs");
+    let two = run_composed_work_stealing_with(&composed, 2, 4).expect("composed campaign runs");
     assert_eq!((one.workers, one.segments, two.workers), (1, 1, 2));
     let ops = composed_ops(&one);
     assert!(ops.iter().all(|&i| i < 8), "ops past the cap: {ops:?}");

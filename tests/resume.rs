@@ -11,7 +11,7 @@
 use std::path::PathBuf;
 
 use acto_repro::acto::fuzz::{replay_corpus, run_fuzz, run_random, Corpus, FuzzConfig};
-use acto_repro::acto::parallel::{run_work_stealing_with, SnapshotDepot};
+use acto_repro::acto::parallel::run_work_stealing_with;
 use acto_repro::acto::persist::{
     resume_fuzz_with, resume_work_stealing_with, run_fuzz_persistent_io,
     run_work_stealing_persistent_io, PersistErrorKind, RecoveryPolicy, StoreIo,
@@ -107,7 +107,7 @@ fn interrupt_journal(dir: &std::path::Path, keep: usize) {
 fn interrupted_campaign_resumes_byte_identical_at_any_worker_count() {
     let config = config("ZooKeeperOp", 14);
     let segment_ops = 4;
-    let baseline = run_work_stealing_with(&config, 2, segment_ops, &SnapshotDepot::new());
+    let baseline = run_work_stealing_with(&config, 2, segment_ops);
     assert!(baseline.failed_segments.is_empty());
 
     for workers in [1usize, 2, 4] {

@@ -15,7 +15,7 @@ use acto_repro::acto::compose::{
 };
 use acto_repro::acto::fuzz::{run_fuzz, FuzzConfig};
 use acto_repro::acto::minimize::minimize;
-use acto_repro::acto::parallel::{run_work_stealing, SnapshotDepot, DEFAULT_SEGMENT_OPS};
+use acto_repro::acto::parallel::{run_work_stealing, DEFAULT_SEGMENT_OPS};
 use acto_repro::acto::{run_campaign, AlarmKind, CampaignConfig, CampaignResult, Mode, Strategy};
 use acto_repro::operators::bugs::{
     bugs_of, BugToggles, SEEDED_CROSS_OPERATOR_GC, SEEDED_NONIDEMPOTENT_CREATE,
@@ -244,9 +244,8 @@ fn composed_work_stealing_at_two_workers() {
     let mut config = CampaignConfig::composed(&["CockroachOp", "ZooKeeperOp"], Mode::Whitebox);
     config.bugs = BugToggles::all_injected();
     config.max_ops = Some(16);
-    let result =
-        run_composed_work_stealing_with(&config, 2, DEFAULT_SEGMENT_OPS, &SnapshotDepot::new())
-            .expect("composed campaign runs");
+    let result = run_composed_work_stealing_with(&config, 2, DEFAULT_SEGMENT_OPS)
+        .expect("composed campaign runs");
     assert_digest(
         "cockroach+zookeeper composed work stealing",
         &result.transcript(),
