@@ -56,7 +56,7 @@ fn fuzz_is_deterministic_across_repeats_and_worker_counts() {
 #[test]
 fn fuzz_report_threads_cache_counters_through() {
     // Every exec forks the shared base checkpoint (a depot hit), so the
-    // worker-stats table under fuzz must show real depot activity — the
+    // worker-stats table under fuzz must show one hit per exec — the
     // regression here was rendering all-zero cache columns because the
     // fuzz loop never filled the counters the parallel report reads.
     let result = run_fuzz(&small_config(0xCACE, 2)).expect("fuzz config");
