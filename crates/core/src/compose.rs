@@ -37,7 +37,6 @@
 //! composed fuzz inputs — the input space here is the interleaving itself.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 use std::time::Instant;
 
 use crdspec::Value;
@@ -468,7 +467,7 @@ fn run_composed(
     // prefix build restores this snapshot instead of redeploying N systems.
     let mut base_comp = deploy_composition(config, &names)?;
     let base_sim_seconds = base_comp.now();
-    let base = Arc::new(base_comp.checkpoint());
+    let base = base_comp.checkpoint();
     drop(base_comp);
 
     let driver = ComposedDriver {
@@ -497,7 +496,7 @@ struct ComposedDriver<'a> {
     plan_len: usize,
     names: Vec<&'static str>,
     initial_crs: Vec<Value>,
-    base: Arc<CompositionCheckpoint>,
+    base: CompositionCheckpoint,
     base_sim_seconds: u64,
 }
 
@@ -513,8 +512,8 @@ impl Driver for ComposedDriver<'_> {
         self.plan_len
     }
 
-    fn deploy_base(&self) -> (Arc<CompositionCheckpoint>, u64) {
-        (Arc::clone(&self.base), self.base_sim_seconds)
+    fn deploy_base(&self) -> (CompositionCheckpoint, u64) {
+        (self.base.clone(), self.base_sim_seconds)
     }
 
     /// Restores the base composition, submits each member's jump

@@ -457,7 +457,7 @@ pub trait Driver: Sync {
 
     /// Deploys the shared base once and returns its checkpoint plus the
     /// simulated seconds the deployment consumed.
-    fn deploy_base(&self) -> (Arc<Self::Checkpoint>, u64);
+    fn deploy_base(&self) -> (Self::Checkpoint, u64);
 
     /// Builds the canonical state after the first `skip` planned
     /// operations: restore `base`, submit the single jump declaration
@@ -598,7 +598,7 @@ pub fn run_segmented<D: Driver>(
         // skip 0, else its own jump. A retry rebuilds the same state.
         let built;
         let start = if seg.skip == 0 {
-            &*base
+            &base
         } else {
             built = driver.build_prefix(&base, seg.skip, my);
             &built
@@ -800,8 +800,8 @@ mod tests {
             fn plan_len(&self) -> usize {
                 8
             }
-            fn deploy_base(&self) -> (Arc<NoCheckpoint>, u64) {
-                (Arc::new(NoCheckpoint), 0)
+            fn deploy_base(&self) -> (NoCheckpoint, u64) {
+                (NoCheckpoint, 0)
             }
             fn build_prefix(
                 &self,

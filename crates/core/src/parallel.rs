@@ -23,7 +23,7 @@
 //! byte-identical for every worker count.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use crdspec::Value;
@@ -273,12 +273,11 @@ impl Driver for CampaignDriver<'_> {
         self.plan_len
     }
 
-    fn deploy_base(&self) -> (Arc<InstanceCheckpoint>, u64) {
-        if let Some(base) = self.base {
-            return (Arc::new(base.clone()), 0);
+    fn deploy_base(&self) -> (InstanceCheckpoint, u64) {
+        match self.base {
+            Some(base) => (base.clone(), 0),
+            None => deploy_base(self.config).expect("initial deployment"),
         }
-        let (base, base_sim_seconds) = deploy_base(self.config).expect("initial deployment");
-        (Arc::new(base), base_sim_seconds)
     }
 
     fn build_prefix(
